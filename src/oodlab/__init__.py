@@ -5,7 +5,7 @@ outliers, and a robust evaluation suite (clean, adversarial, and certified
 AUROC) with few-shot robustness sweeps.
 """
 
-from .autodiff import Tensor, apply_primitive, backward, grad_check
+from .autodiff import Tensor, backward, grad_check
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import (
     DatasetSpec,

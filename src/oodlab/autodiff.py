@@ -5,6 +5,11 @@ parents and a vector-Jacobian product in a ComputationRecord attached to the
 result tensor. Tensors carry monotonically increasing creation ids, so
 walking recorded nodes in reverse creation order is a valid topological
 order for backpropagation (parents are always created before children).
+Only leaf tensors made with requires_grad=True own a ``.grad`` buffer;
+gradients of intermediate nodes live in ``backward`` alone.
+
+The primitives are exactly those the MLP (``linear``, ``relu``, ``tanh``)
+and the loss terms use.
 
 Broadcasting is deliberately narrow: elementwise primitives accept equal
 shapes, a scalar (shape ()) against anything, or one operand matching the
@@ -28,7 +33,6 @@ __all__ = [
     "ComputationRecord",
     "ShapeMismatchError",
     "DomainError",
-    "apply_primitive",
     "backward",
     "grad_check",
     "check_gradients",
@@ -38,8 +42,7 @@ __all__ = [
     "mul",
     "div",
     "scalar_mul",
-    "matmul",
-    "transpose",
+    "linear",
     "relu",
     "tanh",
     "exp",
@@ -50,7 +53,6 @@ __all__ = [
     "reduce_max",
     "l2_norm_of_difference",
     "gather_rows",
-    "reshape",
 ]
 
 _node_ids = itertools.count()
@@ -113,46 +115,14 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(data: np.ndarray, kind: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out.record = ComputationRecord(out.node_id, kind, parents, vjp)
     return out
 
@@ -229,21 +199,22 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 # --- linear algebra ---------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    return _make(
-        a.data @ b.data,
-        "matmul",
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer x @ w.T + b for a 2-D batch x and weights w of shape
+    (fan_out, fan_in); one node in place of transpose, matmul and add."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise ShapeMismatchError("linear", x.shape, w.shape, b.shape)
+    # not x @ w.data.T: a transposed operand sends small batches to OpenBLAS dgemm kernels that round differently
+    wt = np.ascontiguousarray(w.data.T)
 
+    def vjp(g):
+        return (
+            g @ wt.T if x.requires_grad else None,
+            (x.data.T @ g).T if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatchError("transpose", a.shape)
-    return _make(np.ascontiguousarray(a.data.T), "transpose", (a,), lambda g: (g.T,))
+    return _make(x.data @ wt + b.data, "linear", (x, w, b), vjp)
 
 
 # --- nonlinearities ---------------------------------------------------------
@@ -362,49 +333,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (buf,)
 
     return _make(a.data[idx], "gather-rows", (a,), vjp)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeMismatchError("reshape", a.shape, shape)
-    return _make(
-        a.data.reshape(shape),
-        "reshape",
-        (a,),
-        lambda g: (g.reshape(a.shape),),
-    )
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "elementwise-mul": mul,
-    "scalar-mul": scalar_mul,
-    "matmul": matmul,
-    "relu": relu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "log_sum_exp": log_sum_exp,
-    "reduce_mean": reduce_mean,
-    "reduce_sum": reduce_sum,
-    "l2_norm_of_difference": l2_norm_of_difference,
-    "max": reduce_max,
-    "div": div,
-    "transpose": transpose,
-    "gather-rows": gather_rows,
-    "reshape": reshape,
-}
-
-
-def apply_primitive(kind: str, operands: Sequence, **params) -> Tensor:
-    """Dispatch a primitive by kind name (the string table in _PRIMITIVES)."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind '{kind}'") from None
-    return fn(*operands, **params)
 
 
 def backward(root: Tensor) -> None:

@@ -272,6 +272,8 @@ def load_csv(path):
                 rows.append([float(v) for v in parts])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
     dim = ncols - 1 if labeled else ncols
     inputs = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
     if labeled:

@@ -124,7 +124,6 @@ def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: in
     normals = generate_dataset(config.normal)
     if not isinstance(normals, LabeledBatch):
         raise ConfigError("data.normal: must resolve to labeled data (gaussian-mixture, or csv with a label column)")
-    d = normals.dim
     few_shot = None
     if config.few_shot is not None:
         pool = generate_dataset(config.few_shot, normals=normals, source=FEW_SHOT_OE)
@@ -136,20 +135,28 @@ def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: in
         outlier = generate_dataset(config.outlier, normals=normals, source=OUTLIER_DATASET)
         if isinstance(outlier, LabeledBatch):
             outlier = OutlierPool(outlier.inputs, source=OUTLIER_DATASET)
-    k = len(np.unique(normals.labels))
+    return _assemble_pipeline(config, normals, few_shot, outlier, len(np.unique(normals.labels)), run_seed)
+
+
+def _assemble_pipeline(
+    config: ExperimentConfig, normals: LabeledBatch, few_shot, outlier, num_classes: int, run_seed: int
+) -> PipelineConfig:
+    """The PipelineConfig for materialized data: layer sizes and activations
+    from config.model, the schedule reseeded with run_seed, and the config's
+    weights and boundary pool size."""
+    d = normals.dim
     model = config.model
-    schedule = replace(config.schedule, master_seed=run_seed)
     return PipelineConfig(
         normals=normals,
         mode=config.mode,
         few_shot=few_shot,
         outlier=outlier,
-        classifier_sizes=[d, *model["classifier_hidden"], k],
+        classifier_sizes=[d, *model["classifier_hidden"], num_classes],
         classifier_activation=model["classifier_activation"],
         generator_sizes=[model["latent_dim"], *model["generator_hidden"], d],
         generator_activation=model["generator_activation"],
         weights=config.weights,
-        schedule=schedule,
+        schedule=replace(config.schedule, master_seed=run_seed),
         seed=run_seed,
         boundary_pool_size=config.boundary_pool_size,
     )
@@ -297,24 +304,7 @@ def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: Label
     outlier = None
     if config.outlier is not None:
         outlier = generate_dataset(config.outlier, normals=normals, source=OUTLIER_DATASET)
-    d = normals.dim
-    model = config.model
-    schedule = replace(config.schedule, master_seed=run_seed)
-    pipe_cfg = PipelineConfig(
-        normals=normals,
-        mode=config.mode,
-        few_shot=few_shot,
-        outlier=outlier,
-        classifier_sizes=[d, *model["classifier_hidden"], 2],
-        classifier_activation=model["classifier_activation"],
-        generator_sizes=[model["latent_dim"], *model["generator_hidden"], d],
-        generator_activation=model["generator_activation"],
-        weights=config.weights,
-        schedule=schedule,
-        seed=run_seed,
-        boundary_pool_size=config.boundary_pool_size,
-    )
-    result = run_pipeline(pipe_cfg)
+    result = run_pipeline(_assemble_pipeline(config, normals, few_shot, outlier, 2, run_seed))
     in_eval = holdout.inputs[holdout.labels == cls]
     out_eval = holdout.inputs[holdout.labels != cls]
     fingerprint = config.fingerprint

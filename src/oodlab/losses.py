@@ -131,23 +131,23 @@ def confidence_dominance_term(generated_logits: Tensor, reference_logits: Tensor
         raise ad.ShapeMismatchError(
             "confidence_dominance_term", generated_logits.shape, reference_logits.shape
         )
-    diff = ad.sub(generated_logits, reference_logits)
-    return ad.reduce_mean(ad.exp(ad.sub(ad.reduce_max(diff, axis=1), ad.log_sum_exp(diff, axis=1))))
+    return ad.reduce_mean(max_softmax_prob(ad.sub(generated_logits, reference_logits)))
 
 
 def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
-    """Mean over generated rows of the distance to the nearest reference row."""
+    """Mean over generated rows of the distance to the nearest reference row.
+
+    The nearest row is picked in numpy; on a tie the subgradient follows the
+    first nearest row.
+    """
     reference = np.asarray(normal_reference, dtype=np.float64)
-    q = len(reference)
-    if q < 1:
+    if len(reference) < 1:
         raise ValueError("proximity needs a non-empty normal reference")
-    n = generated.shape[0]
-    ii = np.repeat(np.arange(n), q)
-    jj = np.tile(np.arange(q), n)
-    dists = ad.l2_norm_of_difference(ad.gather_rows(generated, ii), Tensor(reference[jj]))
-    dmat = ad.reshape(dists, (n, q))
-    min_d = ad.scalar_mul(ad.reduce_max(ad.scalar_mul(dmat, -1.0), axis=1), -1.0)
-    return ad.reduce_mean(min_d)
+    if reference.ndim != 2 or generated.data.ndim != 2 or reference.shape[1] != generated.shape[1]:
+        raise ad.ShapeMismatchError("proximity_term", generated.shape, reference.shape)
+    diff = generated.data[:, None, :] - reference[None, :, :]
+    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=-1)), axis=1)
+    return ad.reduce_mean(ad.l2_norm_of_difference(generated, Tensor(reference[nearest])))
 
 
 def generator_loss(

@@ -97,7 +97,7 @@ class Mlp:
         act = _ACTIVATIONS[self.activation]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(h, ad.transpose(w)), b)
+            h = ad.linear(h, w, b)
             if i != last:
                 h = act(h)
         return h

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .losses import max_softmax_prob
 
 __all__ = [
     "IN_DISTRIBUTION",
@@ -94,6 +95,8 @@ class ScoreSet:
         for name, arr in (("in_scores", self.in_scores), ("out_scores", self.out_scores)):
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has a non-finite value at index {int(np.argmin(np.isfinite(arr)))}")
             if arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} outside [0, 1]: min={arr.min()} max={arr.max()}")
 
@@ -238,8 +241,7 @@ def pgd_max_confidence_batch(model, x: np.ndarray, budget: RobustnessBudget, see
             for _ in range(budget.pgd_steps):
                 xt = Tensor(adv, requires_grad=True)
                 logits = model.forward(xt)
-                score = ad.exp(ad.sub(ad.reduce_max(logits, axis=1), ad.log_sum_exp(logits, axis=1)))
-                ad.backward(ad.reduce_sum(score))
+                ad.backward(ad.reduce_sum(max_softmax_prob(logits)))
                 adv = _clip_ball(adv + budget.pgd_step_size * np.sign(xt.grad), x, budget)
                 best = np.maximum(best, anomaly_scores(model, adv))
     return best
@@ -326,6 +328,10 @@ def evaluate_ood(
     out_inputs = np.atleast_2d(np.asarray(out_inputs, dtype=np.float64))
     if len(in_inputs) == 0 or len(out_inputs) == 0:
         raise ValueError("evaluate_ood needs non-empty in and out sets")
+    for name, arr in (("in_inputs", in_inputs), ("out_inputs", out_inputs)):
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{name} has a non-finite value in row {int(np.argmin(finite))}")
 
     in_clean = anomaly_scores(model, in_inputs)
     out_clean = anomaly_scores(model, out_inputs)

@@ -9,11 +9,32 @@ from oodlab.autodiff import DomainError, ShapeMismatchError, Tensor
 LN2 = 0.6931471805599453
 
 
-def test_matmul_identity():
+def test_linear_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
-    out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
+    out = ad.linear(Tensor(a), Tensor(np.eye(3)), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, a)
+
+
+def test_linear_gradients_match_finite_differences_in_weight_and_bias():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 3))
+    w = rng.normal(size=(2, 3))
+    b = rng.normal(size=2)
+
+    def loss(wt, bt):
+        return ad.reduce_sum(ad.tanh(ad.linear(Tensor(x), wt, bt)))
+
+    assert ad.grad_check(lambda t: loss(t, Tensor(b)), Tensor(w)).passed
+    assert ad.grad_check(lambda t: loss(Tensor(w), t), Tensor(b)).passed
+
+
+def test_intermediate_nodes_carry_no_grad_buffer():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    h = ad.relu(ad.linear(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(2))))
+    ad.backward(ad.reduce_sum(h))
+    assert h.requires_grad and h.grad is None
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
 
 def test_relu_values():
@@ -74,12 +95,13 @@ def test_shared_subexpression_grad():
 def _random_composite(rng):
     """A three-layer composite touching most primitive kinds."""
     w1 = rng.normal(size=(5, 4))
+    b1 = rng.normal(size=5)
     w2 = rng.normal(size=(3, 5))
     ref = rng.normal(size=(2, 3))
 
     def f(x):
-        h = ad.tanh(ad.matmul(x, Tensor(w1.T)))
-        h = ad.matmul(h, Tensor(w2.T))
+        h = ad.tanh(ad.linear(x, Tensor(w1), Tensor(b1)))
+        h = ad.linear(h, Tensor(w2), Tensor(np.zeros(3)))
         scores = ad.exp(ad.sub(ad.reduce_max(h, axis=1), ad.log_sum_exp(h, axis=1)))
         dist = ad.l2_norm_of_difference(h, Tensor(ref))
         ratio = ad.div(dist, ad.add(scores, Tensor(0.5)))
@@ -117,9 +139,9 @@ def test_grad_check_detects_corrupted_gradient():
 
 def test_shape_error_names_primitive_and_shapes():
     with pytest.raises(ShapeMismatchError) as err:
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
     message = str(err.value)
-    assert "matmul" in message and "(2, 3)" in message
+    assert "linear" in message and "(2, 3)" in message
 
 
 def test_log_rejects_non_positive_input():
@@ -161,17 +183,6 @@ def test_primitives_keep_finite_inputs_finite(values):
         ad.l2_norm_of_difference(x, Tensor(np.zeros(len(values)))),
     ):
         assert np.all(np.isfinite(out.data))
-
-
-def test_apply_primitive_dispatch():
-    out = ad.apply_primitive("add", [Tensor([1.0]), Tensor([2.0])])
-    np.testing.assert_array_equal(out.data, [3.0])
-    out = ad.apply_primitive("log_sum_exp", [Tensor(np.zeros((2, 4)))], axis=1)
-    np.testing.assert_allclose(out.data, np.log(4.0) * np.ones(2))
-    out = ad.apply_primitive("scalar-mul", [Tensor([2.0])], c=4.0)
-    np.testing.assert_array_equal(out.data, [8.0])
-    with pytest.raises(ValueError, match="unknown primitive kind 'conv'"):
-        ad.apply_primitive("conv", [Tensor([1.0])])
 
 
 def test_gather_rows_accumulates_repeated_indices():

@@ -222,6 +222,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "hole.csv"
+        path.write_text("x0,x1,label\n1.0,2.0,0\n3.0,nan,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("", encoding="utf-8")

@@ -225,6 +225,12 @@ class TestProximity:
         with pytest.raises(ValueError, match="non-empty"):
             proximity_term(Tensor(np.zeros((1, 2))), np.zeros((0, 2)))
 
+    def test_tie_routes_whole_gradient_to_first_nearest_row(self):
+        generated = Tensor(np.zeros((1, 2)), requires_grad=True)
+        reference = np.array([[10.0, 0.0], [3.0, 4.0], [4.0, 3.0]])
+        ad.backward(proximity_term(generated, reference))
+        np.testing.assert_array_equal(generated.grad, [[-3.0 / 5.0, -4.0 / 5.0]])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_non_negative(self, seed):

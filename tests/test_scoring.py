@@ -295,6 +295,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_ood(model, np.zeros((0, 2)), out_set, RobustnessBudget())
 
+    @pytest.mark.parametrize("side", ["in_inputs", "out_inputs"])
+    def test_non_finite_input_rejected_naming_set_and_row(self, side):
+        model, in_set, out_set = self._sets()
+        sets = {"in_inputs": in_set, "out_inputs": out_set}
+        sets[side][3, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{side} has a non-finite value in row 3"):
+            evaluate_ood(model, sets["in_inputs"], sets["out_inputs"], RobustnessBudget())
+
 
 class TestBudgetAndReportValidation:
     def test_step_size_defaults_to_tenth_of_epsilon(self):
@@ -311,6 +319,10 @@ class TestBudgetAndReportValidation:
     def test_scores_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             ScoreSet(np.array([0.5]), np.array([1.2]))
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ValueError, match="out_scores has a non-finite value at index 1"):
+            ScoreSet(np.array([0.5]), np.array([0.5, np.nan]))
 
     def test_report_ordering_enforced_at_construction(self):
         with pytest.raises(ValueError, match="ordering"):
