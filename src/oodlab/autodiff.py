@@ -1,20 +1,23 @@
 """Reverse-mode automatic differentiation over small dense float64 tensors.
 
-Values live in numpy arrays. Every differentiable primitive records its
-parents and a vector-Jacobian product in a ComputationRecord attached to the
-result tensor. Tensors carry monotonically increasing creation ids, so
-walking recorded nodes in reverse creation order is a valid topological
-order for backpropagation (parents are always created before children).
-Only leaf tensors made with requires_grad=True own a ``.grad`` buffer;
-gradients of intermediate nodes live in ``backward`` alone.
+Values live in numpy arrays. A node records its parents and a
+vector-Jacobian product in a ComputationRecord attached to the result
+tensor. Tensors carry monotonically increasing creation ids, so walking
+recorded nodes in reverse creation order is a valid topological order for
+backpropagation (parents are always created before children). Only leaf
+tensors made with requires_grad=True own a ``.grad`` buffer; gradients of
+intermediate nodes live in ``backward`` alone.
 
-The primitives are exactly those the MLP (``linear``, ``relu``, ``tanh``)
-and the loss terms use.
+The tape is a thin driver. The MLP forward pass (``nets``) and each loss
+term (``losses``) are one node each, built with ``node`` around a VJP
+written out in numpy; ``grad_check`` and ``check_gradients`` verify those
+VJPs against central finite differences. The only generic primitives are
+``add``, ``scalar_mul`` and ``reduce_sum``, for composing terms.
 
-Broadcasting is deliberately narrow: elementwise primitives accept equal
-shapes, a scalar (shape ()) against anything, or one operand matching the
-other with the leading batch axis removed. Anything else raises
-ShapeMismatchError naming the primitive and both shapes.
+Broadcasting in ``add`` is deliberately narrow: equal shapes, a scalar
+(shape ()) against anything, or one operand matching the other with the
+leading batch axis removed. Anything else raises ShapeMismatchError naming
+the primitive and both shapes.
 
 A computation graph belongs to one thread; tensors without grad tracking may
 be shared read-only across threads. There is no internal locking.
@@ -32,27 +35,14 @@ __all__ = [
     "Tensor",
     "ComputationRecord",
     "ShapeMismatchError",
-    "DomainError",
+    "node",
     "backward",
     "grad_check",
     "check_gradients",
     "GradCheckReport",
     "add",
-    "sub",
-    "mul",
-    "div",
     "scalar_mul",
-    "linear",
-    "relu",
-    "tanh",
-    "exp",
-    "log",
-    "log_sum_exp",
-    "reduce_mean",
     "reduce_sum",
-    "reduce_max",
-    "l2_norm_of_difference",
-    "gather_rows",
 ]
 
 _node_ids = itertools.count()
@@ -66,13 +56,9 @@ class ShapeMismatchError(ValueError):
         super().__init__(f"{primitive}: incompatible shapes {rendered}")
 
 
-class DomainError(ValueError):
-    """Raised when a primitive is applied outside its documented domain."""
-
-
 @dataclass
 class ComputationRecord:
-    """Graph bookkeeping for one primitive application.
+    """Graph bookkeeping for one tape node.
 
     ``vjp`` maps the gradient flowing into this node to one gradient per
     parent (``None`` for parents that do not require grad).
@@ -119,7 +105,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, kind: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def node(data: np.ndarray, kind: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """A tensor holding ``data``, recorded on the tape when a parent requires
+    grad. ``vjp(g)`` returns one gradient per parent (``None`` for a parent
+    that needs none); it is only called for a recorded node."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -147,11 +136,9 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=0)
 
 
-# --- elementwise arithmetic -------------------------------------------------
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    return _make(
+    return node(
         a.data + b.data,
         "add",
         (a, b),
@@ -159,180 +146,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    return _make(
-        a.data - b.data,
-        "sub",
-        (a, b),
-        lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("elementwise-mul", a, b)
-    return _make(
-        a.data * b.data,
-        "elementwise-mul",
-        (a, b),
-        lambda g: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)),
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    return _make(
-        a.data / b.data,
-        "div",
-        (a, b),
-        lambda g: (
-            _reduce_to(g / b.data, a.shape),
-            _reduce_to(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, "scalar-mul", (a,), lambda g: (g * c,))
-
-
-# --- linear algebra ---------------------------------------------------------
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer x @ w.T + b for a 2-D batch x and weights w of shape
-    (fan_out, fan_in); one node in place of transpose, matmul and add."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
-        raise ShapeMismatchError("linear", x.shape, w.shape, b.shape)
-    # not x @ w.data.T: a transposed operand sends small batches to OpenBLAS dgemm kernels that round differently
-    wt = np.ascontiguousarray(w.data.T)
-
-    def vjp(g):
-        return (
-            g @ wt.T if x.requires_grad else None,
-            (x.data.T @ g).T if w.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
-        )
-
-    return _make(x.data @ wt + b.data, "linear", (x, w, b), vjp)
-
-
-# --- nonlinearities ---------------------------------------------------------
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0  # subgradient at 0 is 0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _make(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _make(y, "exp", (a,), lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        worst = float(a.data.min())
-        raise DomainError(f"log: non-positive input (min value {worst})")
-    return _make(np.log(a.data), "log", (a,), lambda g: (g / a.data,))
-
-
-# --- reductions -------------------------------------------------------------
-
-def log_sum_exp(a: Tensor, axis: int | None = None) -> Tensor:
-    """Stable log-sum-exp via max-shift, reducing ``axis`` (or everything)."""
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = np.squeeze(m + np.log(total), axis=axis) if axis is not None else (m + np.log(total)).reshape(())
-    soft = shifted / total
-
-    def vjp(g):
-        g_exp = np.expand_dims(g, axis) if axis is not None else g
-        return (g_exp * soft,)
-
-    return _make(out, "log_sum_exp", (a,), vjp)
+    return node(a.data * c, "scalar-mul", (a,), lambda g: (g * c,))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return _make(
+    return node(
         np.asarray(a.data.sum()),
         "reduce_sum",
         (a,),
         lambda g: (np.broadcast_to(g, a.shape).copy(),),
     )
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    return _make(
-        np.asarray(a.data.mean()),
-        "reduce_mean",
-        (a,),
-        lambda g: (np.broadcast_to(g / n, a.shape).copy(),),
-    )
-
-
-def reduce_max(a: Tensor, axis: int | None = None) -> Tensor:
-    """Max along ``axis``; the subgradient routes to the first argmax."""
-    if axis is None:
-        idx = int(np.argmax(a.data))
-        out = np.asarray(a.data.reshape(-1)[idx])
-
-        def vjp(g):
-            buf = np.zeros_like(a.data)
-            buf.reshape(-1)[idx] = float(g)
-            return (buf,)
-
-        return _make(out, "max", (a,), vjp)
-
-    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-    out = np.squeeze(np.take_along_axis(a.data, idx, axis=axis), axis=axis)
-
-    def vjp_axis(g):
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, idx, np.expand_dims(g, axis), axis=axis)
-        return (buf,)
-
-    return _make(out, "max", (a,), vjp_axis)
-
-
-def l2_norm_of_difference(a: Tensor, b: Tensor) -> Tensor:
-    """Euclidean norm of a-b reduced over the last axis (rowwise for matrices).
-
-    The subgradient at coinciding points (norm 0) is defined as 0.
-    """
-    if a.shape != b.shape:
-        raise ShapeMismatchError("l2_norm_of_difference", a.shape, b.shape)
-    diff = a.data - b.data
-    norm = np.sqrt((diff * diff).sum(axis=-1))
-
-    def vjp(g):
-        denom = norm[..., None] if norm.ndim else norm
-        unit = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
-        scaled = unit * (g[..., None] if norm.ndim else g)
-        return (scaled, -scaled)
-
-    return _make(norm, "l2_norm_of_difference", (a, b), vjp)
-
-
-# --- structural ops ---------------------------------------------------------
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeMismatchError("gather-rows", a.shape, idx.shape)
-
-    def vjp(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _make(a.data[idx], "gather-rows", (a,), vjp)
 
 
 def backward(root: Tensor) -> None:

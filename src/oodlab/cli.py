@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +103,12 @@ def _cmd_train(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[train] mode {config.mode}, {config.few_shot_count} few-shots, seed {config.seed}")
-    t0 = time.perf_counter()
     record = run_single(config, out_dir=out, keep_models=True)
-    wall = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(record.result.classifier, out / f"{record.run_id}.classifier.ckpt")
     if record.result.generator is not None:
         save_checkpoint(record.result.generator, out / f"{record.run_id}.generator.ckpt")
-    emit_report(record, out, wall_seconds=wall)
+    emit_report(record, out)
     for name, rep in record.reports.items():
         _progress(args, f"[train] {name}: auroc={rep.auroc:.4f} aauroc={rep.aauroc:.4f} gauroc={rep.gauroc:.4f}")
     return 0
@@ -141,10 +138,8 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[sweep] counts {config.sweep_counts} (mode {config.mode}, jobs {args.jobs})")
-    t0 = time.perf_counter()
     sweep = run_fewshot_sweep(config, out_dir=out, jobs=args.jobs)
-    wall = time.perf_counter() - t0
-    emit_report(sweep, out, wall_seconds=wall)
+    emit_report(sweep, out)
     breaks = detect_break_point(sweep, config.break_floor) if sweep.entries else {}
     (Path(out) / "break_points.json").write_text(json.dumps(breaks, sort_keys=True) + "\n", encoding="utf-8")
     for count, rec in sweep.entries:
@@ -161,10 +156,8 @@ def _cmd_ablate(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     out = _out_dir(args)
     _progress(args, f"[ablate] modes {modes}, seed {config.seed}")
-    t0 = time.perf_counter()
     results = run_ablation(config, modes=modes, out_dir=out)
-    wall = time.perf_counter() - t0
-    emit_report(results, out, wall_seconds=wall)
+    emit_report(results, out)
     failed = False
     for mode, rec in results.items():
         if isinstance(rec, dict):
@@ -180,10 +173,8 @@ def _cmd_occ(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[occ] rotating classes of data.normal, mode {config.mode}")
-    t0 = time.perf_counter()
     results = run_occ(config, out_dir=out)
-    wall = time.perf_counter() - t0
-    emit_report(results, out, wall_seconds=wall)
+    emit_report(results, out)
     _progress(args, f"[occ] mean auroc={results['mean']['auroc']:.4f}")
     if any(not hasattr(r, "reports") for r in results["per_class"].values()):
         return 1

@@ -131,6 +131,21 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind '{self.kind}' (one of {self.KINDS})")
         if self.kind != "csv" and (self.size < 1 or self.dim < 1):
             raise ValueError(f"dataset size and dim must be >= 1, got size={self.size} dim={self.dim}")
+        _reject_non_finite(self)
+
+
+_FINITE_FIELDS = ("means", "cov_scale", "r_inner", "r_outer", "center", "box_lo", "box_hi", "amplitude")
+
+
+def _reject_non_finite(spec: DatasetSpec) -> None:
+    """Raise ValueError naming the first numeric spec field holding NaN or +-inf."""
+    for name in _FINITE_FIELDS:
+        try:
+            values = np.asarray(getattr(spec, name), dtype=np.float64)
+        except (TypeError, ValueError):
+            continue  # a malformed value is reported by the generator that reads it
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"dataset spec field '{name}' has a non-finite value")
 
 
 def gen_gaussian_mixture(spec: DatasetSpec) -> LabeledBatch:
@@ -198,7 +213,12 @@ def gen_low_frequency_noise(spec: DatasetSpec, normals: LabeledBatch, source: st
 
 
 def generate_dataset(spec: DatasetSpec, normals: LabeledBatch | None = None, source: str = OUTLIER_DATASET):
-    """Dispatch a DatasetSpec to its generator. LFN requires base normals."""
+    """Dispatch a DatasetSpec to its generator. LFN requires base normals.
+
+    A spec with a non-finite numeric field is rejected, also one changed
+    after it was built.
+    """
+    _reject_non_finite(spec)
     if spec.kind == "gaussian-mixture":
         return gen_gaussian_mixture(spec)
     if spec.kind == "ring":

@@ -59,6 +59,8 @@ class RunRecord:
     traces: dict
     boundary_pool_size: int | None = None
     result: PipelineResult | None = field(default=None, repr=False)
+    # timed, so it goes to the *.meta.json sidecar and never into to_dict()
+    wall_seconds: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         doc = {
@@ -164,6 +166,7 @@ def _assemble_pipeline(
 
 def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=None, keep_models: bool = False) -> RunRecord:
     """Train one pipeline and evaluate every test set against held-out normals."""
+    t0 = time.perf_counter()
     run_seed = config.seed if run_seed is None else run_seed
     pipe_cfg = _pipeline_config(config, run_seed, config.few_shot_count)
     result = run_pipeline(pipe_cfg)
@@ -191,6 +194,7 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
         traces=result.traces,
         boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
         result=result if keep_models else None,
+        wall_seconds=time.perf_counter() - t0,
     )
 
 
@@ -295,6 +299,7 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
 
 
 def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: LabeledBatch, cls: int, out_dir) -> RunRecord:
+    t0 = time.perf_counter()
     mask = train.labels == cls
     normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
     anomaly_pool = OutlierPool(train.inputs[~mask], source=FEW_SHOT_OE)
@@ -324,6 +329,7 @@ def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: Label
         reports={"occ": report},
         traces=result.traces,
         boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
+        wall_seconds=time.perf_counter() - t0,
     )
 
 
@@ -333,7 +339,7 @@ def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_sidecar(path: Path, wall_seconds: float | None = None) -> None:
+def _write_sidecar(path: Path, wall_seconds: float | None) -> None:
     meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "wall_seconds": wall_seconds}
     path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -358,8 +364,10 @@ def summary_rows(records: list[RunRecord]) -> list[list]:
     return rows
 
 
-def emit_report(results, out_dir, wall_seconds: float | None = None) -> list[Path]:
+def emit_report(results, out_dir) -> list[Path]:
     """Write per-run result files, a flat CSV summary, and plot-data series.
+
+    Each run's ``*.meta.json`` sidecar holds its own wall seconds.
 
     ``results`` may be a RunRecord, a SweepResult, an ablation dict
     (mode -> RunRecord), or an OCC dict. Returns the written paths.
@@ -393,7 +401,7 @@ def emit_report(results, out_dir, wall_seconds: float | None = None) -> list[Pat
         path = out / f"{rec.run_id}.result.json"
         _write_json(rec.to_dict(), path)
         written.append(path)
-        _write_sidecar(out / f"{rec.run_id}.meta.json", wall_seconds)
+        _write_sidecar(out / f"{rec.run_id}.meta.json", rec.wall_seconds)
 
     summary = out / "summary.csv"
     with summary.open("w", newline="", encoding="utf-8") as fh:

@@ -55,19 +55,35 @@ class LossWeights:
             raise ValueError("dispersion guard delta must be positive")
 
 
-def max_softmax_prob(logits: Tensor) -> Tensor:
-    """Rowwise max softmax probability, computed as exp(max - logsumexp)."""
-    return ad.exp(ad.sub(ad.reduce_max(logits, axis=1), ad.log_sum_exp(logits, axis=1)))
+# Each term has a numpy core returning (value, vjp). The order of every float
+# operation in a core, gradient sums included, is part of the trained
+# weights: reordering one changes them in the last bits.
+
+def _log_softmax_parts(logits: np.ndarray):
+    """Rowwise log-sum-exp via max-shift, with the softmax that is its gradient."""
+    m = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    return np.squeeze(m + np.log(total), axis=1), shifted / total, m[:, 0]
 
 
-def _clamp_min(t: Tensor, floor: float) -> Tensor:
-    # relu(x - floor) + floor == max(x, floor), with zero gradient below it
-    c = Tensor(float(floor))
-    return ad.add(ad.relu(ad.sub(t, c)), c)
+def _max_softmax(logits: np.ndarray):
+    """Rowwise max softmax probability exp(max - logsumexp); the subgradient
+    of the max routes to the first argmax. ``vjp`` takes one gradient per row."""
+    lse, soft, top = _log_softmax_parts(logits)
+    y = np.exp(top - lse)
+
+    def vjp(g):
+        gy = g * y
+        grad = np.expand_dims(-gy, 1) * soft
+        at_max = np.zeros_like(logits)
+        at_max[np.arange(len(y)), np.argmax(logits, axis=1)] = gy
+        return grad + at_max
+
+    return y, vjp
 
 
-def cross_entropy_term(logits: Tensor, labels) -> Tensor:
-    """Mean negative log softmax of the labeled class, via log-sum-exp."""
+def _cross_entropy(logits: np.ndarray, labels):
     labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
     if labels.ndim != 1 or len(labels) != n:
@@ -77,40 +93,40 @@ def cross_entropy_term(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"label {bad} out of range for {k} classes")
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    lse_sum = ad.reduce_sum(ad.log_sum_exp(logits, axis=1))
-    picked_sum = ad.reduce_sum(ad.mul(logits, Tensor(onehot)))
-    return ad.scalar_mul(ad.sub(lse_sum, picked_sum), 1.0 / n)
+    lse, soft, _ = _log_softmax_parts(logits)
+    value = (np.asarray(lse.sum()) - np.asarray((logits * onehot).sum())) * (1.0 / n)
+
+    def vjp(g):
+        gs = g * (1.0 / n)
+        return gs * soft + (-gs) * onehot
+
+    return value, vjp
 
 
-def negative_training_term(logits: Tensor) -> Tensor:
-    """Mean of -log(1 - p*) over outlier rows, p* the max softmax probability.
-
-    1 - p* is clamped at 1e-12 before the log, so a confidently classified
-    negative contributes a large but finite penalty (and zero gradient).
-    """
+def _negative_training(logits: np.ndarray):
     m = logits.shape[0]
     if m < 1:
         raise ValueError("negative_training_term needs at least one sample")
-    one_minus = ad.sub(Tensor(1.0), max_softmax_prob(logits))
-    return ad.scalar_mul(ad.reduce_sum(ad.log(_clamp_min(one_minus, _LOG_CLAMP))), -1.0 / m)
+    y, msp_vjp = _max_softmax(logits)
+    # relu(x - floor) + floor: max(x, floor) with zero gradient below the floor
+    shifted = (1.0 - y) - _LOG_CLAMP
+    above = shifted > 0.0
+    clamped = np.where(above, shifted, 0.0) + _LOG_CLAMP
+    value = np.asarray(np.log(clamped).sum()) * (-1.0 / m)
+
+    def vjp(g):
+        return msp_vjp(-((g * (-1.0 / m) / clamped) * above))
+
+    return value, vjp
 
 
-def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None, weights: LossWeights) -> Tensor:
-    """Cross-entropy plus lam * negative training; pure cross-entropy when the
-    negative pool is empty or lam is zero."""
-    loss = cross_entropy_term(model.forward_logits(normals.inputs), normals.labels)
-    if negatives is not None and negatives.size > 0 and weights.lam > 0:
-        neg = negative_training_term(model.forward_logits(negatives.inputs))
-        loss = ad.add(loss, ad.scalar_mul(neg, weights.lam))
-    return loss
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``rows`` into ``n`` rows by ``idx``: np.add.at's sequential
+    accumulation order (so the same bits), at a fraction of its cost."""
+    return np.stack([np.bincount(idx, weights=col, minlength=n) for col in rows.T], axis=1)
 
 
-def dispersion_term(latents, outputs: Tensor, delta: float) -> Tensor:
-    """Mean over all latent pairs of ||dz|| / (||dO|| + delta).
-
-    Every row serves as anchor in turn and the per-anchor means are averaged,
-    which equals the mean over unordered pairs by symmetry.
-    """
+def _dispersion(outputs: np.ndarray, latents, delta: float):
     values = latents.values if isinstance(latents, LatentBatch) else np.asarray(latents, dtype=np.float64)
     n = len(values)
     if n < 2:
@@ -119,35 +135,137 @@ def dispersion_term(latents, outputs: Tensor, delta: float) -> Tensor:
         raise ad.ShapeMismatchError("dispersion_term", (n,), outputs.shape)
     ii, jj = np.triu_indices(n, k=1)
     z_dist = np.linalg.norm(values[ii] - values[jj], axis=1)
-    d_norm = ad.l2_norm_of_difference(ad.gather_rows(outputs, ii), ad.gather_rows(outputs, jj))
-    ratios = ad.div(Tensor(z_dist), ad.add(d_norm, Tensor(float(delta))))
-    return ad.reduce_mean(ratios)
+    diff = outputs[ii] - outputs[jj]
+    d_norm = np.sqrt((diff * diff).sum(axis=-1))
+    denom = d_norm + float(delta)
+    ratios = z_dist / denom
+    value = np.asarray(ratios.mean())
+
+    def vjp(g, acc=None):
+        """Gradient on ``outputs``; with ``acc`` (the other terms' gradient),
+        returns ``(acc + via jj) + via ii`` in that association order."""
+        g_denom = -np.broadcast_to(g / ratios.size, ratios.shape) * z_dist / (denom * denom)
+        unit = np.divide(diff, d_norm[:, None], out=np.zeros_like(diff), where=d_norm[:, None] > 0)
+        scaled = unit * g_denom[:, None]
+        via_jj = _scatter_rows(jj, -scaled, n)
+        via_ii = _scatter_rows(ii, scaled, n)
+        return (via_jj if acc is None else acc + via_jj) + via_ii
+
+    return value, vjp
+
+
+def _dominance(generated_logits: np.ndarray, reference_logits: np.ndarray):
+    if generated_logits.shape != reference_logits.shape:
+        raise ad.ShapeMismatchError(
+            "confidence_dominance_term", generated_logits.shape, reference_logits.shape
+        )
+    y, msp_vjp = _max_softmax(generated_logits - reference_logits)
+    value = np.asarray(y.mean())
+
+    def vjp(g):
+        return msp_vjp(np.broadcast_to(g / y.size, y.shape))
+
+    return value, vjp
+
+
+def _proximity(generated: np.ndarray, normal_reference):
+    reference = np.asarray(normal_reference, dtype=np.float64)
+    if len(reference) < 1:
+        raise ValueError("proximity needs a non-empty normal reference")
+    if reference.ndim != 2 or generated.ndim != 2 or reference.shape[1] != generated.shape[1]:
+        raise ad.ShapeMismatchError("proximity_term", generated.shape, reference.shape)
+    diff = generated[:, None, :] - reference[None, :, :]
+    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=-1)), axis=1)
+    diff = generated - reference[nearest]
+    norm = np.sqrt((diff * diff).sum(axis=-1))
+    value = np.asarray(norm.mean())
+
+    def vjp(g):
+        unit = np.divide(diff, norm[:, None], out=np.zeros_like(diff), where=norm[:, None] > 0)
+        return unit * np.broadcast_to(g / norm.size, norm.shape)[:, None]
+
+    return value, vjp
+
+
+def _term(kind: str, core, t: Tensor, *args) -> Tensor:
+    """One tape node for a term whose only differentiable input is ``t``."""
+    value, vjp = core(t.data, *args)
+    return ad.node(value, kind, (t,), lambda g: (vjp(g),))
+
+
+def max_softmax_prob(logits: Tensor) -> Tensor:
+    """Rowwise max softmax probability, computed as exp(max - logsumexp)."""
+    return _term("max_softmax_prob", _max_softmax, logits)
+
+
+def cross_entropy_term(logits: Tensor, labels) -> Tensor:
+    """Mean negative log softmax of the labeled class, via log-sum-exp."""
+    return _term("cross_entropy", _cross_entropy, logits, labels)
+
+
+def negative_training_term(logits: Tensor) -> Tensor:
+    """Mean of -log(1 - p*) over outlier rows, p* the max softmax probability.
+
+    1 - p* is clamped at 1e-12 before the log, so a confidently classified
+    negative contributes a large but finite penalty (and zero gradient).
+    """
+    return _term("negative_training", _negative_training, logits)
+
+
+def dispersion_term(latents, outputs: Tensor, delta: float) -> Tensor:
+    """Mean over all latent pairs of ||dz|| / (||dO|| + delta).
+
+    Every row serves as anchor in turn and the per-anchor means are averaged,
+    which equals the mean over unordered pairs by symmetry. The subgradient
+    at coinciding outputs is 0.
+    """
+    return _term("dispersion", _dispersion, outputs, latents, delta)
 
 
 def confidence_dominance_term(generated_logits: Tensor, reference_logits: Tensor) -> Tensor:
     """Mean over row pairs of the max softmax component of the logit
     difference; 1/K when generated and reference logits coincide."""
-    if generated_logits.shape != reference_logits.shape:
-        raise ad.ShapeMismatchError(
-            "confidence_dominance_term", generated_logits.shape, reference_logits.shape
+    value, vjp = _dominance(generated_logits.data, reference_logits.data)
+
+    def both(g):
+        grad = vjp(g)
+        return (
+            grad if generated_logits.requires_grad else None,
+            -grad if reference_logits.requires_grad else None,
         )
-    return ad.reduce_mean(max_softmax_prob(ad.sub(generated_logits, reference_logits)))
+
+    return ad.node(value, "confidence_dominance", (generated_logits, reference_logits), both)
 
 
 def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
     """Mean over generated rows of the distance to the nearest reference row.
 
     The nearest row is picked in numpy; on a tie the subgradient follows the
-    first nearest row.
+    first nearest row, and at distance 0 it is 0.
     """
-    reference = np.asarray(normal_reference, dtype=np.float64)
-    if len(reference) < 1:
-        raise ValueError("proximity needs a non-empty normal reference")
-    if reference.ndim != 2 or generated.data.ndim != 2 or reference.shape[1] != generated.shape[1]:
-        raise ad.ShapeMismatchError("proximity_term", generated.shape, reference.shape)
-    diff = generated.data[:, None, :] - reference[None, :, :]
-    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=-1)), axis=1)
-    return ad.reduce_mean(ad.l2_norm_of_difference(generated, Tensor(reference[nearest])))
+    return _term("proximity", _proximity, generated, normal_reference)
+
+
+def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None, weights: LossWeights) -> Tensor:
+    """Cross-entropy plus lam * negative training; pure cross-entropy when the
+    negative pool is empty or lam is zero. One tape node over the model's
+    parameters."""
+    logits, cache = model.forward_with_cache(normals.inputs)
+    value, ce_vjp = _cross_entropy(logits, normals.labels)
+    use_negatives = negatives is not None and negatives.size > 0 and weights.lam > 0
+    if use_negatives:
+        neg_logits, neg_cache = model.forward_with_cache(negatives.inputs)
+        neg_value, nt_vjp = _negative_training(neg_logits)
+        value = value + neg_value * weights.lam
+
+    def vjp(g):
+        grads = model.backprop(cache, ce_vjp(g))[1]
+        if use_negatives:
+            neg_grads = model.backprop(neg_cache, nt_vjp(g * weights.lam))[1]
+            grads = [a if b is None else a + b for a, b in zip(grads, neg_grads)]
+        return grads
+
+    return ad.node(value, "classifier_loss", tuple(model.parameters()), vjp)
 
 
 def generator_loss(
@@ -159,7 +277,7 @@ def generator_loss(
     pairing_seed: int | tuple | None = None,
 ) -> Tensor:
     """dispersion + mu * dominance + nu * proximity, differentiable only with
-    respect to generator parameters.
+    respect to generator parameters (one tape node over them).
 
     The dominance reference pairs each generated row with a uniformly drawn
     row of the normal reference; the pairing is reseeded per step from the
@@ -168,18 +286,30 @@ def generator_loss(
     if not frozen_classifier.is_frozen:
         raise ValueError("classifier must be frozen (grad tracking disabled) during generator training")
     reference = np.asarray(normal_reference, dtype=np.float64)
-    outputs = generator.generate(latents)
-    loss = dispersion_term(latents, outputs, weights.delta)
+    outputs, gen_cache = generator.forward_with_cache(getattr(latents, "values", latents))
+    value, disp_vjp = _dispersion(outputs, latents, weights.delta)
+    dom_vjp = prox_vjp = None
     if weights.mu > 0:
         seed = pairing_seed if pairing_seed is not None else (_seed_key(latents.seed), 0x9E37)
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, len(reference), outputs.shape[0])
-        gen_logits = frozen_classifier.forward_logits(outputs)
-        ref_logits = frozen_classifier.forward_logits(reference[idx])
-        loss = ad.add(loss, ad.scalar_mul(confidence_dominance_term(gen_logits, ref_logits), weights.mu))
+        gen_logits, clf_cache = frozen_classifier.forward_with_cache(outputs)
+        ref_logits = frozen_classifier.forward_with_cache(reference[idx])[0]
+        dom_value, dom_vjp = _dominance(gen_logits, ref_logits)
+        value = value + dom_value * weights.mu
     if weights.nu > 0:
-        loss = ad.add(loss, ad.scalar_mul(proximity_term(outputs, reference), weights.nu))
-    return loss
+        prox_value, prox_vjp = _proximity(outputs, reference)
+        value = value + prox_value * weights.nu
+
+    def vjp(g):
+        # ((proximity + classifier input) + dispersion jj) + dispersion ii
+        g_out = prox_vjp(g * weights.nu) if prox_vjp is not None else None
+        if dom_vjp is not None:
+            via_clf = frozen_classifier.backprop(clf_cache, dom_vjp(g * weights.mu), inputs=True)[0]
+            g_out = via_clf if g_out is None else g_out + via_clf
+        return generator.backprop(gen_cache, disp_vjp(g, g_out))[1]
+
+    return ad.node(value, "generator_loss", tuple(generator.parameters()), vjp)
 
 
 def _seed_key(seed) -> int:

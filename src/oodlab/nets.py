@@ -27,7 +27,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+_ACTIVATIONS = ("relu", "tanh")
 
 
 class Mlp:
@@ -89,24 +89,72 @@ class Mlp:
     def snapshot(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters()]
 
-    def forward(self, x) -> Tensor:
-        """Forward pass for a 2-D batch (rows are samples)."""
-        h = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if h.data.ndim != 2 or h.shape[1] != self.input_dim:
+    def _check_input(self, h: np.ndarray) -> None:
+        if h.ndim != 2 or h.shape[1] != self.input_dim:
             raise ad.ShapeMismatchError(f"{self.kind}-forward", h.shape, (self.input_dim,))
-        act = _ACTIVATIONS[self.activation]
+
+    def forward_with_cache(self, x) -> tuple[np.ndarray, list]:
+        """Forward pass for a 2-D batch, plus the per-layer cache ``backprop`` needs.
+
+        Each layer computes ``h @ wt + b`` with ``wt`` a contiguous copy of
+        ``w.T``; ``h @ w.T`` sends small batches to OpenBLAS dgemm kernels
+        that round differently.
+        """
+        h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        self._check_input(h)
+        relu = self.activation == "relu"
         last = len(self.weights) - 1
+        cache = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.linear(h, w, b)
+            wt = np.ascontiguousarray(w.data.T)
+            cache.append((h, wt))
+            h = h @ wt + b.data
             if i != last:
-                h = act(h)
-        return h
+                if relu:
+                    h = np.where(h > 0.0, h, 0.0)  # subgradient at 0 is 0
+                else:
+                    h = np.tanh(h)
+        return h, cache
+
+    def backprop(self, cache: list, g: np.ndarray, inputs: bool = False):
+        """Gradients for the output gradient ``g`` of a ``forward_with_cache`` pass.
+
+        Returns ``(input gradient or None, [dW0, db0, dW1, ...])``. Only
+        parameters with requires_grad get a gradient (others get None), and
+        the input gradient is computed only when ``inputs`` is true.
+        """
+        grads: list = [None] * (2 * len(self.weights))
+        for i in range(len(self.weights) - 1, -1, -1):
+            h, wt = cache[i]
+            if self.weights[i].requires_grad:
+                grads[2 * i] = (h.T @ g).T
+            if self.biases[i].requires_grad:
+                grads[2 * i + 1] = g.sum(axis=0)
+            if i == 0 and not inputs:
+                return None, grads
+            g = g @ wt.T
+            if i > 0:  # h is the activation output of layer i - 1
+                g = g * (h > 0.0) if self.activation == "relu" else g * (1.0 - h * h)
+        return g, grads
+
+    def forward(self, x) -> Tensor:
+        """Forward pass for a 2-D batch (rows are samples) as one ``mlp``
+        tape node over the input and every parameter."""
+        xt = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        out, cache = self.forward_with_cache(xt.data)
+
+        def vjp(g):
+            g_in, grads = self.backprop(cache, g, inputs=xt.requires_grad)
+            return (g_in, *grads)
+
+        return ad.node(out, "mlp", (xt, *self.parameters()), vjp)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass, same operation order as forward()."""
+        """Graph-free forward pass. It multiplies by the transposed weight
+        view ``w.T``, not the contiguous copy ``forward`` uses, so for some
+        batch sizes its logits differ from ``forward``'s in the last bits."""
         h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if h.shape[1] != self.input_dim:
-            raise ad.ShapeMismatchError(f"{self.kind}-forward", h.shape, (self.input_dim,))
+        self._check_input(h)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data.T + b.data

@@ -42,40 +42,51 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive moments, one accumulator pair per parameter."""
+    """Bias-corrected adaptive moments, kept as one flat vector each over
+    the concatenated parameters."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sizes: tuple = ()
 
     @classmethod
     def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-        return state
+        sizes = tuple(p.data.size for p in params)
+        total = sum(sizes)
+        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(total), v=np.zeros(total), sizes=sizes)
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One in-place update; aborts with a diagnostic on non-finite gradients."""
-    if len(params) != len(state.m):
+    """One in-place update; aborts with a diagnostic on non-finite gradients.
+
+    Every operation is elementwise, so one pass over the concatenated
+    gradients gives each parameter the same bits as a per-parameter update.
+    """
+    if tuple(p.data.size for p in params) != state.sizes:
         raise ValueError("optimizer state does not match the parameter list")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {i}")
+    g = np.concatenate([np.ravel(x) for x in grads])
+    if not np.all(np.isfinite(g)):
+        bad = next(i for i, x in enumerate(grads) if not np.all(np.isfinite(x)))
+        raise TrainingError(f"non-finite gradient in parameter {bad}")
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        p.data -= update[start:stop].reshape(p.data.shape)
+        start = stop
 
 
 def sample_latent(seed, n: int, latent_dim: int) -> LatentBatch:

@@ -34,6 +34,12 @@ class TestGenData:
         assert code == 2
         assert "moons" in capsys.readouterr().err
 
+    def test_non_finite_spec_value_exits_2_naming_field(self, tmp_path, capsys):
+        spec = '{"kind":"uniform-noise","dim":2,"size":5,"box_hi":Infinity}'
+        assert dispatch(["gen-data", "--spec-json", spec, "--out", str(tmp_path / "x.csv"), "-q"]) == 2
+        assert "box_hi" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_lfn_requires_base_csv(self, tmp_path):
         spec = '{"kind":"low-frequency-noise","dim":2,"size":5}'
         assert dispatch(["gen-data", "--spec-json", spec, "--out", str(tmp_path / "x.csv"), "-q"]) == 2
@@ -53,6 +59,13 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_finite_dataset_override_exits_2(self, tiny_config_path, tmp_path, capsys):
+        code = dispatch(
+            ["sweep", "--config", str(tiny_config_path), "--set", "data.normal.cov_scale=nan", "--out", str(tmp_path / "o"), "-q"]
+        )
+        assert code == 2
+        assert "cov_scale" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2

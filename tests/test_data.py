@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oodlab.data import (
     FEW_SHOT_OE,
@@ -228,6 +234,27 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3: non-finite"):
             load_csv(path)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310]),
+        ),
+        st.booleans(),
+    )
+    def test_round_trip_is_bit_exact(self, inputs, labeled):
+        batch = LabeledBatch(inputs, np.arange(len(inputs)) % 3) if labeled else OutlierPool(inputs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_csv(batch, path)
+            loaded = load_csv(path)
+        assert isinstance(loaded, type(batch))
+        assert loaded.inputs.shape == inputs.shape
+        assert loaded.inputs.tobytes() == inputs.tobytes()
+        if labeled:
+            np.testing.assert_array_equal(loaded.labels, batch.labels)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("", encoding="utf-8")
@@ -240,3 +267,25 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="moons")
     with pytest.raises(ValueError, match="size"):
         DatasetSpec(kind="ring", size=0)
+
+
+_NON_FINITE_FIELDS = [
+    ("means", [[0.0, float("nan")]]),
+    ("cov_scale", float("inf")),
+    ("r_inner", float("nan")),
+    ("r_outer", float("inf")),
+    ("center", [0.0, float("-inf")]),
+    ("box_lo", float("-inf")),
+    ("box_hi", float("nan")),
+    ("amplitude", float("inf")),
+]
+
+
+@pytest.mark.parametrize("field,value", _NON_FINITE_FIELDS)
+def test_non_finite_spec_value_names_field(field, value):
+    with pytest.raises(ValueError, match=f"'{field}' has a non-finite value"):
+        DatasetSpec(**{"kind": "gaussian-mixture", "means": [[0.0, 0.0]], field: value})
+    spec = DatasetSpec(kind="ring")
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match=f"'{field}' has a non-finite value"):
+        generate_dataset(spec)

@@ -278,11 +278,29 @@ class TestEmitReport:
     def test_sidecar_holds_the_timing_metadata(self, tiny_doc, tmp_path):
         config = config_from_dict(tiny_doc)
         record = run_single(config)
-        emit_report(record, tmp_path, wall_seconds=1.25)
+        assert record.wall_seconds > 0
+        emit_report(record, tmp_path)
         meta = json.loads((tmp_path / f"{record.run_id}.meta.json").read_text())
-        assert meta["wall_seconds"] == 1.25
+        assert meta["wall_seconds"] == record.wall_seconds
         result = json.loads((tmp_path / f"{record.run_id}.result.json").read_text())
         assert "written_at" not in result and "wall_seconds" not in result
+
+
+    def test_each_sidecar_holds_its_own_run_time(self, tiny_doc, tmp_path):
+        sweep = run_fewshot_sweep(config_from_dict(tiny_doc), counts=[4, 0])
+        records = [rec for _, rec in sweep.entries]
+        emit_report(sweep, tmp_path / "a")
+        for rec in records:
+            meta = json.loads((tmp_path / "a" / f"{rec.run_id}.meta.json").read_text())
+            assert meta["wall_seconds"] == rec.wall_seconds > 0
+        for i, rec in enumerate(records):
+            rec.wall_seconds = 100.0 + i
+        emit_report(sweep, tmp_path / "b")
+        for rec in records:
+            name = f"{rec.run_id}.result.json"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            meta = json.loads((tmp_path / "b" / f"{rec.run_id}.meta.json").read_text())
+            assert meta["wall_seconds"] == rec.wall_seconds
 
 
 class TestCsvRoles:

@@ -16,6 +16,7 @@ from oodlab.losses import (
     negative_training_term,
     proximity_term,
 )
+from oodlab.losses import _scatter_rows
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 
 LN2 = 0.6931471805599453
@@ -296,3 +297,89 @@ def test_loss_weights_validation():
         LossWeights(delta=0.0)
     with pytest.raises(ValueError):
         LossWeights(mu=float("nan"))
+
+
+def _tape_tensors_made(step) -> int:
+    """Tensors created while ``step()`` runs (each takes one node id)."""
+    first = Tensor(0.0).node_id
+    step()
+    return Tensor(0.0).node_id - first - 1
+
+
+class TestOneNodeLosses:
+    """classifier_loss and generator_loss against the public Tensor-level terms."""
+
+    def _classifier(self, activation, rows):
+        rng = np.random.default_rng(21)
+        model = MlpClassifier([2, 16, 16, 3], activation=activation, seed=8)
+        normals = LabeledBatch(rng.normal(size=(rows, 2)), rng.integers(0, 3, rows))
+        negatives = OutlierPool(rng.uniform(-1.5, 1.5, (rows, 2)))
+        return model, normals, negatives, LossWeights(lam=0.7)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [64, 24])
+    def test_classifier_loss_bit_equal_to_composed_terms(self, activation, rows):
+        model, normals, negatives, weights = self._classifier(activation, rows)
+        fused = classifier_loss(model, normals, negatives, weights)
+        ad.backward(fused)
+        fused_grads = [p.grad.copy() for p in model.parameters()]
+        model.zero_grad()
+        composed = ad.add(
+            cross_entropy_term(model.forward_logits(normals.inputs), normals.labels),
+            ad.scalar_mul(negative_training_term(model.forward_logits(negatives.inputs)), weights.lam),
+        )
+        ad.backward(composed)
+        assert fused.data.tobytes() == composed.data.tobytes()
+        for grad, p in zip(fused_grads, model.parameters()):
+            assert grad.tobytes() == p.grad.tobytes()
+
+    def test_generator_loss_matches_composed_terms(self):
+        rng = np.random.default_rng(22)
+        generator = BoundaryGenerator([2, 12, 2], activation="tanh", seed=9)
+        classifier = MlpClassifier([2, 12, 3], activation="relu", seed=10)
+        classifier.freeze()
+        latents = LatentBatch(rng.normal(size=(16, 2)), seed=5)
+        reference = rng.normal(size=(20, 2))
+        weights = LossWeights(mu=0.8, nu=0.4, delta=1e-6)
+        fused = generator_loss(generator, classifier, latents, reference, weights, pairing_seed=(3, 4))
+        ad.backward(fused)
+        fused_grads = [p.grad.copy() for p in generator.parameters()]
+        generator.zero_grad()
+        outputs = generator.generate(latents)
+        idx = np.random.default_rng((3, 4)).integers(0, len(reference), len(latents))
+        dominance = confidence_dominance_term(
+            classifier.forward_logits(outputs), classifier.forward_logits(reference[idx])
+        )
+        composed = ad.add(
+            ad.add(dispersion_term(latents, outputs, weights.delta), ad.scalar_mul(dominance, weights.mu)),
+            ad.scalar_mul(proximity_term(outputs, reference), weights.nu),
+        )
+        ad.backward(composed)
+        assert fused.item() == composed.item()
+        for grad, p in zip(fused_grads, generator.parameters()):
+            np.testing.assert_allclose(grad, p.grad, rtol=1e-12, atol=1e-15)
+
+    def test_one_step_makes_at_most_two_tape_tensors(self):
+        model, normals, negatives, weights = self._classifier("tanh", 64)
+        assert _tape_tensors_made(lambda: ad.backward(classifier_loss(model, normals, negatives, weights))) <= 2
+        generator = BoundaryGenerator([2, 8, 2], seed=1)
+        model.freeze()
+        latents = LatentBatch(np.random.default_rng(2).normal(size=(8, 2)), seed=2)
+
+        def generator_step():
+            ad.backward(generator_loss(generator, model, latents, normals.inputs, LossWeights()))
+
+        assert _tape_tensors_made(generator_step) <= 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 70), st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_scatter_rows_is_bit_equal_to_add_at(n, d, seed):
+    rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(n, k=1)
+    rows = rng.normal(size=(len(ii), d)) * 10.0 ** rng.integers(-30, 30, (len(ii), 1))
+    rows[rng.random(rows.shape) < 0.05] = -0.0
+    for idx in (ii, jj):
+        expected = np.zeros((n, d))
+        np.add.at(expected, idx, rows)
+        assert _scatter_rows(idx, rows, n).tobytes() == expected.tobytes()

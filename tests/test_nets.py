@@ -1,10 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oodlab import autodiff as ad
 from oodlab.data import LatentBatch
+from oodlab.losses import cross_entropy_term
 from oodlab.nets import BoundaryGenerator, MlpClassifier, load_checkpoint, save_checkpoint
 
 
@@ -105,8 +111,9 @@ def test_invalid_layer_sizes_rejected():
 def test_forward_gradients_pass_grad_check():
     model = MlpClassifier([3, 6, 2], activation="tanh", seed=21)
     x = np.random.default_rng(8).normal(size=(4, 3))
+    labels = np.array([0, 1, 1, 0])
     report = ad.check_gradients(
-        lambda: ad.reduce_mean(ad.mul(model.forward_logits(x), model.forward_logits(x))),
+        lambda: cross_entropy_term(model.forward_logits(x), labels),
         model.parameters(),
         h=1e-5,
         rel_tol=1e-4,
@@ -127,6 +134,28 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "clf2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([MlpClassifier, BoundaryGenerator]),
+    st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    st.sampled_from(["relu", "tanh"]),
+    st.data(),
+)
+def test_checkpoint_round_trip_is_bit_exact_for_any_values(kind, sizes, activation, data):
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310])
+    model = kind(sizes, activation=activation, seed=0)
+    for p in model.parameters():
+        p.data[...] = data.draw(arrays(np.float64, p.data.shape, elements=values))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+    assert type(loaded) is kind
+    assert loaded.layer_sizes == sizes and loaded.activation == activation
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_generator_checkpoint_keeps_kind(tmp_path):
