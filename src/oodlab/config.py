@@ -11,11 +11,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import DatasetSpec
 from .losses import LossWeights
+from .nets import ACTIVATIONS
 from .scoring import RobustnessBudget
 from .training import MODES, TrainSchedule
 
@@ -93,12 +95,14 @@ _DATA_ROLES = ("normal", "few_shot", "outlier", "tests")
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     """Fill defaults into the user document, rejecting unknown keys."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path or 'config root'}: must be an object, got {user!r}")
     out = {}
     for key, dval in defaults.items():
         here = f"{path}.{key}" if path else key
         if key in user:
             uval = user[key]
-            if isinstance(dval, dict) and isinstance(uval, dict):
+            if isinstance(dval, dict):
                 out[key] = _merge(dval, uval, here)
             else:
                 out[key] = copy.deepcopy(uval)
@@ -121,6 +125,8 @@ def _merge_document(raw: dict) -> dict:
         if key not in _DATA_ROLES:
             raise ConfigError(f"unknown config key 'data.{key}'")
     tests = data.get("tests") or {}
+    if not isinstance(tests, dict):
+        raise ConfigError("data.tests: must be an object")
     merged["data"] = {
         "normal": _merge(_DATASET_DEFAULTS, data.get("normal") or {}, "data.normal"),
         "few_shot": None if data.get("few_shot") is None else _merge(_DATASET_DEFAULTS, data["few_shot"], "data.few_shot"),
@@ -202,22 +208,109 @@ class ExperimentConfig:
         return build_config(doc)
 
 
+def _int(value, key: str, lo: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float if it is a finite number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return number
+
+
+def _int_list(value, key: str, lo: int) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: must be a list of integers, got {value!r}")
+    return [_int(v, key, lo) for v in value]
+
+
+def _build(section: str, cls, **kwargs):
+    """``cls(**kwargs)``, with its range errors reported under ``section``."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{section}: {e}") from e
+
+
 def _dataset_spec(doc, path) -> DatasetSpec | None:
     if doc is None:
         return None
+    for name in ("dim", "size", "window"):
+        _int(doc[name], f"{path}.{name}")
+    _int(doc["seed"], f"{path}.seed", 0)
     try:
         return DatasetSpec(**doc)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
+def _check_model(model: dict) -> None:
+    for part in ("classifier", "generator"):
+        _int_list(model[f"{part}_hidden"], f"model.{part}_hidden", 1)
+        activation = model[f"{part}_activation"]
+        if activation not in ACTIVATIONS:
+            raise ConfigError(f"model.{part}_activation: {activation!r} is not one of {ACTIVATIONS}")
+    _int(model["latent_dim"], "model.latent_dim", 1)
+
+
+def _budget(doc: dict) -> RobustnessBudget:
+    kwargs = dict(doc)
+    for name in ("epsilon", "tau"):
+        _number(kwargs[name], f"budget.{name}")
+    _int(kwargs["pgd_steps"], "budget.pgd_steps")
+    _int(kwargs["pgd_restarts"], "budget.pgd_restarts")
+    if kwargs["pgd_step_size"] is not None:
+        _number(kwargs["pgd_step_size"], "budget.pgd_step_size")
+    box = kwargs["input_box"]
+    if box is not None:
+        if not isinstance(box, list) or len(box) != 2:
+            raise ConfigError(f"budget.input_box: must be null or a [lo, hi] pair, got {box!r}")
+        kwargs["input_box"] = tuple(_number(v, "budget.input_box") for v in box)
+    return _build("budget", RobustnessBudget, **kwargs)
+
+
+def _schedule(doc: dict, seed: int) -> TrainSchedule:
+    for name, value in doc.items():
+        if name.startswith("lr_"):
+            if _number(value, f"schedule.{name}") <= 0:
+                raise ConfigError(f"schedule.{name}: must be positive, got {value}")
+        else:
+            _int(value, f"schedule.{name}")
+    return _build("schedule", TrainSchedule, **doc, master_seed=seed)
+
+
 def build_config(document: dict) -> ExperimentConfig:
-    """Validate a fully merged document into typed objects."""
+    """Validate a fully merged document into typed objects.
+
+    Every check names the dotted key it rejects and raises ConfigError.
+    """
     doc = document
-    if doc["mode"] not in MODES:
-        raise ConfigError(f"mode: '{doc['mode']}' is not one of {MODES}")
-    if doc["few_shot_count"] < 0:
-        raise ConfigError("few_shot_count: must be >= 0")
+    seed = _int(doc["seed"], "seed", 0)
+    if not isinstance(doc["mode"], str) or doc["mode"] not in MODES:
+        raise ConfigError(f"mode: {doc['mode']!r} is not one of {MODES}")
+    _int(doc["few_shot_count"], "few_shot_count", 0)
+    if doc["boundary_pool_size"] is not None:
+        _int(doc["boundary_pool_size"], "boundary_pool_size", 1)
+    _check_model(doc["model"])
+    for name, value in doc["weights"].items():
+        _number(value, f"weights.{name}")
+    weights = _build("weights", LossWeights, **doc["weights"])
+    schedule = _schedule(doc["schedule"], seed)
+    budget = _budget(doc["budget"])
+    _int(doc["eval"]["in_size"], "eval.in_size", 1)
+    _int(doc["eval"]["in_seed_offset"], "eval.in_seed_offset", 0)
     tests = doc["data"]["tests"]
     if not tests:
         raise ConfigError("data.tests: at least one test set is required")
@@ -225,26 +318,19 @@ def build_config(document: dict) -> ExperimentConfig:
         raise ConfigError(f"data.few_shot: required for mode ({doc['mode']})")
     if doc["mode"] in ("i", "iv") and doc["data"]["outlier"] is None:
         raise ConfigError(f"data.outlier: required for mode ({doc['mode']})")
-    counts = [int(c) for c in doc["sweep"]["counts"]]
+    counts = _int_list(doc["sweep"]["counts"], "sweep.counts", 0)
+    if not counts:
+        raise ConfigError("sweep.counts: must not be empty")
     if any(counts[i] <= counts[i + 1] for i in range(len(counts) - 1)):
         raise ConfigError(f"sweep.counts: must be strictly decreasing, got {counts}")
-    floor = float(doc["sweep"]["break_floor"])
+    floor = _number(doc["sweep"]["break_floor"], "sweep.break_floor")
     if not 0.5 < floor < 1.0:
         raise ConfigError(f"sweep.break_floor: must lie in (0.5, 1), got {floor}")
-    try:
-        weights = LossWeights(**doc["weights"])
-        schedule = TrainSchedule(**doc["schedule"], master_seed=int(doc["seed"]))
-        budget_doc = dict(doc["budget"])
-        if budget_doc.get("input_box") is not None:
-            budget_doc["input_box"] = tuple(budget_doc["input_box"])
-        budget = RobustnessBudget(**budget_doc)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
     return ExperimentConfig(
-        seed=int(doc["seed"]),
+        seed=seed,
         mode=doc["mode"],
-        few_shot_count=int(doc["few_shot_count"]),
-        boundary_pool_size=(None if doc["boundary_pool_size"] is None else int(doc["boundary_pool_size"])),
+        few_shot_count=doc["few_shot_count"],
+        boundary_pool_size=doc["boundary_pool_size"],
         normal=_dataset_spec(doc["data"]["normal"], "data.normal"),
         few_shot=_dataset_spec(doc["data"]["few_shot"], "data.few_shot"),
         outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier"),
@@ -253,8 +339,8 @@ def build_config(document: dict) -> ExperimentConfig:
         weights=weights,
         schedule=schedule,
         budget=budget,
-        eval_in_size=int(doc["eval"]["in_size"]),
-        eval_in_seed_offset=int(doc["eval"]["in_seed_offset"]),
+        eval_in_size=doc["eval"]["in_size"],
+        eval_in_seed_offset=doc["eval"]["in_seed_offset"],
         sweep_counts=counts,
         break_floor=floor,
         document=document,
@@ -268,6 +354,8 @@ def config_from_dict(raw: dict, overrides=()) -> ExperimentConfig:
     for item in overrides:
         key, value = parse_override(item) if isinstance(item, str) else item
         _apply_override(merged, key, value)
+    if overrides:  # an override may replace a whole section or dataset spec
+        merged = _merge_document(merged)
     return build_config(merged)
 
 

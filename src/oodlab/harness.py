@@ -170,10 +170,26 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     run_seed = config.seed if run_seed is None else run_seed
     pipe_cfg = _pipeline_config(config, run_seed, config.few_shot_count)
     result = run_pipeline(pipe_cfg)
+    run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{config.fingerprint[:8]}"
+    record = _scored_record(
+        config, result, run_id, config.few_shot_count, run_seed,
+        materialize_eval_in(config), materialize_test_sets(config), out_dir, t0,
+    )
+    if keep_models:
+        record.result = result
+    return record
+
+
+def _scored_record(
+    config: ExperimentConfig, result: PipelineResult, run_id: str, few_shots: int, run_seed: int,
+    in_eval: np.ndarray, tests: dict[str, np.ndarray], out_dir, t0: float,
+) -> RunRecord:
+    """Evaluate the trained classifier on every test set and record the run.
+
+    With ``out_dir``, per-sample scores go to ``scores/{run_id}_{name}.csv``.
+    ``t0`` is the run's ``perf_counter`` start, for ``wall_seconds``.
+    """
     fingerprint = config.fingerprint
-    run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{fingerprint[:8]}"
-    in_eval = materialize_eval_in(config)
-    tests = materialize_test_sets(config)
     scores_dir = None
     if out_dir is not None:
         scores_dir = Path(out_dir) / "scores"
@@ -187,13 +203,12 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     return RunRecord(
         run_id=run_id,
         mode=config.mode,
-        few_shots=config.few_shot_count,
+        few_shots=few_shots,
         seed=run_seed,
         fingerprint=fingerprint,
         reports=reports,
         traces=result.traces,
         boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
-        result=result if keep_models else None,
         wall_seconds=time.perf_counter() - t0,
     )
 
@@ -310,26 +325,10 @@ def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: Label
     if config.outlier is not None:
         outlier = generate_dataset(config.outlier, normals=normals, source=OUTLIER_DATASET)
     result = run_pipeline(_assemble_pipeline(config, normals, few_shot, outlier, 2, run_seed))
-    in_eval = holdout.inputs[holdout.labels == cls]
-    out_eval = holdout.inputs[holdout.labels != cls]
-    fingerprint = config.fingerprint
-    run_id = f"occ{cls}-n{count}-s{run_seed}-{fingerprint[:8]}"
-    dump = None
-    if out_dir is not None:
-        scores_dir = Path(out_dir) / "scores"
-        scores_dir.mkdir(parents=True, exist_ok=True)
-        dump = scores_dir / f"{run_id}_occ.csv"
-    report = evaluate_ood(result.classifier, in_eval, out_eval, config.budget, fingerprint=fingerprint, dump_csv=dump)
-    return RunRecord(
-        run_id=run_id,
-        mode=config.mode,
-        few_shots=count,
-        seed=run_seed,
-        fingerprint=fingerprint,
-        reports={"occ": report},
-        traces=result.traces,
-        boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
-        wall_seconds=time.perf_counter() - t0,
+    run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
+    tests = {"occ": holdout.inputs[holdout.labels != cls]}
+    return _scored_record(
+        config, result, run_id, count, run_seed, holdout.inputs[holdout.labels == cls], tests, out_dir, t0
     )
 
 

@@ -5,8 +5,12 @@ biases zero, so identical seed+sizes reproduce bit-identical parameters.
 There is no softmax inside the models; all probability normalization lives
 in the loss/scoring code through a single stable log-sum-exp path.
 
-Models are mutable while training and need external synchronization; a
-frozen model (grad tracking off) is safely shareable read-only.
+There is one forward arithmetic, ``Mlp.forward_with_cache``: the tape node
+``forward`` wraps it for training, and ``forward_array`` (scoring, PGD, the
+boundary pool) returns its outputs, so every caller sees the same bits.
+
+Models are mutable while training and need external synchronization. Scoring
+reads a model's parameters without changing them or their grad flags.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
+    "ACTIVATIONS",
     "Mlp",
     "MlpClassifier",
     "BoundaryGenerator",
@@ -27,7 +32,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 
 
 class Mlp:
@@ -41,7 +46,7 @@ class Mlp:
             raise ValueError(f"need at least two layer sizes, got {sizes}")
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation '{activation}' (relu or tanh)")
         self.layer_sizes = sizes
         self.activation = activation
@@ -93,16 +98,20 @@ class Mlp:
         if h.ndim != 2 or h.shape[1] != self.input_dim:
             raise ad.ShapeMismatchError(f"{self.kind}-forward", h.shape, (self.input_dim,))
 
+    def activate(self, h: np.ndarray) -> np.ndarray:
+        """The hidden-layer activation; relu's subgradient at 0 is 0."""
+        return np.where(h > 0.0, h, 0.0) if self.activation == "relu" else np.tanh(h)
+
     def forward_with_cache(self, x) -> tuple[np.ndarray, list]:
         """Forward pass for a 2-D batch, plus the per-layer cache ``backprop`` needs.
 
         Each layer computes ``h @ wt + b`` with ``wt`` a contiguous copy of
         ``w.T``; ``h @ w.T`` sends small batches to OpenBLAS dgemm kernels
-        that round differently.
+        that round differently. Training, scoring, PGD and the interval
+        centers all use this arithmetic.
         """
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
-        relu = self.activation == "relu"
         last = len(self.weights) - 1
         cache = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -110,25 +119,23 @@ class Mlp:
             cache.append((h, wt))
             h = h @ wt + b.data
             if i != last:
-                if relu:
-                    h = np.where(h > 0.0, h, 0.0)  # subgradient at 0 is 0
-                else:
-                    h = np.tanh(h)
+                h = self.activate(h)
         return h, cache
 
-    def backprop(self, cache: list, g: np.ndarray, inputs: bool = False):
+    def backprop(self, cache: list, g: np.ndarray, inputs: bool = False, params: bool = True):
         """Gradients for the output gradient ``g`` of a ``forward_with_cache`` pass.
 
-        Returns ``(input gradient or None, [dW0, db0, dW1, ...])``. Only
-        parameters with requires_grad get a gradient (others get None), and
-        the input gradient is computed only when ``inputs`` is true.
+        Returns ``(input gradient or None, [dW0, db0, dW1, ...])``. With
+        ``params`` true, parameters with requires_grad get a gradient (the
+        others get None); ``params=False`` skips them all. The input gradient
+        is computed only when ``inputs`` is true.
         """
         grads: list = [None] * (2 * len(self.weights))
         for i in range(len(self.weights) - 1, -1, -1):
             h, wt = cache[i]
-            if self.weights[i].requires_grad:
+            if params and self.weights[i].requires_grad:
                 grads[2 * i] = (h.T @ g).T
-            if self.biases[i].requires_grad:
+            if params and self.biases[i].requires_grad:
                 grads[2 * i + 1] = g.sum(axis=0)
             if i == 0 and not inputs:
                 return None, grads
@@ -150,17 +157,8 @@ class Mlp:
         return ad.node(out, "mlp", (xt, *self.parameters()), vjp)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass. It multiplies by the transposed weight
-        view ``w.T``, not the contiguous copy ``forward`` uses, so for some
-        batch sizes its logits differ from ``forward``'s in the last bits."""
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self._check_input(h)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data.T + b.data
-            if i != last:
-                h = np.maximum(h, 0.0) if self.activation == "relu" else np.tanh(h)
-        return h
+        """Graph-free forward pass: the outputs of ``forward_with_cache``."""
+        return self.forward_with_cache(x)[0]
 
 
 class MlpClassifier(Mlp):
@@ -213,7 +211,24 @@ def save_checkpoint(model: Mlp, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_array(path, name: str, text: str) -> np.ndarray:
+    """The values of one checkpoint array; each must be a finite float."""
+    tokens = text.split()
+    try:
+        values = np.array([float(v) for v in tokens], dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"{path}: array '{name}' has a non-numeric value ({e})") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}: array '{name}' has a non-finite value '{tokens[i]}' at index {i}")
+    return values
+
+
 def load_checkpoint(path) -> Mlp:
+    """Read a ``save_checkpoint`` file. A malformed header, a missing or
+    misnamed array, a wrong value count, or a non-numeric or non-finite
+    value raises ValueError naming the file (and the array)."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or text[0] != _CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not an oodlab checkpoint")
@@ -224,8 +239,11 @@ def load_checkpoint(path) -> Mlp:
     kind = fields.get("kind", "")
     if kind not in _KINDS:
         raise ValueError(f"{path}: unknown model kind '{kind}'")
-    sizes = [int(s) for s in fields["layer_sizes"].split()]
-    model = _KINDS[kind](sizes, activation=fields["activation"], seed=0)
+    try:
+        sizes = [int(s) for s in fields.get("layer_sizes", "").split()]
+        model = _KINDS[kind](sizes, activation=fields.get("activation", ""), seed=0)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     expected = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         expected.append((f"W{i}", (fan_out, fan_in)))
@@ -237,7 +255,7 @@ def load_checkpoint(path) -> Mlp:
         key, _, rest = line.partition(" ")
         if key != name:
             raise ValueError(f"{path}: expected array '{name}', found '{key}'")
-        values = np.array([float(v) for v in rest.split()], dtype=np.float64)
+        values = _parse_array(path, name, rest)
         if values.size != int(np.prod(shape)):
             raise ValueError(f"{path}: array '{name}' has {values.size} values, expected {int(np.prod(shape))}")
         p.data[...] = values.reshape(shape)

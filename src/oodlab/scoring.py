@@ -9,19 +9,21 @@ l-infinity ball; the guaranteed AUROC replaces it by a certified upper bound
 from interval propagation. In-distribution scores stay clean throughout, so
 for every out-sample clean <= adversarial <= certified, and the three AUROCs
 are ordered gauroc <= aauroc <= auroc whenever epsilon > 0.
+
+Nothing here uses the autodiff tape. Clean scores, every PGD iterate and the
+interval centers come from the one forward pass training uses
+(``Mlp.forward_with_cache``); the PGD input gradient is its ``backprop``
+with the max-softmax VJP, and the softmax arithmetic is the loss code's.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .losses import max_softmax_prob
+from .losses import _log_softmax_parts, _max_softmax
 
 __all__ = [
     "IN_DISTRIBUTION",
@@ -137,18 +139,9 @@ class MetricReport:
         }
 
 
-def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1)
-    return m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-
-
-def _max_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    return np.exp(logits.max(axis=1) - _logsumexp_rows(logits))
-
-
 def anomaly_scores(model, x: np.ndarray) -> np.ndarray:
     """Max softmax probability per row, via the stable log-sum-exp path."""
-    return _max_softmax_rows(model.forward_array(np.atleast_2d(np.asarray(x, dtype=np.float64))))
+    return _max_softmax(model.forward_array(x))[0]
 
 
 def anomaly_score(model, x) -> float:
@@ -195,19 +188,6 @@ def auroc(scores: ScoreSet) -> float:
     return _rank_auroc(scores.in_scores, scores.out_scores)
 
 
-@contextmanager
-def _frozen(model):
-    flags = [p.requires_grad for p in model.parameters()]
-    grads = [p.grad for p in model.parameters()]
-    model.freeze()
-    try:
-        yield
-    finally:
-        for p, f, g in zip(model.parameters(), flags, grads):
-            p.requires_grad = f
-            p.grad = g
-
-
 def _clip_ball(adv: np.ndarray, center: np.ndarray, budget: RobustnessBudget) -> np.ndarray:
     lo = center - budget.epsilon
     hi = center + budget.epsilon
@@ -221,29 +201,32 @@ def pgd_max_confidence_batch(model, x: np.ndarray, budget: RobustnessBudget, see
     """Projected sign-gradient ascent on the anomaly score, one row per sample.
 
     Returns the max score over every iterate visited (the clean start always
-    counts, so the result is >= the clean score). epsilon 0 short-circuits to
-    the clean scores.
+    counts, so the result is >= the clean score). One forward pass per
+    iterate gives both its score and, through the max-softmax VJP, its input
+    gradient, so a start costs pgd_steps + 1 passes; the model's parameters
+    and their gradients are never touched. epsilon 0 short-circuits to the
+    clean scores.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    best = anomaly_scores(model, x)
     if budget.epsilon == 0:
-        return best
+        return anomaly_scores(model, x)
     starts = [x]
     if budget.pgd_restarts > 0:
         rng = np.random.default_rng(seed)
         for _ in range(budget.pgd_restarts):
             jitter = rng.uniform(-budget.epsilon, budget.epsilon, x.shape)
             starts.append(_clip_ball(x + jitter, x, budget))
-    with _frozen(model):
-        for start in starts:
-            adv = start.copy()
-            best = np.maximum(best, anomaly_scores(model, adv))
-            for _ in range(budget.pgd_steps):
-                xt = Tensor(adv, requires_grad=True)
-                logits = model.forward(xt)
-                ad.backward(ad.reduce_sum(max_softmax_prob(logits)))
-                adv = _clip_ball(adv + budget.pgd_step_size * np.sign(xt.grad), x, budget)
-                best = np.maximum(best, anomaly_scores(model, adv))
+    best = None
+    for start in starts:
+        adv = start.copy()
+        for step in range(budget.pgd_steps + 1):
+            logits, cache = model.forward_with_cache(adv)
+            score, vjp = _max_softmax(logits)
+            best = score if best is None else np.maximum(best, score)
+            if step == budget.pgd_steps:
+                break
+            grad, _ = model.backprop(cache, vjp(np.ones(len(score))), inputs=True, params=False)
+            adv = _clip_ball(adv + budget.pgd_step_size * np.sign(grad), x, budget)
     return best
 
 
@@ -256,8 +239,9 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
     """Sound per-logit intervals over the l-infinity ball of radius epsilon.
 
     Affine layers map intervals by center-radius arithmetic (center W.mid + b,
-    radius |W|.rad); the monotone activation is applied endpoint-wise. With
-    epsilon 0 the bounds collapse to the exact logits.
+    radius |W|.rad); the monotone activation is applied endpoint-wise. The
+    center pass uses the forward's arithmetic (``Mlp.forward_with_cache``),
+    so with epsilon 0 the bounds collapse bit-exactly onto its logits.
     """
     if model.activation not in ("relu", "tanh"):
         raise ValueError(f"interval propagation supports relu/tanh, not '{model.activation}'")
@@ -271,18 +255,17 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
     if input_box is not None:
         lo = np.maximum(lo, input_box[0])
         hi = np.minimum(hi, input_box[1])
-    act = (lambda z: np.maximum(z, 0.0)) if model.activation == "relu" else np.tanh
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         center = (lo + hi) / 2.0
         radius = (hi - lo) / 2.0
-        center = center @ w.data.T + b.data
+        center = center @ np.ascontiguousarray(w.data.T) + b.data
         radius = radius @ np.abs(w.data).T
         lo = center - radius
         hi = center + radius
         if i != last:
-            lo = act(lo)
-            hi = act(hi)
+            lo = model.activate(lo)
+            hi = model.activate(hi)
     if single:
         return lo[0], hi[0]
     return lo, hi
@@ -305,7 +288,7 @@ def certified_max_confidence(lo, hi):
     for cls in range(k):
         z = lo2.copy()
         z[:, cls] = hi2[:, cls]
-        best = np.maximum(best, np.exp(hi2[:, cls] - _logsumexp_rows(z)))
+        best = np.maximum(best, np.exp(hi2[:, cls] - _log_softmax_parts(z)[0]))
     return float(best[0]) if single else best
 
 

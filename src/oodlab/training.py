@@ -331,10 +331,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
         pool_n = _boundary_pool_size(cfg)
         latents = sample_latent((cfg.seed, 3, alt), pool_n, generator.latent_dim)
-        generator.freeze()
-        boundary_inputs = generator.generate(latents).data.copy()
-        generator.unfreeze()
-        boundary = OutlierPool(boundary_inputs, source=GENERATED_BOUNDARY)
+        boundary = OutlierPool(generator.forward_array(latents.values), source=GENERATED_BOUNDARY)
 
         phase_c_negs = [cfg.few_shot, boundary]
         if cfg.mode == "iv":

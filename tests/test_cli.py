@@ -1,8 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from oodlab.cli import dispatch
 from oodlab.data import load_csv
+from oodlab.nets import MlpClassifier, save_checkpoint
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -67,6 +70,27 @@ class TestConfigErrors:
         assert code == 2
         assert "cov_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('few_shot_count="x"', "few_shot_count"),
+            ("sweep.counts=a,b", "sweep.counts"),
+            ('eval.in_size="x"', "eval.in_size"),
+            ('boundary_pool_size="x"', "boundary_pool_size"),
+            ('sweep.break_floor="x"', "sweep.break_floor"),
+            ('model.classifier_hidden="x"', "model.classifier_hidden"),
+            ("model.latent_dim=0", "model.latent_dim"),
+            ('model.classifier_activation="softplus"', "model.classifier_activation"),
+        ],
+    )
+    def test_bad_override_value_exits_2_naming_the_key(self, tiny_config_path, tmp_path, capsys, override, key):
+        out = tmp_path / "o"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), "--set", override, "--out", str(out), "-q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2
 
@@ -119,6 +143,21 @@ class TestTrainEvalCommands:
         assert set(doc) == {"ring", "lfn"}
         for metrics in doc.values():
             assert 0.0 <= metrics["gauroc"] <= metrics["aauroc"] <= metrics["auroc"] <= 1.0
+
+
+    def test_eval_of_non_finite_checkpoint_exits_1_naming_the_array(self, tiny_config_path, tmp_path, capsys):
+        ckpt = tmp_path / "clf.ckpt"
+        save_checkpoint(MlpClassifier([2, 16, 16, 3], activation="tanh", seed=0), ckpt)
+        lines = ckpt.read_text(encoding="utf-8").splitlines()
+        lines[4] = lines[4].split(" ", 1)[0] + " nan " + lines[4].split(" ", 2)[2]
+        ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = dispatch(
+            ["eval", "--config", str(tiny_config_path), "--classifier", str(ckpt), "--out", str(tmp_path / "e"), "-q"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'W0'" in err and "non-finite" in err
+        assert not (tmp_path / "e" / "eval.result.json").exists()
 
 
 class TestAblateOccCommands:

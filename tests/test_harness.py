@@ -3,8 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oodlab.config import ConfigError, config_from_dict, load_config, parse_override
+from oodlab.config import (
+    DEFAULTS,
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+    parse_override,
+)
 from oodlab.harness import (
     SUMMARY_COLUMNS,
     RunRecord,
@@ -17,6 +26,8 @@ from oodlab.harness import (
     run_single,
 )
 from oodlab.scoring import MetricReport
+
+from conftest import TINY_DOC
 
 
 def _fake_sweep(curve: dict[int, float], test_set: str = "t") -> SweepResult:
@@ -133,6 +144,51 @@ class TestConfig:
         assert a == b
         c = config_from_dict(tiny_doc, overrides=["seed=99"]).fingerprint
         assert a != c
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('few_shot_count="x"', "few_shot_count"),
+            ("few_shot_count=1.5", "few_shot_count"),
+            ("sweep.counts=a,b", "sweep.counts"),
+            ("sweep.counts=8", "sweep.counts"),
+            ("sweep.counts=[]", "sweep.counts"),
+            ('eval.in_size="x"', "eval.in_size"),
+            ("eval.in_size=0", "eval.in_size"),
+            ('boundary_pool_size="x"', "boundary_pool_size"),
+            ("boundary_pool_size=0", "boundary_pool_size"),
+            ('sweep.break_floor="x"', "sweep.break_floor"),
+            ("sweep.break_floor=NaN", "sweep.break_floor"),
+            ('model.classifier_hidden="x"', "model.classifier_hidden"),
+            ("model.classifier_hidden=[16,0]", "model.classifier_hidden"),
+            ("model.latent_dim=0", "model.latent_dim"),
+            ('model.classifier_activation="softplus"', "model.classifier_activation"),
+            ("model.generator_activation=7", "model.generator_activation"),
+            ("seed=-1", "seed"),
+            ("seed=true", "seed"),
+            ("budget.epsilon=NaN", "budget.epsilon"),
+            ('budget.input_box="ab"', "budget.input_box"),
+            ("schedule.batch_n=0", "schedule"),
+            ('schedule.lr_a="x"', "schedule.lr_a"),
+            ("schedule.lr_b=0", "schedule.lr_b"),
+            ('weights.lam="x"', "weights.lam"),
+            ('data.normal.size="x"', "data.normal.size"),
+            ("model=5", "model"),
+            ("data=5", "data"),
+            ("data.tests=[]", "data.tests"),
+        ],
+    )
+    def test_bad_value_is_config_error_naming_the_key(self, tiny_doc, override, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            config_from_dict(tiny_doc, overrides=[override])
+
+    def test_section_override_replaces_it_with_defaults_filled_in(self, tiny_doc):
+        overrides = ['model={"latent_dim": 3}', "data.outlier=null", 'data.tests.ring={"kind": "ring"}']
+        config = config_from_dict(tiny_doc, overrides=overrides)
+        assert config.model["latent_dim"] == 3
+        assert config.model["classifier_hidden"] == [64, 64]
+        assert config.outlier is None
+        assert config.tests["ring"].seed == 0 and config.tests["ring"].r_outer == 1.2
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -335,3 +391,46 @@ def test_boundary_beats_no_boundary_at_zero_shots(reference_sweeps):
     ii = dict(reference_sweeps["ii"].curve("ring"))
     iii = dict(reference_sweeps["iii"].curve("ring"))
     assert iii[0] > ii[0]
+
+
+def _leaf_keys(doc: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for key, value in doc.items():
+        here = f"{prefix}{key}"
+        keys.append(here)
+        if isinstance(value, dict):
+            keys += _leaf_keys(value, here + ".")
+    return keys
+
+
+_DATASET_KEYS = ["kind", "dim", "size", "seed", "means", "cov_scale", "r_inner", "center", "box_lo", "window"]
+_OVERRIDE_KEYS = (
+    _leaf_keys(DEFAULTS)
+    + [f"data.{role}.{k}" for role in ("normal", "few_shot", "outlier", "tests.ring") for k in _DATASET_KEYS]
+    + ["data", "data.normal", "data.few_shot", "data.tests", "data.tests.ring", "bogus", "model.bogus"]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["kind", "size", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+_OVERRIDES = st.tuples(
+    st.sampled_from(_OVERRIDE_KEYS), _JSON_VALUES.map(json.dumps) | st.text(max_size=8)
+).map("=".join)
+
+
+@pytest.fixture(scope="module")
+def tiny_config_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "tiny.json"
+    path.write_text(json.dumps(TINY_DOC), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(overrides=st.lists(_OVERRIDES, min_size=1, max_size=3))
+def test_random_overrides_give_a_config_or_a_config_error(tiny_config_file, overrides):
+    try:
+        config = load_config(tiny_config_file, overrides)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)

@@ -70,6 +70,16 @@ def test_forward_matches_straight_line_reevaluation():
     np.testing.assert_array_equal(model.forward_array(x), h)
 
 
+@pytest.mark.parametrize("rows", [5, 24, 4096])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_forward_array_is_bit_equal_to_forward_with_cache(rows, activation):
+    # h @ w.T and h @ contiguous(w.T) round differently at these batch sizes
+    model = MlpClassifier([2, 48, 48, 3], activation=activation, seed=5)
+    x = np.random.default_rng(rows).normal(size=(rows, 2))
+    assert model.forward_array(x).tobytes() == model.forward_with_cache(x)[0].tobytes()
+    assert model.forward_array(x).tobytes() == model.forward(x).data.tobytes()
+
+
 def test_generator_identity_pass_through():
     gen = BoundaryGenerator([2, 2], seed=0)
     gen.weights[0].data[...] = np.eye(2)
@@ -172,6 +182,20 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
     path.write_text("not a checkpoint\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not an oodlab checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("token, problem", [("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"), ("0x1p3", "non-numeric"), ("abc", "non-numeric")])
+def test_load_checkpoint_rejects_bad_values_naming_file_and_array(tmp_path, token, problem):
+    path = tmp_path / "clf.ckpt"
+    save_checkpoint(MlpClassifier([2, 4, 3], seed=1), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    values = lines[6].split()  # "W1 v0 v1 ..."
+    values[3] = token
+    lines[6] = " ".join(values)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"clf.ckpt: array 'W1' has a {problem} value") as info:
+        load_checkpoint(path)
+    assert token in str(info.value)
 
 
 def test_freeze_unfreeze_round_trip():

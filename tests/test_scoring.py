@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodlab.nets import MlpClassifier
+from oodlab.nets import Mlp, MlpClassifier, load_checkpoint, save_checkpoint
 from oodlab.scoring import (
     IN_DISTRIBUTION,
     OUT_OF_DISTRIBUTION,
@@ -169,12 +169,32 @@ class TestPgd:
         b = pgd_max_confidence_batch(model, xs, budget, seed=9)
         np.testing.assert_array_equal(a, b)
 
-    def test_model_grads_untouched_by_attack(self):
+    def test_model_grads_untouched_by_attack(self, tmp_path):
+        fresh = MlpClassifier([2, 6, 3], seed=5)
+        save_checkpoint(fresh, tmp_path / "clf.ckpt")
+        for model in (fresh, load_checkpoint(tmp_path / "clf.ckpt")):
+            before_flags = [p.requires_grad for p in model.parameters()]
+            before = model.snapshot()
+            pgd_max_confidence_batch(model, np.zeros((2, 2)), RobustnessBudget(epsilon=0.1, pgd_steps=3))
+            assert [p.requires_grad for p in model.parameters()] == before_flags
+            assert all(p.grad is not None and np.all(p.grad == 0) for p in model.parameters())
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, model.snapshot()))
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_one_forward_pass_per_iterate(self, restarts, monkeypatch):
+        calls = []
+        original = Mlp.forward_with_cache
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(Mlp, "forward_with_cache", counting)
         model = MlpClassifier([2, 6, 3], seed=5)
-        before_flags = [p.requires_grad for p in model.parameters()]
-        pgd_max_confidence_batch(model, np.zeros((2, 2)), RobustnessBudget(epsilon=0.1, pgd_steps=3))
-        assert [p.requires_grad for p in model.parameters()] == before_flags
-        assert all(p.grad is not None and np.all(p.grad == 0) for p in model.parameters())
+        xs = np.random.default_rng(0).normal(size=(4, 2))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=7, pgd_restarts=restarts)
+        pgd_max_confidence_batch(model, xs, budget, seed=1)
+        assert calls == [4] * ((restarts + 1) * (budget.pgd_steps + 1))
 
 
 class TestIbp:
@@ -185,6 +205,15 @@ class TestIbp:
         exact = model.forward_array(x)
         np.testing.assert_array_equal(lo, exact)
         np.testing.assert_array_equal(hi, exact)
+
+    @pytest.mark.parametrize("rows", [5, 24, 4096])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_epsilon_zero_is_bit_equal_to_forward_at_any_batch_size(self, rows, activation):
+        model = MlpClassifier([2, 48, 48, 3], activation=activation, seed=5)
+        x = np.random.default_rng(rows).normal(size=(rows, 2))
+        lo, hi = ibp_logit_bounds(model, x, 0.0)
+        exact = model.forward_array(x).tobytes()
+        assert lo.tobytes() == exact and hi.tobytes() == exact
 
     def test_single_affine_layer_is_exact(self):
         model = _logit_model([[1.0]])
