@@ -11,8 +11,10 @@ intermediate nodes live in ``backward`` alone.
 The tape is a thin driver. The MLP forward pass (``nets``) and each loss
 term (``losses``) are one node each, built with ``node`` around a VJP
 written out in numpy; ``grad_check`` and ``check_gradients`` verify those
-VJPs against central finite differences. The only generic primitives are
-``add``, ``scalar_mul`` and ``reduce_sum``, for composing terms.
+VJPs against central finite differences. A model's parameters form one
+flat leaf (``nets.Mlp.flat``), so a training step's tape is one loss node
+over one leaf. The only generic primitives are ``add``, ``scalar_mul`` and
+``reduce_sum``, for composing terms.
 
 Broadcasting in ``add`` is deliberately narrow: equal shapes, a scalar
 (shape ()) against anything, or one operand matching the other with the

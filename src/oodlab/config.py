@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DatasetSpec
+from .data import DatasetSpec, check_spec
 from .losses import LossWeights
 from .nets import ACTIVATIONS
 from .scoring import RobustnessBudget
@@ -244,16 +244,44 @@ def _build(section: str, cls, **kwargs):
         raise ConfigError(f"{section}: {e}") from e
 
 
-def _dataset_spec(doc, path) -> DatasetSpec | None:
+def _number_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: must be a list of numbers, got {value!r}")
+    return [_number(v, key) for v in value]
+
+
+def _dataset_spec(doc, path, data_dim: int | None = None) -> DatasetSpec | None:
+    """The spec at ``path``, type- and range-checked as its generator would.
+
+    ``data_dim`` is the normal data's dimension (None when it is only known
+    once a CSV is read): every synthetic spec must draw points of that
+    dimension, and a low-frequency-noise window may not exceed it.
+    """
     if doc is None:
         return None
     for name in ("dim", "size", "window"):
         _int(doc[name], f"{path}.{name}")
     _int(doc["seed"], f"{path}.seed", 0)
+    for name in ("cov_scale", "r_inner", "r_outer", "box_lo", "box_hi", "amplitude"):
+        _number(doc[name], f"{path}.{name}")
+    if not isinstance(doc["means"], list):
+        raise ConfigError(f"{path}.means: must be a list of coordinate lists, got {doc['means']!r}")
+    for row in doc["means"]:
+        _number_list(row, f"{path}.means")
+    _number_list(doc["center"], f"{path}.center")
+    if not isinstance(doc["path"], str):
+        raise ConfigError(f"{path}.path: must be a string, got {doc['path']!r}")
     try:
-        return DatasetSpec(**doc)
+        spec = DatasetSpec(**doc)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from e
+    try:
+        check_spec(spec, data_dim)
+    except ValueError as e:
+        raise ConfigError(f"{path}.{e}") from e
+    if data_dim is not None and spec.kind not in ("csv", "low-frequency-noise") and spec.dim != data_dim:
+        raise ConfigError(f"{path}.dim: must equal the normal data's dim {data_dim}, got {spec.dim}")
+    return spec
 
 
 def _check_model(model: dict) -> None:
@@ -326,15 +354,24 @@ def build_config(document: dict) -> ExperimentConfig:
     floor = _number(doc["sweep"]["break_floor"], "sweep.break_floor")
     if not 0.5 < floor < 1.0:
         raise ConfigError(f"sweep.break_floor: must lie in (0.5, 1), got {floor}")
+    normal = _dataset_spec(doc["data"]["normal"], "data.normal")
+    if normal.kind not in ("gaussian-mixture", "csv"):
+        raise ConfigError(f"data.normal.kind: must give labeled data (gaussian-mixture or csv), got '{normal.kind}'")
+    data_dim = None if normal.kind == "csv" else normal.dim
+    few_shot = _dataset_spec(doc["data"]["few_shot"], "data.few_shot", data_dim)
+    if few_shot is not None and few_shot.kind != "csv":
+        for key, count in (("few_shot_count", doc["few_shot_count"]), ("sweep.counts", counts[0])):
+            if count > few_shot.size:
+                raise ConfigError(f"{key}: cannot sample {count} few-shots from data.few_shot.size {few_shot.size}")
     return ExperimentConfig(
         seed=seed,
         mode=doc["mode"],
         few_shot_count=doc["few_shot_count"],
         boundary_pool_size=doc["boundary_pool_size"],
-        normal=_dataset_spec(doc["data"]["normal"], "data.normal"),
-        few_shot=_dataset_spec(doc["data"]["few_shot"], "data.few_shot"),
-        outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier"),
-        tests={name: _dataset_spec(spec, f"data.tests.{name}") for name, spec in tests.items()},
+        normal=normal,
+        few_shot=few_shot,
+        outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier", data_dim),
+        tests={name: _dataset_spec(spec, f"data.tests.{name}", data_dim) for name, spec in tests.items()},
         model=doc["model"],
         weights=weights,
         schedule=schedule,

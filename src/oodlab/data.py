@@ -21,6 +21,7 @@ __all__ = [
     "OutlierPool",
     "LatentBatch",
     "DatasetSpec",
+    "check_spec",
     "gen_gaussian_mixture",
     "gen_ring",
     "gen_uniform_noise",
@@ -148,15 +149,47 @@ def _reject_non_finite(spec: DatasetSpec) -> None:
             raise ValueError(f"dataset spec field '{name}' has a non-finite value")
 
 
+def check_spec(spec: DatasetSpec, data_dim: int | None = None) -> None:
+    """Raise ValueError for a spec its generator cannot draw from; the
+    message starts with the offending field's name.
+
+    These are the range checks each generator runs before drawing (finite
+    values are ``DatasetSpec``'s own check). ``data_dim`` is the dimension
+    of the normals a low-frequency-noise spec corrupts, the upper end of its
+    window range; None checks only the lower end.
+    """
+    if spec.kind == "gaussian-mixture":
+        try:
+            means = np.asarray(spec.means, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("means: must be a list of equal-length coordinate lists") from None
+        if means.ndim != 2 or means.shape[0] < 1:
+            raise ValueError("means: gaussian-mixture needs at least one component mean")
+        if means.shape[1] != spec.dim:
+            raise ValueError(f"means: component means have dim {means.shape[1]}, spec says {spec.dim}")
+        if spec.cov_scale <= 0:
+            raise ValueError(f"cov_scale: must be positive, got {spec.cov_scale}")
+    elif spec.kind == "ring":
+        if not (0.0 <= spec.r_inner <= spec.r_outer):
+            raise ValueError(f"r_inner: ring radii must satisfy 0 <= r_inner <= r_outer, got {spec.r_inner}, {spec.r_outer}")
+        if len(spec.center) not in (0, spec.dim):
+            raise ValueError(f"center: has {len(spec.center)} coordinates, spec says dim {spec.dim} (or [] for the origin)")
+    elif spec.kind == "uniform-noise":
+        if not spec.box_lo < spec.box_hi:
+            raise ValueError(f"box_lo: uniform-noise box is empty: [{spec.box_lo}, {spec.box_hi}]")
+    elif spec.kind == "low-frequency-noise":
+        if spec.amplitude < 0:
+            raise ValueError(f"amplitude: low-frequency-noise amplitude must be >= 0, got {spec.amplitude}")
+        if spec.window < 1 or (data_dim is not None and spec.window > data_dim):
+            raise ValueError(f"window: smoothing window must be in [1, {data_dim or 'dim'}], got {spec.window}")
+    elif spec.kind == "csv" and not spec.path:
+        raise ValueError("path: a csv dataset needs a file path")
+
+
 def gen_gaussian_mixture(spec: DatasetSpec) -> LabeledBatch:
     """Equal-sized isotropic Gaussian clusters, label = component index."""
+    check_spec(spec)
     means = np.asarray(spec.means, dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] < 1:
-        raise ValueError("gaussian-mixture needs at least one component mean")
-    if means.shape[1] != spec.dim:
-        raise ValueError(f"component means have dim {means.shape[1]}, spec says {spec.dim}")
-    if spec.cov_scale <= 0:
-        raise ValueError("cov_scale must be positive")
     k = means.shape[0]
     rng = np.random.default_rng(spec.seed)
     counts = [spec.size // k + (1 if i < spec.size % k else 0) for i in range(k)]
@@ -169,8 +202,7 @@ def gen_gaussian_mixture(spec: DatasetSpec) -> LabeledBatch:
 
 def gen_ring(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
     """Spherical shell: uniform direction, radius uniform in [r_inner, r_outer]."""
-    if not (0.0 <= spec.r_inner <= spec.r_outer):
-        raise ValueError(f"ring radii must satisfy 0 <= r_inner <= r_outer, got {spec.r_inner}, {spec.r_outer}")
+    check_spec(spec)
     rng = np.random.default_rng(spec.seed)
     direction = rng.standard_normal((spec.size, spec.dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -180,8 +212,7 @@ def gen_ring(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
 
 
 def gen_uniform_noise(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
-    if not spec.box_lo < spec.box_hi:
-        raise ValueError(f"uniform-noise box is empty: [{spec.box_lo}, {spec.box_hi}]")
+    check_spec(spec)
     rng = np.random.default_rng(spec.seed)
     return OutlierPool(rng.uniform(spec.box_lo, spec.box_hi, (spec.size, spec.dim)), source=source)
 
@@ -201,11 +232,8 @@ def gen_low_frequency_noise(spec: DatasetSpec, normals: LabeledBatch, source: st
     the high-frequency content of the perturbation; window == d makes the
     perturbation constant across coordinates for each sample.
     """
-    if spec.amplitude < 0:
-        raise ValueError("low-frequency-noise amplitude must be >= 0")
     d = normals.dim
-    if spec.window < 1 or spec.window > d:
-        raise ValueError(f"smoothing window must be in [1, {d}], got {spec.window}")
+    check_spec(spec, d)
     rng = np.random.default_rng(spec.seed)
     rows = rng.integers(0, len(normals), spec.size)
     noise = _smooth_circular(rng.standard_normal((spec.size, d)), spec.window)

@@ -12,6 +12,7 @@ normal support).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ def _max_softmax(logits: np.ndarray):
 
     def vjp(g):
         gy = g * y
-        grad = np.expand_dims(-gy, 1) * soft
+        grad = (-gy)[:, None] * soft
         at_max = np.zeros_like(logits)
         at_max[np.arange(len(y)), np.argmax(logits, axis=1)] = gy
         return grad + at_max
@@ -126,6 +127,15 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.stack([np.bincount(idx, weights=col, minlength=n) for col in rows.T], axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per n and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def _dispersion(outputs: np.ndarray, latents, delta: float):
     values = latents.values if isinstance(latents, LatentBatch) else np.asarray(latents, dtype=np.float64)
     n = len(values)
@@ -133,9 +143,10 @@ def _dispersion(outputs: np.ndarray, latents, delta: float):
         raise ValueError(f"dispersion needs at least two latent samples, got {n}")
     if outputs.shape[0] != n:
         raise ad.ShapeMismatchError("dispersion_term", (n,), outputs.shape)
-    ii, jj = np.triu_indices(n, k=1)
-    z_dist = np.linalg.norm(values[ii] - values[jj], axis=1)
-    diff = outputs[ii] - outputs[jj]
+    ii, jj = _pair_indices(n)
+    dz = np.take(values, ii, axis=0) - np.take(values, jj, axis=0)
+    z_dist = np.sqrt((dz * dz).sum(axis=-1))  # np.linalg.norm's arithmetic, without its overhead
+    diff = np.take(outputs, ii, axis=0) - np.take(outputs, jj, axis=0)
     d_norm = np.sqrt((diff * diff).sum(axis=-1))
     denom = d_norm + float(delta)
     ratios = z_dist / denom
@@ -168,15 +179,31 @@ def _dominance(generated_logits: np.ndarray, reference_logits: np.ndarray):
     return value, vjp
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of ``a`` to every row of ``b``, with
+    the bits of ``(diff * diff).sum(axis=-1)`` over the 3-D broadcast
+    difference. numpy sums a last axis of fewer than 8 entries in order, so
+    there one column at a time gives the same result without the 3-D
+    temporary; from 8 columns numpy sums pairwise and the broadcast stays."""
+    d = a.shape[1]
+    if d >= 8:
+        diff = a[:, None, :] - b[None, :, :]
+        return (diff * diff).sum(axis=-1)
+    total = None
+    for k in range(d):
+        col = a[:, k, None] - b[:, k]
+        total = col * col if total is None else total + col * col
+    return total
+
+
 def _proximity(generated: np.ndarray, normal_reference):
     reference = np.asarray(normal_reference, dtype=np.float64)
     if len(reference) < 1:
         raise ValueError("proximity needs a non-empty normal reference")
     if reference.ndim != 2 or generated.ndim != 2 or reference.shape[1] != generated.shape[1]:
         raise ad.ShapeMismatchError("proximity_term", generated.shape, reference.shape)
-    diff = generated[:, None, :] - reference[None, :, :]
-    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=-1)), axis=1)
-    diff = generated - reference[nearest]
+    nearest = np.argmin(np.sqrt(_squared_distances(generated, reference)), axis=1)
+    diff = generated - np.take(reference, nearest, axis=0)
     norm = np.sqrt((diff * diff).sum(axis=-1))
     value = np.asarray(norm.mean())
 
@@ -249,7 +276,7 @@ def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
 def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None, weights: LossWeights) -> Tensor:
     """Cross-entropy plus lam * negative training; pure cross-entropy when the
     negative pool is empty or lam is zero. One tape node over the model's
-    parameters."""
+    flat parameter leaf."""
     logits, cache = model.forward_with_cache(normals.inputs)
     value, ce_vjp = _cross_entropy(logits, normals.labels)
     use_negatives = negatives is not None and negatives.size > 0 and weights.lam > 0
@@ -259,13 +286,15 @@ def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None,
         value = value + neg_value * weights.lam
 
     def vjp(g):
-        grads = model.backprop(cache, ce_vjp(g))[1]
+        grad = np.empty_like(model.flat.data)
+        model.backprop(cache, ce_vjp(g), grad)
         if use_negatives:
-            neg_grads = model.backprop(neg_cache, nt_vjp(g * weights.lam))[1]
-            grads = [a if b is None else a + b for a, b in zip(grads, neg_grads)]
-        return grads
+            neg_grad = np.empty_like(grad)
+            model.backprop(neg_cache, nt_vjp(g * weights.lam), neg_grad)
+            grad += neg_grad
+        return (grad,)
 
-    return ad.node(value, "classifier_loss", tuple(model.parameters()), vjp)
+    return ad.node(value, "classifier_loss", (model.flat,), vjp)
 
 
 def generator_loss(
@@ -277,7 +306,7 @@ def generator_loss(
     pairing_seed: int | tuple | None = None,
 ) -> Tensor:
     """dispersion + mu * dominance + nu * proximity, differentiable only with
-    respect to generator parameters (one tape node over them).
+    respect to generator parameters (one tape node over its flat leaf).
 
     The dominance reference pairs each generated row with a uniformly drawn
     row of the normal reference; the pairing is reseeded per step from the
@@ -305,11 +334,13 @@ def generator_loss(
         # ((proximity + classifier input) + dispersion jj) + dispersion ii
         g_out = prox_vjp(g * weights.nu) if prox_vjp is not None else None
         if dom_vjp is not None:
-            via_clf = frozen_classifier.backprop(clf_cache, dom_vjp(g * weights.mu), inputs=True)[0]
+            via_clf = frozen_classifier.backprop(clf_cache, dom_vjp(g * weights.mu), inputs=True)
             g_out = via_clf if g_out is None else g_out + via_clf
-        return generator.backprop(gen_cache, disp_vjp(g, g_out))[1]
+        grad = np.empty_like(generator.flat.data)
+        generator.backprop(gen_cache, disp_vjp(g, g_out), grad)
+        return (grad,)
 
-    return ad.node(value, "generator_loss", tuple(generator.parameters()), vjp)
+    return ad.node(value, "generator_loss", (generator.flat,), vjp)
 
 
 def _seed_key(seed) -> int:

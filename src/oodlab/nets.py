@@ -9,6 +9,14 @@ There is one forward arithmetic, ``Mlp.forward_with_cache``: the tape node
 ``forward`` wraps it for training, and ``forward_array`` (scoring, PGD, the
 boundary pool) returns its outputs, so every caller sees the same bits.
 
+All parameters of a model sit in one flat vector held by one leaf Tensor,
+``Mlp.flat``. A training step's tape is one loss node over that leaf: its VJP
+(``Mlp.backprop``) writes one flat gradient, ``backward`` adds it to one
+``.grad`` buffer, and Adam updates one slice. Checkpoints and interval
+bounds read the per-layer numpy views in ``Mlp.layers``; the ``weights`` and
+``biases`` Tensors are views into the same memory, for gradient checks and
+code that updates parameters one by one.
+
 Models are mutable while training and need external synchronization. Scoring
 reads a model's parameters without changing them or their grad flags.
 """
@@ -36,7 +44,16 @@ ACTIVATIONS = ("relu", "tanh")
 
 
 class Mlp:
-    """Fully connected net with weights stored as (fan_out, fan_in) tensors."""
+    """Fully connected net whose parameters live in one flat float64 vector.
+
+    ``flat`` is the model's one tape leaf: layer by layer, the weight
+    ``(fan_out, fan_in)`` in row-major order, then the bias. ``layers`` holds
+    the matching ``(W, b)`` numpy views into ``flat.data``. ``weights[i]`` and
+    ``biases[i]`` are Tensors whose ``.data`` and ``.grad`` are views into
+    ``flat.data`` and ``flat.grad``; they are made on first use, so writing
+    through them (in place) writes the flat vector. Grad tracking is per
+    model: ``freeze``/``unfreeze`` switch the flat leaf and every view.
+    """
 
     kind = "mlp"
 
@@ -51,13 +68,28 @@ class Mlp:
         self.layer_sizes = sizes
         self.activation = activation
         self.seed = int(seed)
-        rng = np.random.default_rng(self.seed)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self._layout = []  # per layer: (weight slice, weight shape, bias slice) of the flat vector
+        start = 0
         for fan_in, fan_out in zip(sizes, sizes[1:]):
+            w_at = slice(start, start + fan_out * fan_in)
+            b_at = slice(w_at.stop, w_at.stop + fan_out)
+            self._layout.append((w_at, (fan_out, fan_in), b_at))
+            start = b_at.stop
+        self.flat = Tensor(np.zeros(start), requires_grad=True)
+        arrays = self._split(self.flat.data)
+        self.layers: list[tuple[np.ndarray, np.ndarray]] = list(zip(arrays[0::2], arrays[1::2]))
+        rng = np.random.default_rng(self.seed)
+        for (w, _), fan_in in zip(self.layers, sizes):
             bound = math.sqrt(2.0 / fan_in)
-            self.weights.append(Tensor(rng.uniform(-bound, bound, (fan_out, fan_in)), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+            w[...] = rng.uniform(-bound, bound, w.shape)
+        self._params: list[Tensor] | None = None
+
+    def _split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views [W0, b0, W1, ...] into a vector laid out like ``flat``."""
+        out = []
+        for w_at, shape, b_at in self._layout:
+            out += [vec[w_at].reshape(shape), vec[b_at]]
+        return out
 
     @property
     def input_dim(self) -> int:
@@ -68,31 +100,49 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """[W0, b0, W1, b1, ...] as Tensor views into the flat vector."""
+        if self._params is None:
+            self._params = [Tensor(a) for a in self._split(self.flat.data)]
+            self._sync_params()
+        return self._params
+
+    @property
+    def weights(self) -> list[Tensor]:
+        return self.parameters()[0::2]
+
+    @property
+    def biases(self) -> list[Tensor]:
+        return self.parameters()[1::2]
+
+    def _sync_params(self) -> None:
+        """Point every parameter view's flag and grad at the flat leaf's."""
+        if self._params is None:
+            return
+        flat = self.flat
+        grads = self._split(flat.grad) if flat.grad is not None else [None] * len(self._params)
+        for p, g in zip(self._params, grads):
+            p.requires_grad = flat.requires_grad
+            p.grad = g
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat.zero_grad()
 
     def freeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = False
-            p.grad = None
+        self.flat.requires_grad = False
+        self.flat.grad = None
+        self._sync_params()
 
     def unfreeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = True
-            p.grad = np.zeros_like(p.data)
+        self.flat.requires_grad = True
+        self.flat.grad = np.zeros_like(self.flat.data)
+        self._sync_params()
 
     @property
     def is_frozen(self) -> bool:
-        return not any(p.requires_grad for p in self.parameters())
+        return not self.flat.requires_grad
 
     def snapshot(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
+        return self._split(self.flat.data.copy())
 
     def _check_input(self, h: np.ndarray) -> None:
         if h.ndim != 2 or h.shape[1] != self.input_dim:
@@ -112,49 +162,48 @@ class Mlp:
         """
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
-        last = len(self.weights) - 1
+        last = len(self.layers) - 1
         cache = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            wt = np.ascontiguousarray(w.data.T)
+        for i, (w, b) in enumerate(self.layers):
+            wt = np.ascontiguousarray(w.T)
             cache.append((h, wt))
-            h = h @ wt + b.data
+            h = h @ wt + b
             if i != last:
                 h = self.activate(h)
         return h, cache
 
-    def backprop(self, cache: list, g: np.ndarray, inputs: bool = False, params: bool = True):
-        """Gradients for the output gradient ``g`` of a ``forward_with_cache`` pass.
+    def backprop(self, cache: list, g: np.ndarray, grad: np.ndarray | None = None, inputs: bool = False):
+        """Backpropagate the output gradient ``g`` of a ``forward_with_cache`` pass.
 
-        Returns ``(input gradient or None, [dW0, db0, dW1, ...])``. With
-        ``params`` true, parameters with requires_grad get a gradient (the
-        others get None); ``params=False`` skips them all. The input gradient
-        is computed only when ``inputs`` is true.
+        With ``grad`` (a buffer laid out like ``flat``), the parameter
+        gradient is written into it. Returns the input gradient when
+        ``inputs`` is true, else None (and skips its cost).
         """
-        grads: list = [None] * (2 * len(self.weights))
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(len(cache) - 1, -1, -1):
             h, wt = cache[i]
-            if params and self.weights[i].requires_grad:
-                grads[2 * i] = (h.T @ g).T
-            if params and self.biases[i].requires_grad:
-                grads[2 * i + 1] = g.sum(axis=0)
+            if grad is not None:
+                w_at, shape, b_at = self._layout[i]
+                grad[w_at].reshape(shape)[...] = (h.T @ g).T
+                grad[b_at] = g.sum(axis=0)
             if i == 0 and not inputs:
-                return None, grads
+                return None
             g = g @ wt.T
             if i > 0:  # h is the activation output of layer i - 1
                 g = g * (h > 0.0) if self.activation == "relu" else g * (1.0 - h * h)
-        return g, grads
+        return g
 
     def forward(self, x) -> Tensor:
         """Forward pass for a 2-D batch (rows are samples) as one ``mlp``
-        tape node over the input and every parameter."""
+        tape node over the input and the flat parameter leaf."""
         xt = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         out, cache = self.forward_with_cache(xt.data)
+        flat = self.flat
 
         def vjp(g):
-            g_in, grads = self.backprop(cache, g, inputs=xt.requires_grad)
-            return (g_in, *grads)
+            grad = np.empty_like(flat.data) if flat.requires_grad else None
+            return self.backprop(cache, g, grad, inputs=xt.requires_grad), grad
 
-        return ad.node(out, "mlp", (xt, *self.parameters()), vjp)
+        return ad.node(out, "mlp", (xt, flat), vjp)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass: the outputs of ``forward_with_cache``."""
@@ -205,9 +254,9 @@ def save_checkpoint(model: Mlp, path) -> None:
         f"activation {model.activation}",
         "layer_sizes " + " ".join(str(s) for s in model.layer_sizes),
     ]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"W{i} " + " ".join(format(v, ".17g") for v in w.data.reshape(-1)))
-        lines.append(f"b{i} " + " ".join(format(v, ".17g") for v in b.data.reshape(-1)))
+    for i, (w, b) in enumerate(model.layers):
+        lines.append(f"W{i} " + " ".join(format(v, ".17g") for v in w.reshape(-1)))
+        lines.append(f"b{i} " + " ".join(format(v, ".17g") for v in b))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -250,13 +299,13 @@ def load_checkpoint(path) -> Mlp:
         expected.append((f"b{i}", (fan_out,)))
     if len(text) < 4 + len(expected):
         raise ValueError(f"{path}: truncated checkpoint")
-    params = model.parameters()
-    for (name, shape), line, p in zip(expected, text[4:], params):
+    arrays = [a for layer in model.layers for a in layer]
+    for (name, shape), line, arr in zip(expected, text[4:], arrays):
         key, _, rest = line.partition(" ")
         if key != name:
             raise ValueError(f"{path}: expected array '{name}', found '{key}'")
         values = _parse_array(path, name, rest)
         if values.size != int(np.prod(shape)):
             raise ValueError(f"{path}: array '{name}' has {values.size} values, expected {int(np.prod(shape))}")
-        p.data[...] = values.reshape(shape)
+        arr[...] = values.reshape(shape)
     return model

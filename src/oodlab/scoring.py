@@ -170,15 +170,12 @@ def _rank_auroc(in_scores: np.ndarray, out_scores: np.ndarray) -> float:
     n, m = in_scores.size, out_scores.size
     combined = np.concatenate([in_scores, out_scores])
     order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(n + m, dtype=np.float64)
     sorted_vals = combined[order]
-    i = 0
-    while i < n + m:
-        j = i
-        while j + 1 < n + m and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of equal scores [i, j] in sorted order shares the rank 0.5 * (i + j) + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    ends = np.append(starts[1:], n + m) - 1
+    ranks = np.empty(n + m, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     u = ranks[:n].sum() - n * (n + 1) / 2.0
     return float(u / (n * m))
 
@@ -225,7 +222,7 @@ def pgd_max_confidence_batch(model, x: np.ndarray, budget: RobustnessBudget, see
             best = score if best is None else np.maximum(best, score)
             if step == budget.pgd_steps:
                 break
-            grad, _ = model.backprop(cache, vjp(np.ones(len(score))), inputs=True, params=False)
+            grad = model.backprop(cache, vjp(np.ones(len(score))), inputs=True)
             adv = _clip_ball(adv + budget.pgd_step_size * np.sign(grad), x, budget)
     return best
 
@@ -255,12 +252,12 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
     if input_box is not None:
         lo = np.maximum(lo, input_box[0])
         hi = np.minimum(hi, input_box[1])
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(model.layers) - 1
+    for i, (w, b) in enumerate(model.layers):
         center = (lo + hi) / 2.0
         radius = (hi - lo) / 2.0
-        center = center @ np.ascontiguousarray(w.data.T) + b.data
-        radius = radius @ np.abs(w.data).T
+        center = center @ np.ascontiguousarray(w.T) + b
+        radius = radius @ np.abs(w).T
         lo = center - radius
         hi = center + radius
         if i != last:

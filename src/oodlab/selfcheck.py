@@ -61,8 +61,8 @@ def _net_margins_ok(model, x: np.ndarray) -> bool:
     if model.activation != "relu":
         return True
     h = np.atleast_2d(x)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        pre = h @ w.data.T + b.data
+    for w, b in model.layers[:-1]:
+        pre = h @ w.T + b
         if np.min(np.abs(pre)) <= _MARGIN:
             return False
         h = np.maximum(pre, 0.0)

@@ -6,6 +6,11 @@ frozen classifier. Phase C regenerates a boundary pool from fresh latents and
 retrains the classifier with the few-shot pool and the boundary pool (and the
 outlier dataset in mode iv) as negatives. Everything is reseeded per epoch
 from the master seed so a run is a pure function of (config, seed).
+
+A training step zeroes the model's one flat gradient buffer, builds the
+one-node loss over its flat parameter leaf (``Mlp.flat``), runs
+``ad.backward`` once and hands ``adam_step`` that leaf and its gradient, so
+Adam updates the whole model as one slice.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ def adam_step(params, grads, state: AdamState) -> None:
     """One in-place update; aborts with a diagnostic on non-finite gradients.
 
     Every operation is elementwise, so one pass over the concatenated
-    gradients gives each parameter the same bits as a per-parameter update.
+    gradients gives each parameter the same bits as a per-parameter update:
+    ``[model.flat]`` (what training passes, one slice) and
+    ``model.parameters()`` (its views) update a model identically.
     """
     if tuple(p.data.size for p in params) != state.sizes:
         raise ValueError("optimizer state does not match the parameter list")
@@ -171,7 +178,7 @@ def train_classifier(
     epochs = {"a": schedule.phase_a_epochs, "c": schedule.phase_c_epochs}.get(phase, 0) if epochs is None else epochs
     lr = getattr(schedule, _PHASE_LR.get(phase, "lr_a"))
     prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, _PHASE_IDX.get(phase, 0))
-    state = AdamState.for_params(model.parameters(), lr=lr)
+    state = AdamState.for_params([model.flat], lr=lr)
     trace: list[float] = []
     n = len(normals)
     for epoch in range(epochs):
@@ -190,7 +197,7 @@ def train_classifier(
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite classifier loss in phase {phase}, epoch {epoch}, batch {b}")
             ad.backward(loss)
-            adam_step(model.parameters(), [p.grad for p in model.parameters()], state)
+            adam_step([model.flat], [model.flat.grad], state)
             step_losses.append(value)
         trace.append(float(np.mean(step_losses)))
     return trace
@@ -219,8 +226,8 @@ def train_generator(
         raise ValueError("normal data source is empty")
     epochs = schedule.phase_b_epochs if epochs is None else epochs
     prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, 1)
-    before = [p.copy() for p in classifier.snapshot()]
-    state = AdamState.for_params(generator.parameters(), lr=schedule.lr_b)
+    before = classifier.flat.data.copy()
+    state = AdamState.for_params([generator.flat], lr=schedule.lr_b)
     trace: list[float] = []
     q = min(schedule.proximity_q, n)
     for epoch in range(epochs):
@@ -236,13 +243,11 @@ def train_generator(
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite generator loss in phase b, epoch {epoch}, batch {b}")
             ad.backward(loss)
-            adam_step(generator.parameters(), [p.grad for p in generator.parameters()], state)
+            adam_step([generator.flat], [generator.flat.grad], state)
             step_losses.append(value)
         trace.append(float(np.mean(step_losses)))
-    after = classifier.snapshot()
-    for x, y in zip(before, after):
-        if not np.array_equal(x, y):
-            raise TrainingError("classifier parameters changed during generator training")
+    if not np.array_equal(before, classifier.flat.data):
+        raise TrainingError("classifier parameters changed during generator training")
     return trace
 
 

@@ -91,6 +91,30 @@ class TestConfigErrors:
         assert err.startswith("config error:") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("data.tests.lfn.window=5", "data.tests.lfn.window"),
+            ("data.normal.means=[[0,1,2]]", "data.normal.means"),
+            ("data.normal.cov_scale=0", "data.normal.cov_scale"),
+            ('data.normal.kind="ring"', "data.normal.kind"),
+            ("data.tests.ring.r_inner=2", "data.tests.ring.r_inner"),
+            ("data.tests.ring.center=[1]", "data.tests.ring.center"),
+            ("data.tests.ring.dim=3", "data.tests.ring.dim"),
+            ("data.outlier.box_lo=2", "data.outlier.box_lo"),
+            ("data.tests.lfn.amplitude=-1", "data.tests.lfn.amplitude"),
+            ('data.few_shot.kind="csv"', "data.few_shot.path"),
+            ("sweep.counts=[100,0]", "sweep.counts"),
+        ],
+    )
+    def test_dataset_a_generator_would_reject_exits_2_naming_the_key(self, tiny_config_path, tmp_path, capsys, override, key):
+        out = tmp_path / "o"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), "--set", override, "--out", str(out), "-q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2
 

@@ -18,8 +18,11 @@ from oodlab.harness import (
     SUMMARY_COLUMNS,
     RunRecord,
     SweepResult,
+    _pipeline_config,
     detect_break_point,
     emit_report,
+    materialize_eval_in,
+    materialize_test_sets,
     run_ablation,
     run_fewshot_sweep,
     run_occ,
@@ -434,3 +437,55 @@ def test_random_overrides_give_a_config_or_a_config_error(tiny_config_file, over
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+_VALID_SPECS = {
+    "gaussian-mixture": {"dim": 2, "size": 20, "means": [[0.0, 0.5], [1.0, -1.0]], "cov_scale": 0.1},
+    "ring": {"dim": 2, "size": 20, "r_inner": 0.8, "r_outer": 1.2},
+    "uniform-noise": {"dim": 2, "size": 20, "box_lo": -1.0, "box_hi": 1.0},
+    "low-frequency-noise": {"dim": 2, "size": 20, "amplitude": 1.5, "window": 2},
+}
+_SPEC_FIELD_VALUES = {
+    "kind": st.sampled_from(sorted(_VALID_SPECS)),
+    "dim": st.integers(0, 3),
+    "size": st.sampled_from([0, 1, 5, 20]),
+    "means": st.sampled_from([[], [[0.0, 0.5]], [[0.0]], [[0.0, 1.0, 2.0]], [[0.0, 1.0], [2.0]]]),
+    "cov_scale": st.sampled_from([-0.1, 0.0, 0.1]),
+    "r_inner": st.sampled_from([-0.5, 0.0, 0.8, 1.5]),
+    "r_outer": st.sampled_from([0.0, 1.2]),
+    "center": st.sampled_from([[], [0.5], [0.5, -0.5], [0.0, 0.0, 0.0]]),
+    "box_lo": st.sampled_from([-1.0, 1.0]),
+    "box_hi": st.sampled_from([-1.0, 1.0, 2.0]),
+    "amplitude": st.sampled_from([-1.0, 0.0, 1.5]),
+    "window": st.integers(-1, 4),
+}
+
+
+@st.composite
+def _dataset_specs(draw):
+    """A valid spec of a random kind with up to three fields redrawn from
+    pools around their range boundaries."""
+    kind = draw(st.sampled_from(sorted(_VALID_SPECS)))
+    spec = {"kind": kind, "seed": draw(st.integers(0, 5)), **_VALID_SPECS[kind]}
+    for name in draw(st.lists(st.sampled_from(sorted(_SPEC_FIELD_VALUES)), max_size=3, unique=True)):
+        spec[name] = draw(_SPEC_FIELD_VALUES[name])
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["normal", "few_shot", "outlier", "tests"]), _dataset_specs())
+def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(role, spec):
+    doc = json.loads(json.dumps(TINY_DOC))
+    if role == "tests":
+        doc["data"]["tests"]["extra"] = spec
+    else:
+        doc["data"][role] = spec
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        return
+    pipeline = _pipeline_config(config, config.seed, config.sweep_counts[0])
+    dim = pipeline.normals.dim
+    arrays = [pipeline.few_shot.inputs, pipeline.outlier.inputs, materialize_eval_in(config)]
+    arrays += materialize_test_sets(config).values()
+    assert all(a.ndim == 2 and a.shape[1] == dim for a in arrays)

@@ -16,7 +16,7 @@ from oodlab.losses import (
     negative_training_term,
     proximity_term,
 )
-from oodlab.losses import _scatter_rows
+from oodlab.losses import _dispersion, _pair_indices, _proximity, _scatter_rows, _squared_distances
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 
 LN2 = 0.6931471805599453
@@ -383,3 +383,87 @@ def test_scatter_rows_is_bit_equal_to_add_at(n, d, seed):
         expected = np.zeros((n, d))
         np.add.at(expected, idx, rows)
         assert _scatter_rows(idx, rows, n).tobytes() == expected.tobytes()
+
+
+# --- loss cores against the expressions they replaced ---------------------------
+
+
+def _reference_dispersion(outputs, values, delta):
+    """The dispersion core with a fresh np.triu_indices and fancy-index gathers."""
+    n = len(values)
+    ii, jj = np.triu_indices(n, k=1)
+    z_dist = np.linalg.norm(values[ii] - values[jj], axis=1)
+    diff = outputs[ii] - outputs[jj]
+    d_norm = np.sqrt((diff * diff).sum(axis=-1))
+    denom = d_norm + float(delta)
+    ratios = z_dist / denom
+
+    def vjp(g, acc=None):
+        g_denom = -np.broadcast_to(g / ratios.size, ratios.shape) * z_dist / (denom * denom)
+        unit = np.divide(diff, d_norm[:, None], out=np.zeros_like(diff), where=d_norm[:, None] > 0)
+        scaled = unit * g_denom[:, None]
+        via_jj, via_ii = np.zeros((n, diff.shape[1])), np.zeros((n, diff.shape[1]))
+        np.add.at(via_jj, jj, -scaled)
+        np.add.at(via_ii, ii, scaled)
+        return (via_jj if acc is None else acc + via_jj) + via_ii
+
+    return np.asarray(ratios.mean()), vjp
+
+
+def _reference_proximity(generated, reference):
+    """The proximity core with the (rows, references, d) broadcast difference."""
+    diff = generated[:, None, :] - reference[None, :, :]
+    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=-1)), axis=1)
+    diff = generated - reference[nearest]
+    norm = np.sqrt((diff * diff).sum(axis=-1))
+
+    def vjp(g):
+        unit = np.divide(diff, norm[:, None], out=np.zeros_like(diff), where=norm[:, None] > 0)
+        return unit * np.broadcast_to(g / norm.size, norm.shape)[:, None]
+
+    return np.asarray(norm.mean()), vjp
+
+
+def _points(rng, rows, d):
+    """Rows at mixed scales, some repeated (zero distances and nearest-row ties)."""
+    x = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-3, 3, (rows, 1))
+    repeat = rng.random(rows) < 0.2
+    x[repeat] = x[0]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, 8]), st.integers(2, 40), st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_phase_b_cores_are_bit_equal_to_their_reference_expressions(d, n, q, seed):
+    rng = np.random.default_rng(seed)
+    outputs, reference = _points(rng, n, d), _points(rng, q, d)
+    latents = rng.normal(size=(n, 2))
+    g = float(rng.uniform(0.1, 2.0))
+    acc = rng.normal(size=(n, d))
+    value, vjp = _dispersion(outputs, latents, 1e-6)
+    ref_value, ref_vjp = _reference_dispersion(outputs, latents, 1e-6)
+    assert value.tobytes() == ref_value.tobytes()
+    assert vjp(g).tobytes() == ref_vjp(g).tobytes()
+    assert vjp(g, acc).tobytes() == ref_vjp(g, acc).tobytes()
+    value, vjp = _proximity(outputs, reference)
+    ref_value, ref_vjp = _reference_proximity(outputs, reference)
+    assert value.tobytes() == ref_value.tobytes()
+    assert vjp(g).tobytes() == ref_vjp(g).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 50), st.integers(1, 70), st.integers(0, 2**31 - 1))
+def test_squared_distances_match_the_broadcast_sum(d, n, q, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _points(rng, n, d), _points(rng, q, d)
+    diff = a[:, None, :] - b[None, :, :]
+    assert _squared_distances(a, b).tobytes() == (diff * diff).sum(axis=-1).tobytes()
+
+
+def test_pair_indices_are_cached_and_read_only():
+    ii, jj = _pair_indices(9)
+    expected = np.triu_indices(9, k=1)
+    assert ii.tobytes() == expected[0].tobytes() and jj.tobytes() == expected[1].tobytes()
+    assert _pair_indices(9)[0] is ii
+    with pytest.raises(ValueError):
+        ii[0] = 1

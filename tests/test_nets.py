@@ -208,3 +208,91 @@ def test_freeze_unfreeze_round_trip():
     model.unfreeze()
     assert not model.is_frozen
     assert all(p.grad is not None for p in model.parameters())
+
+
+# --- flat parameter storage ----------------------------------------------------
+
+
+def _assert_views_of_flat(model):
+    """Every parameter's data and grad share memory with the flat leaf, laid
+    out as W0, b0, W1, ... with each weight (fan_out, fan_in) row-major."""
+    params = model.parameters()
+    np.testing.assert_array_equal(np.concatenate([p.data.reshape(-1) for p in params]), model.flat.data)
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        assert np.shares_memory(p.data, model.flat.data) and np.shares_memory(p.data.reshape(-1), model.flat.data)
+        assert np.shares_memory(p.grad, model.flat.grad)
+        first = p.data.reshape(-1)[0]
+        p.data.reshape(-1)[0] = 7.5
+        p.grad.reshape(-1)[-1] = 3.0
+        assert model.flat.data[start] == 7.5 and model.flat.grad[stop - 1] == 3.0
+        p.data.reshape(-1)[0] = first
+        start = stop
+    assert start == model.flat.size
+    model.zero_grad()
+    assert all(not p.grad.any() for p in params)
+
+
+@pytest.mark.parametrize("kind, sizes", [(MlpClassifier, [2, 5, 4, 3]), (BoundaryGenerator, [3, 7, 2])])
+def test_parameters_are_views_of_the_flat_vector(kind, sizes):
+    model = kind(sizes, seed=4)
+    assert model.flat.size == sum(o * i + o for i, o in zip(sizes, sizes[1:]))
+    assert all(w.shape == (o, i) for w, i, o in zip(model.weights, sizes, sizes[1:]))
+    assert model.parameters() is model.parameters()
+    _assert_views_of_flat(model)
+
+
+def test_load_checkpoint_writes_through_to_the_flat_vector(tmp_path):
+    model = MlpClassifier([2, 6, 3], activation="tanh", seed=8)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
+    _assert_views_of_flat(loaded)
+
+
+def test_check_gradients_perturbs_through_the_flat_vector():
+    model = MlpClassifier([2, 3, 2], activation="tanh", seed=9)
+    x = np.random.default_rng(3).normal(size=(4, 2))
+    labels = np.array([0, 1, 1, 0])
+    original = model.flat.data.copy()
+    seen = []
+
+    def loss():
+        seen.append(model.flat.data.copy())
+        return cross_entropy_term(model.forward_logits(x), labels)
+
+    assert ad.check_gradients(loss, model.parameters()).passed
+    # the analytic pass, then each coordinate bumped up and down in turn
+    assert len(seen) == 1 + 2 * model.flat.size
+    for k, bumped in enumerate(seen[1:]):
+        changed = np.flatnonzero(bumped != original)
+        assert changed.tolist() == [k // 2]
+    assert model.flat.data.tobytes() == original.tobytes()
+
+
+def test_freeze_and_unfreeze_switch_the_flat_leaf_and_every_view():
+    model = MlpClassifier([2, 4, 2], seed=0)
+    before = model.parameters()  # views made while trainable
+    model.freeze()
+    assert model.flat.grad is None and not model.flat.requires_grad
+    assert all(p.grad is None and not p.requires_grad for p in before)
+    assert not model.forward_logits(np.zeros((1, 2))).requires_grad
+    model.unfreeze()
+    assert model.parameters() is before
+    _assert_views_of_flat(model)
+    frozen = MlpClassifier([2, 4, 2], seed=0)
+    frozen.freeze()
+    made_frozen = frozen.parameters()  # views first made while frozen
+    assert all(p.grad is None for p in made_frozen)
+    frozen.unfreeze()
+    _assert_views_of_flat(frozen)
+
+
+def test_forward_node_has_the_flat_leaf_as_its_only_parameter_parent():
+    model = MlpClassifier([2, 4, 3], seed=1)
+    x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    out = model.forward(x)
+    assert out.record.parents == (x, model.flat)
+    ad.backward(ad.reduce_sum(out))
+    assert x.grad.any() and model.flat.grad.any()

@@ -21,6 +21,7 @@ from oodlab.scoring import (
     pgd_max_confidence,
     pgd_max_confidence_batch,
 )
+from oodlab.scoring import _rank_auroc
 
 # frozen from a 40-digit evaluation of the closed forms
 AS_123 = 0.6652409557748219
@@ -358,3 +359,30 @@ class TestBudgetAndReportValidation:
             MetricReport(auroc=0.7, aauroc=0.9, gauroc=0.5, epsilon=0.05, tau=0.5, n_in=1, n_out=1)
         # epsilon 0 reports are not constrained by the chain
         MetricReport(auroc=0.7, aauroc=0.7, gauroc=0.7, epsilon=0.0, tau=0.5, n_in=1, n_out=1)
+
+
+def _loop_rank_auroc(in_scores, out_scores):
+    """Mann-Whitney AUROC with a per-element walk over each run of ties."""
+    n, m = in_scores.size, out_scores.size
+    combined = np.concatenate([in_scores, out_scores])
+    order = np.argsort(combined, kind="mergesort")
+    ranks = np.empty(n + m, dtype=np.float64)
+    sorted_vals = combined[order]
+    i = 0
+    while i < n + m:
+        j = i
+        while j + 1 < n + m and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[:n].sum() - n * (n + 1) / 2.0) / (n * m))
+
+
+_TIED_SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.9, 1.0]), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIED_SCORES, _TIED_SCORES)
+def test_rank_auroc_equals_the_tie_loop(in_scores, out_scores):
+    a, b = np.array(in_scores), np.array(out_scores)
+    assert _rank_auroc(a, b) == _loop_rank_auroc(a, b)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from oodlab import autodiff as ad
+from oodlab import losses
 from oodlab.autodiff import Tensor
 from oodlab.data import DatasetSpec, OutlierPool, gen_gaussian_mixture, gen_ring, sample_few_shots
-from oodlab.losses import LossWeights, proximity_term
+from oodlab.losses import LossWeights, cross_entropy_term, negative_training_term, proximity_term
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 from oodlab.scoring import anomaly_scores
 from oodlab.training import (
@@ -12,6 +13,8 @@ from oodlab.training import (
     PipelineConfig,
     TrainSchedule,
     TrainingError,
+    _draw_negatives,
+    _epoch_rng,
     adam_step,
     run_pipeline,
     sample_latent,
@@ -275,3 +278,144 @@ class TestPipeline:
             )
 
         assert ring_auroc(boundary.classifier) > ring_auroc(plain.classifier)
+
+
+# --- reference: one tape leaf per parameter ----------------------------------
+#
+# The loops below train with one tape leaf per parameter: every loss node has
+# the parameter Tensors as parents, each gets its own gradient array from a
+# layer-by-layer backprop written out here, and Adam runs over
+# model.parameters(). Trained weights must match the flat-leaf path bit for bit.
+
+
+def _per_parameter_backprop(model, cache, g, inputs=False):
+    """(input gradient or None, [dW0, db0, dW1, ...]) for a forward_with_cache pass."""
+    grads = [None] * (2 * len(cache))
+    for i in range(len(cache) - 1, -1, -1):
+        h, wt = cache[i]
+        grads[2 * i] = (h.T @ g).T
+        grads[2 * i + 1] = g.sum(axis=0)
+        if i == 0 and not inputs:
+            return None, grads
+        g = g @ wt.T
+        if i > 0:
+            g = g * (h > 0.0) if model.activation == "relu" else g * (1.0 - h * h)
+    return g, grads
+
+
+def _per_parameter_forward(model, x):
+    out, cache = model.forward_with_cache(x)
+    return ad.node(out, "mlp", tuple(model.parameters()), lambda g: _per_parameter_backprop(model, cache, g)[1])
+
+
+def _per_parameter_generator_loss(generator, classifier, latents, reference, weights):
+    """generator_loss over the parameter Tensors. The public terms would sum
+    the output gradient in another association, so this uses the loss cores
+    in generator_loss's order."""
+    outputs, gen_cache = generator.forward_with_cache(latents.values)
+    value, disp_vjp = losses._dispersion(outputs, latents, weights.delta)
+    dom_vjp = prox_vjp = None
+    if weights.mu > 0:
+        rng = np.random.default_rng((losses._seed_key(latents.seed), 0x9E37))
+        idx = rng.integers(0, len(reference), len(outputs))
+        gen_logits, clf_cache = classifier.forward_with_cache(outputs)
+        dom_value, dom_vjp = losses._dominance(gen_logits, classifier.forward_array(reference[idx]))
+        value = value + dom_value * weights.mu
+    if weights.nu > 0:
+        prox_value, prox_vjp = losses._proximity(outputs, reference)
+        value = value + prox_value * weights.nu
+
+    def vjp(g):
+        g_out = prox_vjp(g * weights.nu) if prox_vjp is not None else None
+        if dom_vjp is not None:
+            via_clf = _per_parameter_backprop(classifier, clf_cache, dom_vjp(g * weights.mu), inputs=True)[0]
+            g_out = via_clf if g_out is None else g_out + via_clf
+        return _per_parameter_backprop(generator, gen_cache, disp_vjp(g, g_out))[1]
+
+    return ad.node(value, "generator_loss", tuple(generator.parameters()), vjp)
+
+
+def _per_parameter_step(model, loss, state, step_losses):
+    params = model.parameters()
+    ad.backward(loss)
+    adam_step(params, [p.grad for p in params], state)
+    step_losses.append(loss.item())
+
+
+def _reference_train_classifier(model, normals, pools, weights, schedule, epochs, prefix):
+    state = AdamState.for_params(model.parameters(), lr=schedule.lr_a)
+    n, trace = len(normals), []
+    for epoch in range(epochs):
+        perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
+        neg_rng = _epoch_rng(*prefix, epoch, 1)
+        step_losses = []
+        for start in range(0, n, schedule.batch_n):
+            idx = perm[start : start + schedule.batch_n]
+            negatives = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
+            for p in model.parameters():
+                p.zero_grad()
+            loss = cross_entropy_term(_per_parameter_forward(model, normals.inputs[idx]), normals.labels[idx])
+            if negatives is not None:
+                nt = negative_training_term(_per_parameter_forward(model, negatives))
+                loss = ad.add(loss, ad.scalar_mul(nt, weights.lam))
+            _per_parameter_step(model, loss, state, step_losses)
+        trace.append(float(np.mean(step_losses)))
+    return trace
+
+
+def _reference_train_generator(generator, classifier, normal_inputs, weights, schedule, epochs, prefix):
+    state = AdamState.for_params(generator.parameters(), lr=schedule.lr_b)
+    n, trace = len(normal_inputs), []
+    q = min(schedule.proximity_q, n)
+    for epoch in range(epochs):
+        perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
+        step_losses = []
+        for b, start in enumerate(range(0, n, q)):
+            reference = normal_inputs[perm[start : start + q]]
+            latents = sample_latent((*prefix, epoch, b, 2), schedule.latent_n, generator.latent_dim)
+            for p in generator.parameters():
+                p.zero_grad()
+            loss = _per_parameter_generator_loss(generator, classifier, latents, reference, weights)
+            _per_parameter_step(generator, loss, state, step_losses)
+        trace.append(float(np.mean(step_losses)))
+    return trace
+
+
+class TestFlatTrainingMatchesPerParameterTape:
+    """88 normals in batches of 32 leave a 24-row tail batch every epoch."""
+
+    SCHEDULE = TrainSchedule(batch_n=32, batch_m=20, latent_n=16, proximity_q=32, lr_a=3e-3, lr_b=2e-3, master_seed=3)
+
+    def _data(self):
+        normals = _two_blobs(seed=4, size=88)
+        rng = np.random.default_rng(5)
+        pools = [OutlierPool(rng.uniform(-2, 2, (30, 2))), OutlierPool(rng.normal(0, 2, (9, 2)))]
+        return normals, pools
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("lam", [0.7, 0.0])
+    def test_train_classifier(self, activation, lam):
+        normals, pools = self._data()
+        weights = LossWeights(lam=lam)
+        flat = MlpClassifier([2, 12, 12, 2], activation=activation, seed=6)
+        reference = MlpClassifier([2, 12, 12, 2], activation=activation, seed=6)
+        trace = train_classifier(flat, normals, pools, weights, self.SCHEDULE, phase="a", epochs=3, seed_prefix=(3, 0))
+        expected = _reference_train_classifier(reference, normals, pools, weights, self.SCHEDULE, 3, (3, 0))
+        assert trace == expected
+        assert flat.flat.data.tobytes() == reference.flat.data.tobytes()
+        assert not np.array_equal(flat.flat.data, MlpClassifier([2, 12, 12, 2], activation=activation, seed=6).flat.data)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("mu, nu", [(1.0, 0.3), (0.0, 0.3), (1.0, 0.0)])
+    def test_train_generator(self, activation, mu, nu):
+        normals, _ = self._data()
+        classifier = MlpClassifier([2, 12, 2], activation="tanh", seed=7)
+        train_classifier(classifier, normals, [], LossWeights(), self.SCHEDULE, phase="a", epochs=2)
+        classifier.freeze()
+        weights = LossWeights(mu=mu, nu=nu, delta=1e-6)
+        flat = BoundaryGenerator([2, 12, 12, 2], activation=activation, seed=8)
+        reference = BoundaryGenerator([2, 12, 12, 2], activation=activation, seed=8)
+        trace = train_generator(flat, classifier, normals.inputs, weights, self.SCHEDULE, epochs=3, seed_prefix=(3, 1))
+        expected = _reference_train_generator(reference, classifier, normals.inputs, weights, self.SCHEDULE, 3, (3, 1))
+        assert trace == expected
+        assert flat.flat.data.tobytes() == reference.flat.data.tobytes()
