@@ -10,8 +10,9 @@ intermediate nodes live in ``backward`` alone.
 
 The tape is a thin driver. The MLP forward pass (``nets``) and each loss
 term (``losses``) are one node each, built with ``node`` around a VJP
-written out in numpy; ``grad_check`` and ``check_gradients`` verify those
-VJPs against central finite differences. A model's parameters form one
+written out in numpy; ``check_gradients`` verifies those VJPs against
+central finite differences, in one loop over every parameter entry
+(``grad_check`` runs it over a fresh leaf). A model's parameters form one
 flat leaf (``nets.Mlp.flat``), so a training step's tape is one loss node
 over one leaf. The only generic primitives are ``add``, ``scalar_mul`` and
 ``reduce_sum``, for composing terms.
@@ -205,7 +206,7 @@ class GradCheckReport:
     passed: bool
     max_abs_diff: float
     max_rel_diff: float
-    worst_index: tuple[int, ...]
+    worst_index: int  # into the checked entries laid end to end
     n_coords: int
 
     def __str__(self) -> str:
@@ -226,89 +227,48 @@ def _compare_grads(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float) ->
     ok = (abs_diff <= rel_tol * scale) | (abs_diff <= _ABS_FALLBACK)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0, abs_diff / scale, 0.0)
-    worst = np.unravel_index(int(np.argmax(abs_diff)), analytic.shape) if analytic.ndim else ()
     return GradCheckReport(
         passed=bool(ok.all()),
         max_abs_diff=float(abs_diff.max(initial=0.0)),
         max_rel_diff=float(rel.max(initial=0.0)),
-        worst_index=tuple(int(i) for i in worst),
+        worst_index=int(np.argmax(abs_diff)),
         n_coords=int(analytic.size),
     )
 
 
 def grad_check(f, point: Tensor, h: float = 1e-5, rel_tol: float = 1e-4) -> GradCheckReport:
-    """Compare the analytic gradient of scalar-valued ``f`` at ``point``
-    against central finite differences with step ``h``.
+    """``check_gradients`` for scalar-valued ``f`` at ``point``, over a fresh
+    leaf holding a copy of it."""
+    x = Tensor(point.data.copy(), requires_grad=True)
+    return check_gradients(lambda: f(x), [x], h, rel_tol)
 
+
+def check_gradients(loss_fn, params: Sequence[Tensor], h: float = 1e-5, rel_tol: float = 1e-4) -> GradCheckReport:
+    """Compare the analytic gradient of ``loss_fn()`` in ``params`` against
+    central finite differences with step ``h``.
+
+    loss_fn rebuilds the scalar loss from the live parameter tensors; the
+    finite-difference side perturbs one parameter entry at a time, in place.
     A coordinate passes when |analytic - numeric| is within rel_tol of the
     larger magnitude, with an absolute fallback of 1e-8 near zero.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
-    x = Tensor(point.data.copy(), requires_grad=True)
-    out = f(x)
-    if out.data.size != 1:
-        raise ValueError("grad_check requires a scalar-valued function")
-    backward(out)
-    analytic = x.grad.copy()
-
-    numeric = np.zeros_like(analytic)
-    base = x.data.copy()
-    flat = base.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += h
-        hi = f(Tensor(bumped.reshape(base.shape))).item()
-        bumped[i] -= 2.0 * h
-        lo = f(Tensor(bumped.reshape(base.shape))).item()
-        numeric.reshape(-1)[i] = (hi - lo) / (2.0 * h)
-
-    return _compare_grads(analytic, numeric, rel_tol)
-
-
-def check_gradients(loss_fn, params: Sequence[Tensor], h: float = 1e-5, rel_tol: float = 1e-4) -> GradCheckReport:
-    """grad_check over a set of parameter tensors feeding ``loss_fn()``.
-
-    loss_fn rebuilds the scalar loss from the live parameter tensors; the
-    finite-difference side perturbs parameter entries in place.
-    """
     for p in params:
         p.zero_grad()
     root = loss_fn()
     if root.data.size != 1:
         raise ValueError("check_gradients requires a scalar-valued loss")
     backward(root)
-
-    worst = GradCheckReport(True, 0.0, 0.0, (), 0)
-    total = 0
-    for p in params:
-        analytic = p.grad.copy()
-        numeric = np.zeros_like(analytic)
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn().item()
-            flat[i] = orig - h
-            lo = loss_fn().item()
-            flat[i] = orig
-            numeric.reshape(-1)[i] = (hi - lo) / (2.0 * h)
-        rep = _compare_grads(analytic, numeric, rel_tol)
-        total += rep.n_coords
-        if rep.max_rel_diff >= worst.max_rel_diff:
-            worst = GradCheckReport(
-                worst.passed and rep.passed,
-                max(worst.max_abs_diff, rep.max_abs_diff),
-                rep.max_rel_diff,
-                rep.worst_index,
-                total,
-            )
-        else:
-            worst = GradCheckReport(
-                worst.passed and rep.passed,
-                max(worst.max_abs_diff, rep.max_abs_diff),
-                worst.max_rel_diff,
-                worst.worst_index,
-                total,
-            )
-    return worst
+    analytic = np.concatenate([p.grad.reshape(-1) for p in params])
+    coords = [(p.data.reshape(-1), i) for p in params for i in range(p.data.size)]
+    numeric = np.empty(len(coords))
+    for k, (entries, i) in enumerate(coords):
+        orig = entries[i]
+        entries[i] = orig + h
+        hi = loss_fn().item()
+        entries[i] = orig - h
+        lo = loss_fn().item()
+        entries[i] = orig
+        numeric[k] = (hi - lo) / (2.0 * h)
+    return _compare_grads(analytic, numeric, rel_tol)

@@ -201,6 +201,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_grad_check(args) -> int:
     from .selfcheck import loss_component_checks
 
+    if args.instances < 1:
+        raise ConfigError(f"--instances: must be >= 1, got {args.instances}")
     worst_rel = 0.0
     worst_name = ""
     ok = True

@@ -253,9 +253,10 @@ def _number_list(value, key: str) -> list:
 def _dataset_spec(doc, path, data_dim: int | None = None) -> DatasetSpec | None:
     """The spec at ``path``, type- and range-checked as its generator would.
 
-    ``data_dim`` is the normal data's dimension (None when it is only known
-    once a CSV is read): every synthetic spec must draw points of that
-    dimension, and a low-frequency-noise window may not exceed it.
+    ``data_dim`` is the normal data's dimension (None for the normal spec
+    itself): every synthetic spec must draw points of that dimension, and a
+    low-frequency-noise window may not exceed it. A CSV's width is only
+    known once it is read; the harness checks it then.
     """
     if doc is None:
         return None
@@ -354,11 +355,14 @@ def build_config(document: dict) -> ExperimentConfig:
     floor = _number(doc["sweep"]["break_floor"], "sweep.break_floor")
     if not 0.5 < floor < 1.0:
         raise ConfigError(f"sweep.break_floor: must lie in (0.5, 1), got {floor}")
+    normal_kind = doc["data"]["normal"]["kind"]
+    if normal_kind != "gaussian-mixture":
+        raise ConfigError(
+            "data.normal.kind: must be gaussian-mixture (evaluation draws fresh normals from it), "
+            f"got {normal_kind!r}"
+        )
     normal = _dataset_spec(doc["data"]["normal"], "data.normal")
-    if normal.kind not in ("gaussian-mixture", "csv"):
-        raise ConfigError(f"data.normal.kind: must give labeled data (gaussian-mixture or csv), got '{normal.kind}'")
-    data_dim = None if normal.kind == "csv" else normal.dim
-    few_shot = _dataset_spec(doc["data"]["few_shot"], "data.few_shot", data_dim)
+    few_shot = _dataset_spec(doc["data"]["few_shot"], "data.few_shot", normal.dim)
     if few_shot is not None and few_shot.kind != "csv":
         for key, count in (("few_shot_count", doc["few_shot_count"]), ("sweep.counts", counts[0])):
             if count > few_shot.size:
@@ -370,8 +374,8 @@ def build_config(document: dict) -> ExperimentConfig:
         boundary_pool_size=doc["boundary_pool_size"],
         normal=normal,
         few_shot=few_shot,
-        outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier", data_dim),
-        tests={name: _dataset_spec(spec, f"data.tests.{name}", data_dim) for name, spec in tests.items()},
+        outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier", normal.dim),
+        tests={name: _dataset_spec(spec, f"data.tests.{name}", normal.dim) for name, spec in tests.items()},
         model=doc["model"],
         weights=weights,
         schedule=schedule,

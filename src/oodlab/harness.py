@@ -94,24 +94,26 @@ class SweepResult:
 
 def _fresh_normal_draw(config: ExperimentConfig, seed: int, size: int) -> LabeledBatch:
     """A fresh seeded draw from the normal distribution (held-out data)."""
-    if config.normal.kind != "gaussian-mixture":
-        raise ConfigError(
-            "data.normal: held-out evaluation draws need a generative spec "
-            f"(gaussian-mixture), got kind '{config.normal.kind}'"
-        )
     return gen_gaussian_mixture(replace(config.normal, seed=seed, size=size))
+
+
+def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None, source: str = OUTLIER_DATASET) -> OutlierPool:
+    """The data of the spec at config ``key`` as an OutlierPool tagged
+    ``source``; ``normals`` is a low-frequency-noise spec's base. A CSV whose
+    width is not the normal data's dim raises ConfigError naming the key."""
+    data = generate_dataset(spec, normals=normals, source=source)
+    width = data.inputs.shape[1]
+    if width != config.normal.dim:
+        raise ConfigError(f"{key}: has {width} columns, the normal data has dim {config.normal.dim}")
+    return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs, source=source)
 
 
 def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Generate every OoD test set; LFN corrupts a fresh draw of normals."""
     out = {}
     for name, spec in config.tests.items():
-        if spec.kind == "low-frequency-noise":
-            base = _fresh_normal_draw(config, spec.seed + 1, spec.size)
-            out[name] = generate_dataset(spec, normals=base).inputs
-        else:
-            data = generate_dataset(spec)
-            out[name] = data.inputs
+        base = _fresh_normal_draw(config, spec.seed + 1, spec.size) if spec.kind == "low-frequency-noise" else None
+        out[name] = _outlier_pool(config, f"data.tests.{name}", spec, base).inputs
     return out
 
 
@@ -124,19 +126,13 @@ def materialize_eval_in(config: ExperimentConfig) -> np.ndarray:
 
 def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: int) -> PipelineConfig:
     normals = generate_dataset(config.normal)
-    if not isinstance(normals, LabeledBatch):
-        raise ConfigError("data.normal: must resolve to labeled data (gaussian-mixture, or csv with a label column)")
     few_shot = None
     if config.few_shot is not None:
-        pool = generate_dataset(config.few_shot, normals=normals, source=FEW_SHOT_OE)
-        if isinstance(pool, LabeledBatch):
-            pool = OutlierPool(pool.inputs, source=FEW_SHOT_OE)
+        pool = _outlier_pool(config, "data.few_shot", config.few_shot, normals, FEW_SHOT_OE)
         few_shot = sample_few_shots(pool, few_shot_count, seed=(run_seed, 5))
     outlier = None
     if config.outlier is not None:
-        outlier = generate_dataset(config.outlier, normals=normals, source=OUTLIER_DATASET)
-        if isinstance(outlier, LabeledBatch):
-            outlier = OutlierPool(outlier.inputs, source=OUTLIER_DATASET)
+        outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
     return _assemble_pipeline(config, normals, few_shot, outlier, len(np.unique(normals.labels)), run_seed)
 
 
@@ -291,8 +287,6 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
     draw; test-time OoD are the other classes of a held-out draw.
     """
     train = generate_dataset(config.normal)
-    if not isinstance(train, LabeledBatch):
-        raise ConfigError("data.normal: must resolve to labeled data (gaussian-mixture, or csv with a label column)")
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
@@ -323,7 +317,7 @@ def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: Label
     few_shot = sample_few_shots(anomaly_pool, count, seed=(run_seed, 5))
     outlier = None
     if config.outlier is not None:
-        outlier = generate_dataset(config.outlier, normals=normals, source=OUTLIER_DATASET)
+        outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
     result = run_pipeline(_assemble_pipeline(config, normals, few_shot, outlier, 2, run_seed))
     run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
     tests = {"occ": holdout.inputs[holdout.labels != cls]}

@@ -13,9 +13,7 @@ All parameters of a model sit in one flat vector held by one leaf Tensor,
 ``Mlp.flat``. A training step's tape is one loss node over that leaf: its VJP
 (``Mlp.backprop``) writes one flat gradient, ``backward`` adds it to one
 ``.grad`` buffer, and Adam updates one slice. Checkpoints and interval
-bounds read the per-layer numpy views in ``Mlp.layers``; the ``weights`` and
-``biases`` Tensors are views into the same memory, for gradient checks and
-code that updates parameters one by one.
+bounds read the per-layer numpy views in ``Mlp.layers``.
 
 Models are mutable while training and need external synchronization. Scoring
 reads a model's parameters without changing them or their grad flags.
@@ -48,11 +46,9 @@ class Mlp:
 
     ``flat`` is the model's one tape leaf: layer by layer, the weight
     ``(fan_out, fan_in)`` in row-major order, then the bias. ``layers`` holds
-    the matching ``(W, b)`` numpy views into ``flat.data``. ``weights[i]`` and
-    ``biases[i]`` are Tensors whose ``.data`` and ``.grad`` are views into
-    ``flat.data`` and ``flat.grad``; they are made on first use, so writing
+    the matching ``(W, b)`` numpy views into ``flat.data``, so writing
     through them (in place) writes the flat vector. Grad tracking is per
-    model: ``freeze``/``unfreeze`` switch the flat leaf and every view.
+    model: ``freeze``/``unfreeze`` switch the flat leaf.
     """
 
     kind = "mlp"
@@ -76,20 +72,14 @@ class Mlp:
             self._layout.append((w_at, (fan_out, fan_in), b_at))
             start = b_at.stop
         self.flat = Tensor(np.zeros(start), requires_grad=True)
-        arrays = self._split(self.flat.data)
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = list(zip(arrays[0::2], arrays[1::2]))
+        data = self.flat.data
+        self.layers: list[tuple[np.ndarray, np.ndarray]] = [
+            (data[w_at].reshape(shape), data[b_at]) for w_at, shape, b_at in self._layout
+        ]
         rng = np.random.default_rng(self.seed)
         for (w, _), fan_in in zip(self.layers, sizes):
             bound = math.sqrt(2.0 / fan_in)
             w[...] = rng.uniform(-bound, bound, w.shape)
-        self._params: list[Tensor] | None = None
-
-    def _split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Per-parameter views [W0, b0, W1, ...] into a vector laid out like ``flat``."""
-        out = []
-        for w_at, shape, b_at in self._layout:
-            out += [vec[w_at].reshape(shape), vec[b_at]]
-        return out
 
     @property
     def input_dim(self) -> int:
@@ -100,29 +90,8 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def parameters(self) -> list[Tensor]:
-        """[W0, b0, W1, b1, ...] as Tensor views into the flat vector."""
-        if self._params is None:
-            self._params = [Tensor(a) for a in self._split(self.flat.data)]
-            self._sync_params()
-        return self._params
-
-    @property
-    def weights(self) -> list[Tensor]:
-        return self.parameters()[0::2]
-
-    @property
-    def biases(self) -> list[Tensor]:
-        return self.parameters()[1::2]
-
-    def _sync_params(self) -> None:
-        """Point every parameter view's flag and grad at the flat leaf's."""
-        if self._params is None:
-            return
-        flat = self.flat
-        grads = self._split(flat.grad) if flat.grad is not None else [None] * len(self._params)
-        for p, g in zip(self._params, grads):
-            p.requires_grad = flat.requires_grad
-            p.grad = g
+        """The model's one tape leaf, ``[flat]``."""
+        return [self.flat]
 
     def zero_grad(self) -> None:
         self.flat.zero_grad()
@@ -130,19 +99,14 @@ class Mlp:
     def freeze(self) -> None:
         self.flat.requires_grad = False
         self.flat.grad = None
-        self._sync_params()
 
     def unfreeze(self) -> None:
         self.flat.requires_grad = True
         self.flat.grad = np.zeros_like(self.flat.data)
-        self._sync_params()
 
     @property
     def is_frozen(self) -> bool:
         return not self.flat.requires_grad
-
-    def snapshot(self) -> list[np.ndarray]:
-        return self._split(self.flat.data.copy())
 
     def _check_input(self, h: np.ndarray) -> None:
         if h.ndim != 2 or h.shape[1] != self.input_dim:

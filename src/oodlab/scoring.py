@@ -194,19 +194,23 @@ def _clip_ball(adv: np.ndarray, center: np.ndarray, budget: RobustnessBudget) ->
     return np.clip(adv, lo, hi)
 
 
-def pgd_max_confidence_batch(model, x: np.ndarray, budget: RobustnessBudget, seed: int | tuple = 0) -> np.ndarray:
+def pgd_max_confidence_batch(
+    model, x: np.ndarray, budget: RobustnessBudget, seed: int | tuple = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Projected sign-gradient ascent on the anomaly score, one row per sample.
 
-    Returns the max score over every iterate visited (the clean start always
-    counts, so the result is >= the clean score). One forward pass per
+    Returns ``(clean, adversarial)``: the scores of the clean start's first
+    iterate (``anomaly_scores(model, x)``, bit for bit) and the max score over
+    every iterate visited, so adversarial >= clean. One forward pass per
     iterate gives both its score and, through the max-softmax VJP, its input
     gradient, so a start costs pgd_steps + 1 passes; the model's parameters
     and their gradients are never touched. epsilon 0 short-circuits to the
-    clean scores.
+    clean scores for both.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if budget.epsilon == 0:
-        return anomaly_scores(model, x)
+        clean = anomaly_scores(model, x)
+        return clean, clean
     starts = [x]
     if budget.pgd_restarts > 0:
         rng = np.random.default_rng(seed)
@@ -219,17 +223,20 @@ def pgd_max_confidence_batch(model, x: np.ndarray, budget: RobustnessBudget, see
         for step in range(budget.pgd_steps + 1):
             logits, cache = model.forward_with_cache(adv)
             score, vjp = _max_softmax(logits)
-            best = score if best is None else np.maximum(best, score)
+            if best is None:
+                clean = best = score
+            else:
+                best = np.maximum(best, score)
             if step == budget.pgd_steps:
                 break
             grad = model.backprop(cache, vjp(np.ones(len(score))), inputs=True)
             adv = _clip_ball(adv + budget.pgd_step_size * np.sign(grad), x, budget)
-    return best
+    return clean, best
 
 
 def pgd_max_confidence(model, x, budget: RobustnessBudget, seed: int | tuple = 0) -> float:
     """Adversarial (worst-case within the ball) anomaly score of one sample."""
-    return float(pgd_max_confidence_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)), budget, seed)[0])
+    return float(pgd_max_confidence_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)), budget, seed)[1][0])
 
 
 def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | None = None):
@@ -314,8 +321,7 @@ def evaluate_ood(
             raise ValueError(f"{name} has a non-finite value in row {int(np.argmin(finite))}")
 
     in_clean = anomaly_scores(model, in_inputs)
-    out_clean = anomaly_scores(model, out_inputs)
-    out_adv = pgd_max_confidence_batch(model, out_inputs, budget, seed=attack_seed)
+    out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget, seed=attack_seed)
     lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
     out_cert = certified_max_confidence(lo, hi)
 

@@ -71,8 +71,8 @@ def adam_step(params, grads, state: AdamState) -> None:
 
     Every operation is elementwise, so one pass over the concatenated
     gradients gives each parameter the same bits as a per-parameter update:
-    ``[model.flat]`` (what training passes, one slice) and
-    ``model.parameters()`` (its views) update a model identically.
+    ``[model.flat]`` (what training passes, one slice) and leaves over the
+    per-layer views in ``model.layers`` update a model identically.
     """
     if tuple(p.data.size for p in params) != state.sizes:
         raise ValueError("optimizer state does not match the parameter list")

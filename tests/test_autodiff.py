@@ -27,10 +27,9 @@ def _net(*weights, activation="relu"):
     """An MLP with the given (fan_out, fan_in) weights and zero biases."""
     sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
     model = MlpClassifier(sizes, activation=activation, seed=0)
-    for p, w in zip(model.weights, weights):
-        p.data[...] = w
-    for b in model.biases:
-        b.data[...] = 0.0
+    for (w, b), value in zip(model.layers, weights):
+        w[...] = value
+        b[...] = 0.0
     return model
 
 
@@ -43,7 +42,7 @@ def test_linear_identity():
 def test_linear_gradients_match_finite_differences_in_weight_and_bias():
     rng = np.random.default_rng(3)
     model = MlpClassifier([3, 2], seed=4)
-    model.biases[0].data[...] = rng.normal(size=2)
+    model.layers[0][1][...] = rng.normal(size=2)
     x = rng.normal(size=(4, 3))
     labels = np.array([0, 1, 1, 0])
     report = ad.check_gradients(lambda: cross_entropy_term(model.forward(x), labels), model.parameters())
@@ -154,7 +153,7 @@ def test_grad_check_passes_on_square():
 def test_grad_check_detects_corrupted_gradient():
     def f(x):
         out = _square(x)
-        if out.record is not None:  # finite-difference probes carry no graph
+        if out.record is not None:  # only the analytic pass calls the VJP
             original = out.record.vjp
             out.record.vjp = lambda g: tuple(None if p is None else 1.1 * p for p in original(g))
         return ad.reduce_sum(out)
@@ -162,6 +161,30 @@ def test_grad_check_detects_corrupted_gradient():
     report = ad.grad_check(f, Tensor([1.0, -2.0]), h=1e-5, rel_tol=1e-4)
     assert not report.passed
     assert report.max_rel_diff > 0.05
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5])
+def test_non_positive_step_is_rejected(h):
+    x = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ValueError, match="step h must be positive"):
+        ad.grad_check(lambda t: ad.reduce_sum(_square(t)), Tensor([1.0]), h=h)
+    with pytest.raises(ValueError, match="step h must be positive"):
+        ad.check_gradients(lambda: ad.reduce_sum(_square(x)), [x], h=h)
+
+
+def test_worst_index_counts_across_params_laid_end_to_end():
+    a = Tensor([1.0, -2.0], requires_grad=True)
+    b = Tensor([[0.5, 3.0], [-1.0, 2.0]], requires_grad=True)
+    wrong = np.array([[1.0, 1.0], [1.0, 1.3]])  # corrupt b's last entry only
+
+    def loss():
+        sq = _square(b)
+        bad = ad.node(sq.data, "bad", (sq,), lambda g: (g * wrong,))
+        return ad.add(ad.reduce_sum(_square(a)), ad.reduce_sum(bad))
+
+    report = ad.check_gradients(loss, [a, b])
+    assert not report.passed
+    assert report.n_coords == 6 and report.worst_index == 5
 
 
 def test_shape_error_names_primitive_and_shapes():

@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oodlab.cli import dispatch
-from oodlab.data import load_csv
+from oodlab.data import OutlierPool, load_csv, save_csv
 from oodlab.nets import MlpClassifier, save_checkpoint
 
 
@@ -53,6 +54,12 @@ class TestGradCheckCommand:
         assert dispatch(["grad-check", "--instances", "2", "--seed", "1", "-q"]) == 0
         out = capsys.readouterr().out
         assert "grad-check pass" in out and "max discrepancy" in out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_fewer_than_one_instance_exits_2(self, capsys, count):
+        assert dispatch(["grad-check", "--instances", count, "-q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--instances" in captured.err
 
 
 class TestConfigErrors:
@@ -104,6 +111,7 @@ class TestConfigErrors:
             ("data.outlier.box_lo=2", "data.outlier.box_lo"),
             ("data.tests.lfn.amplitude=-1", "data.tests.lfn.amplitude"),
             ('data.few_shot.kind="csv"', "data.few_shot.path"),
+            ('data.normal.kind="csv"', "data.normal.kind"),
             ("sweep.counts=[100,0]", "sweep.counts"),
         ],
     )
@@ -113,6 +121,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    def test_train_with_a_csv_of_the_wrong_width_exits_2_naming_the_key(self, tiny_doc, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        save_csv(OutlierPool(np.random.default_rng(0).uniform(-1, 1, (40, 3))), wide)
+        tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(wide)}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(tiny_doc), encoding="utf-8")
+        out = tmp_path / "o"
+        code = dispatch(["train", "--config", str(path), "--out", str(out), "-q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: data.few_shot: has 3 columns, the normal data has dim 2")
         assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):

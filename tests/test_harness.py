@@ -14,6 +14,7 @@ from oodlab.config import (
     load_config,
     parse_override,
 )
+from oodlab.data import LabeledBatch, OutlierPool, load_csv, save_csv
 from oodlab.harness import (
     SUMMARY_COLUMNS,
     RunRecord,
@@ -364,10 +365,7 @@ class TestEmitReport:
 
 class TestCsvRoles:
     def test_csv_few_shot_pool_feeds_the_pipeline(self, tiny_doc, tmp_path):
-        from oodlab.data import OutlierPool as Pool
-        from oodlab.data import save_csv
-
-        pool = Pool(np.random.default_rng(3).uniform(-1.2, 1.2, (40, 2)))
+        pool = OutlierPool(np.random.default_rng(3).uniform(-1.2, 1.2, (40, 2)))
         path = tmp_path / "pool.csv"
         save_csv(pool, path)
         tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(path)}
@@ -376,18 +374,29 @@ class TestCsvRoles:
         record = run_single(config)
         assert record.few_shots == 8
 
-    def test_csv_normal_role_fails_loudly_at_holdout_draw(self, tiny_doc, tmp_path):
-        from oodlab.data import LabeledBatch as Batch
-        from oodlab.data import save_csv
-
+    def test_csv_normal_role_is_rejected_at_config_load(self, tiny_doc, tmp_path):
         rng = np.random.default_rng(4)
-        batch = Batch(rng.normal(size=(30, 2)), rng.integers(0, 3, 30))
+        batch = LabeledBatch(rng.normal(size=(30, 2)), rng.integers(0, 3, 30))
         path = tmp_path / "normals.csv"
         save_csv(batch, path)
         tiny_doc["data"]["normal"] = {"kind": "csv", "path": str(path)}
+        with pytest.raises(ConfigError, match="data.normal.kind: must be gaussian-mixture"):
+            config_from_dict(tiny_doc)
+
+    @pytest.mark.parametrize("role", ["few_shot", "outlier", "tests.ring"])
+    def test_csv_of_the_wrong_width_is_a_config_error_naming_the_key(self, tiny_doc, tmp_path, role):
+        path = tmp_path / "wide.csv"
+        save_csv(OutlierPool(np.random.default_rng(5).uniform(-1, 1, (40, 3))), path)
+        section, _, name = role.partition(".")
+        spec = {"kind": "csv", "path": str(path)}
+        if name:
+            tiny_doc["data"][section][name] = spec
+        else:
+            tiny_doc["data"][section] = spec
         config = config_from_dict(tiny_doc)
-        with pytest.raises(ConfigError, match="generative"):
-            run_single(config)
+        with pytest.raises(ConfigError, match=f"data.{role}: has 3 columns, the normal data has dim 2"):
+            _pipeline_config(config, config.seed, 8)
+            materialize_test_sets(config)
 
 
 def test_boundary_beats_no_boundary_at_zero_shots(reference_sweeps):
@@ -464,7 +473,11 @@ _SPEC_FIELD_VALUES = {
 @st.composite
 def _dataset_specs(draw):
     """A valid spec of a random kind with up to three fields redrawn from
-    pools around their range boundaries."""
+    pools around their range boundaries, or a CSV spec whose path names one
+    of the ``csv_dir`` files."""
+    if draw(st.integers(0, 4)) == 0:
+        labeled = "_labeled" if draw(st.booleans()) else ""
+        return {"kind": "csv", "path": f"w{draw(st.integers(1, 3))}{labeled}.csv"}
     kind = draw(st.sampled_from(sorted(_VALID_SPECS)))
     spec = {"kind": kind, "seed": draw(st.integers(0, 5)), **_VALID_SPECS[kind]}
     for name in draw(st.lists(st.sampled_from(sorted(_SPEC_FIELD_VALUES)), max_size=3, unique=True)):
@@ -472,9 +485,23 @@ def _dataset_specs(draw):
     return spec
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """64-row CSVs of width 1-3, each unlabeled and labeled."""
+    root = tmp_path_factory.mktemp("csv")
+    rng = np.random.default_rng(6)
+    for width in (1, 2, 3):
+        inputs = rng.uniform(-1.2, 1.2, (64, width))
+        save_csv(OutlierPool(inputs), root / f"w{width}.csv")
+        save_csv(LabeledBatch(inputs, rng.integers(0, 3, 64)), root / f"w{width}_labeled.csv")
+    return root
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["normal", "few_shot", "outlier", "tests"]), _dataset_specs())
-def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(role, spec):
+def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(csv_dir, role, spec):
+    if spec["kind"] == "csv":
+        spec = {**spec, "path": str(csv_dir / spec["path"])}
     doc = json.loads(json.dumps(TINY_DOC))
     if role == "tests":
         doc["data"]["tests"]["extra"] = spec
@@ -484,8 +511,14 @@ def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(role,
         config = config_from_dict(doc)
     except ConfigError:
         return
-    pipeline = _pipeline_config(config, config.seed, config.sweep_counts[0])
-    dim = pipeline.normals.dim
-    arrays = [pipeline.few_shot.inputs, pipeline.outlier.inputs, materialize_eval_in(config)]
-    arrays += materialize_test_sets(config).values()
+    dim = config.normal.dim
+    try:
+        pipeline = _pipeline_config(config, config.seed, config.sweep_counts[0])
+        tests = materialize_test_sets(config)
+    except ConfigError as e:  # a CSV's width is only known once it is read
+        width = load_csv(spec["path"]).inputs.shape[1]
+        assert spec["kind"] == "csv" and width != dim
+        assert f"has {width} columns, the normal data has dim {dim}" in str(e)
+        return
+    arrays = [pipeline.few_shot.inputs, pipeline.outlier.inputs, materialize_eval_in(config), *tests.values()]
     assert all(a.ndim == 2 and a.shape[1] == dim for a in arrays)

@@ -24,9 +24,9 @@ def test_seeded_init_is_bit_identical():
 
 def test_weight_shapes_are_out_by_in():
     model = MlpClassifier([2, 16, 3], seed=0)
-    assert model.weights[0].shape == (16, 2)
-    assert model.weights[1].shape == (3, 16)
-    assert model.biases[0].shape == (16,)
+    assert model.layers[0][0].shape == (16, 2)
+    assert model.layers[1][0].shape == (3, 16)
+    assert model.layers[0][1].shape == (16,)
 
 
 def test_weight_mean_near_zero_relative_to_bound():
@@ -34,7 +34,7 @@ def test_weight_mean_near_zero_relative_to_bound():
     # +/- 0.05 * sqrt(2/fan_in) of zero.
     model = MlpClassifier([4, 2500], seed=123)
     bound = math.sqrt(2.0 / 4.0)
-    w = model.weights[0].data
+    w = model.layers[0][0]
     assert w.size == 10_000
     assert abs(w.mean()) < 0.05 * bound
     assert np.abs(w).max() <= bound
@@ -50,8 +50,9 @@ def test_zeroed_network_produces_zero_logits():
 
 def test_single_linear_layer_identity():
     model = MlpClassifier([2, 2], seed=0)
-    model.weights[0].data[...] = np.eye(2)
-    model.biases[0].data[...] = 0.0
+    w, b = model.layers[0]
+    w[...] = np.eye(2)
+    b[...] = 0.0
     logits = model.forward_logits(np.array([[3.0, 4.0]]))
     np.testing.assert_array_equal(logits.data, [[3.0, 4.0]])
 
@@ -62,9 +63,9 @@ def test_forward_matches_straight_line_reevaluation():
     x = rng.normal(size=(6, 3))
     # independent re-evaluation with frozen parameters
     h = x.copy()
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.data.T + b.data
-        if i != len(model.weights) - 1:
+    for i, (w, b) in enumerate(model.layers):
+        h = h @ w.T + b
+        if i != len(model.layers) - 1:
             h = np.maximum(h, 0.0)
     np.testing.assert_array_equal(model.forward_logits(x).data, h)
     np.testing.assert_array_equal(model.forward_array(x), h)
@@ -82,8 +83,9 @@ def test_forward_array_is_bit_equal_to_forward_with_cache(rows, activation):
 
 def test_generator_identity_pass_through():
     gen = BoundaryGenerator([2, 2], seed=0)
-    gen.weights[0].data[...] = np.eye(2)
-    gen.biases[0].data[...] = 0.0
+    w, b = gen.layers[0]
+    w[...] = np.eye(2)
+    b[...] = 0.0
     latents = LatentBatch(np.random.default_rng(1).normal(size=(4, 2)), seed=1)
     np.testing.assert_array_equal(gen.generate(latents).data, latents.values)
 
@@ -213,34 +215,30 @@ def test_freeze_unfreeze_round_trip():
 # --- flat parameter storage ----------------------------------------------------
 
 
-def _assert_views_of_flat(model):
-    """Every parameter's data and grad share memory with the flat leaf, laid
-    out as W0, b0, W1, ... with each weight (fan_out, fan_in) row-major."""
-    params = model.parameters()
-    np.testing.assert_array_equal(np.concatenate([p.data.reshape(-1) for p in params]), model.flat.data)
+def _assert_layers_view_flat(model):
+    """Every layer's W and b share memory with the flat leaf, laid out as W0,
+    b0, W1, ... with each weight (fan_out, fan_in) row-major."""
+    arrays = [a for layer in model.layers for a in layer]
+    np.testing.assert_array_equal(np.concatenate([a.reshape(-1) for a in arrays]), model.flat.data)
     start = 0
-    for p in params:
-        stop = start + p.data.size
-        assert np.shares_memory(p.data, model.flat.data) and np.shares_memory(p.data.reshape(-1), model.flat.data)
-        assert np.shares_memory(p.grad, model.flat.grad)
-        first = p.data.reshape(-1)[0]
-        p.data.reshape(-1)[0] = 7.5
-        p.grad.reshape(-1)[-1] = 3.0
-        assert model.flat.data[start] == 7.5 and model.flat.grad[stop - 1] == 3.0
-        p.data.reshape(-1)[0] = first
-        start = stop
+    for a in arrays:
+        assert np.shares_memory(a, model.flat.data)
+        entries = a.reshape(-1)
+        first = entries[0]
+        entries[0] = 7.5
+        assert model.flat.data[start] == 7.5
+        entries[0] = first
+        start += a.size
     assert start == model.flat.size
-    model.zero_grad()
-    assert all(not p.grad.any() for p in params)
 
 
 @pytest.mark.parametrize("kind, sizes", [(MlpClassifier, [2, 5, 4, 3]), (BoundaryGenerator, [3, 7, 2])])
-def test_parameters_are_views_of_the_flat_vector(kind, sizes):
+def test_layers_are_views_of_the_flat_vector(kind, sizes):
     model = kind(sizes, seed=4)
     assert model.flat.size == sum(o * i + o for i, o in zip(sizes, sizes[1:]))
-    assert all(w.shape == (o, i) for w, i, o in zip(model.weights, sizes, sizes[1:]))
-    assert model.parameters() is model.parameters()
-    _assert_views_of_flat(model)
+    assert [(w.shape, b.shape) for w, b in model.layers] == [((o, i), (o,)) for i, o in zip(sizes, sizes[1:])]
+    assert model.parameters() == [model.flat]
+    _assert_layers_view_flat(model)
 
 
 def test_load_checkpoint_writes_through_to_the_flat_vector(tmp_path):
@@ -248,7 +246,7 @@ def test_load_checkpoint_writes_through_to_the_flat_vector(tmp_path):
     save_checkpoint(model, tmp_path / "m.ckpt")
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
-    _assert_views_of_flat(loaded)
+    _assert_layers_view_flat(loaded)
 
 
 def test_check_gradients_perturbs_through_the_flat_vector():
@@ -271,22 +269,16 @@ def test_check_gradients_perturbs_through_the_flat_vector():
     assert model.flat.data.tobytes() == original.tobytes()
 
 
-def test_freeze_and_unfreeze_switch_the_flat_leaf_and_every_view():
+def test_freeze_and_unfreeze_switch_the_flat_leaf():
     model = MlpClassifier([2, 4, 2], seed=0)
-    before = model.parameters()  # views made while trainable
+    layers = model.layers
     model.freeze()
     assert model.flat.grad is None and not model.flat.requires_grad
-    assert all(p.grad is None and not p.requires_grad for p in before)
     assert not model.forward_logits(np.zeros((1, 2))).requires_grad
     model.unfreeze()
-    assert model.parameters() is before
-    _assert_views_of_flat(model)
-    frozen = MlpClassifier([2, 4, 2], seed=0)
-    frozen.freeze()
-    made_frozen = frozen.parameters()  # views first made while frozen
-    assert all(p.grad is None for p in made_frozen)
-    frozen.unfreeze()
-    _assert_views_of_flat(frozen)
+    assert model.flat.requires_grad and model.flat.grad.shape == model.flat.shape and not model.flat.grad.any()
+    assert model.layers is layers
+    _assert_layers_view_flat(model)
 
 
 def test_forward_node_has_the_flat_leaf_as_its_only_parameter_parent():

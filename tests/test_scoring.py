@@ -32,8 +32,9 @@ def _logit_model(weights, biases=None):
     """Single linear layer with prescribed weights (rows = classes)."""
     w = np.asarray(weights, dtype=np.float64)
     model = MlpClassifier([w.shape[1], w.shape[0]], seed=0)
-    model.weights[0].data[...] = w
-    model.biases[0].data[...] = 0.0 if biases is None else np.asarray(biases)
+    w0, b0 = model.layers[0]
+    w0[...] = w
+    b0[...] = 0.0 if biases is None else np.asarray(biases)
     return model
 
 
@@ -144,8 +145,9 @@ class TestPgd:
         model = MlpClassifier([2, 6, 3], seed=seed % 100)
         xs = rng.normal(size=(8, 2))
         budget = RobustnessBudget(epsilon=0.1, pgd_steps=5)
-        adv = pgd_max_confidence_batch(model, xs, budget)
-        assert np.all(adv >= anomaly_scores(model, xs))
+        clean, adv = pgd_max_confidence_batch(model, xs, budget)
+        assert clean.tobytes() == anomaly_scores(model, xs).tobytes()
+        assert np.all(adv >= clean)
 
     def test_one_dimensional_linear_scorer_reaches_ball_edge(self):
         # logits [2x, 0]: the score is monotone increasing for x > 0, so the
@@ -175,11 +177,11 @@ class TestPgd:
         save_checkpoint(fresh, tmp_path / "clf.ckpt")
         for model in (fresh, load_checkpoint(tmp_path / "clf.ckpt")):
             before_flags = [p.requires_grad for p in model.parameters()]
-            before = model.snapshot()
+            before = model.flat.data.copy()
             pgd_max_confidence_batch(model, np.zeros((2, 2)), RobustnessBudget(epsilon=0.1, pgd_steps=3))
             assert [p.requires_grad for p in model.parameters()] == before_flags
             assert all(p.grad is not None and np.all(p.grad == 0) for p in model.parameters())
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, model.snapshot()))
+            assert model.flat.data.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_one_forward_pass_per_iterate(self, restarts, monkeypatch):
@@ -266,7 +268,7 @@ class TestCertified:
         model = MlpClassifier([2, 6, 3], activation="tanh", seed=seed % 911)
         xs = rng.normal(size=(5, 2))
         budget = RobustnessBudget(epsilon=0.05, pgd_steps=10)
-        adv = pgd_max_confidence_batch(model, xs, budget)
+        _, adv = pgd_max_confidence_batch(model, xs, budget)
         lo, hi = ibp_logit_bounds(model, xs, budget.epsilon)
         cert = certified_max_confidence(lo, hi)
         assert np.all(cert >= adv)
@@ -319,6 +321,20 @@ class TestEvaluate:
         assert first_out[0] == "out-0" and first_out[1] == "out"
         clean, adv, cert = map(float, first_out[2:])
         assert clean <= adv <= cert
+
+    def test_one_clean_pass_per_set(self, monkeypatch):
+        # the out-set clean scores are PGD's first iterate, not a pass of their own
+        calls = []
+        original = Mlp.forward_with_cache
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        model, in_set, out_set = self._sets()
+        monkeypatch.setattr(Mlp, "forward_with_cache", counting)
+        evaluate_ood(model, in_set[:7], out_set[:5], RobustnessBudget(epsilon=0.05, pgd_steps=3))
+        assert calls == [7, 5, 5, 5, 5]
 
     def test_empty_sets_rejected(self):
         model, in_set, out_set = self._sets()

@@ -113,7 +113,7 @@ class TestTrainClassifier:
     def test_non_finite_loss_names_batch(self):
         normals = _two_blobs()
         model = MlpClassifier([2, 8, 2], seed=5)
-        model.weights[-1].data[0, 0] = float("nan")
+        model.layers[-1][0][0, 0] = float("nan")
         with pytest.raises(TrainingError, match="phase a, epoch 0, batch 0"):
             train_classifier(model, normals, [], LossWeights(), TrainSchedule(phase_a_epochs=1), phase="a")
 
@@ -135,10 +135,9 @@ class TestTrainGenerator:
     def test_classifier_is_bit_exact_after_training(self):
         normals, classifier, generator, schedule = self._setup()
         classifier.freeze()
-        before = classifier.snapshot()
+        before = classifier.flat.data.copy()
         trace = train_generator(generator, classifier, normals.inputs, LossWeights(nu=0.3), schedule)
-        for p, b in zip(classifier.parameters(), before):
-            np.testing.assert_array_equal(p.data, b)
+        assert classifier.flat.data.tobytes() == before.tobytes()
         assert len(trace) == schedule.phase_b_epochs
 
     def test_training_suppresses_confidence_of_generated_samples(self):
@@ -146,8 +145,9 @@ class TestTrainGenerator:
         # the samples toward lower-confidence boundary regions
         normals, classifier, generator, schedule = self._setup()
         classifier.freeze()
-        generator.weights[-1].data *= 0.05
-        generator.biases[-1].data[...] = [1.0, 0.0]  # a blob center
+        w, b = generator.layers[-1]
+        w *= 0.05
+        b[...] = [1.0, 0.0]  # a blob center
         latents = sample_latent(77, 64, 2)
         score_before = anomaly_scores(classifier, generator.forward_array(latents.values)).mean()
         assert score_before > 0.9
@@ -158,8 +158,9 @@ class TestTrainGenerator:
     def test_training_reduces_proximity_from_far_initialization(self):
         normals, classifier, generator, schedule = self._setup()
         classifier.freeze()
-        generator.weights[-1].data *= 0.05
-        generator.biases[-1].data[...] = [4.0, 4.0]  # far off the support
+        w, b = generator.layers[-1]
+        w *= 0.05
+        b[...] = [4.0, 4.0]  # far off the support
         latents = sample_latent(78, 64, 2)
         prox_before = proximity_term(Tensor(generator.forward_array(latents.values)), normals.inputs).item()
         train_generator(generator, classifier, normals.inputs, LossWeights(mu=1.0, nu=0.5), schedule)
@@ -282,10 +283,18 @@ class TestPipeline:
 
 # --- reference: one tape leaf per parameter ----------------------------------
 #
-# The loops below train with one tape leaf per parameter: every loss node has
-# the parameter Tensors as parents, each gets its own gradient array from a
-# layer-by-layer backprop written out here, and Adam runs over
-# model.parameters(). Trained weights must match the flat-leaf path bit for bit.
+# The loops below train with one tape leaf per parameter: ``_leaves`` makes a
+# Tensor over each (W, b) view in model.layers, sharing its memory. Every loss
+# node has those leaves as parents, each gets its own gradient array from a
+# layer-by-layer backprop written out here, and Adam runs over the leaves.
+# Trained weights must match the flat-leaf path bit for bit.
+
+
+def _leaves(model):
+    """[W0, b0, W1, ...] as leaf Tensors over the memory of ``model.layers``."""
+    leaves = [Tensor(view, requires_grad=True) for layer in model.layers for view in layer]
+    assert all(np.shares_memory(p.data, model.flat.data) for p in leaves)
+    return leaves
 
 
 def _per_parameter_backprop(model, cache, g, inputs=False):
@@ -303,13 +312,13 @@ def _per_parameter_backprop(model, cache, g, inputs=False):
     return g, grads
 
 
-def _per_parameter_forward(model, x):
+def _per_parameter_forward(model, leaves, x):
     out, cache = model.forward_with_cache(x)
-    return ad.node(out, "mlp", tuple(model.parameters()), lambda g: _per_parameter_backprop(model, cache, g)[1])
+    return ad.node(out, "mlp", tuple(leaves), lambda g: _per_parameter_backprop(model, cache, g)[1])
 
 
-def _per_parameter_generator_loss(generator, classifier, latents, reference, weights):
-    """generator_loss over the parameter Tensors. The public terms would sum
+def _per_parameter_generator_loss(generator, leaves, classifier, latents, reference, weights):
+    """generator_loss over the parameter leaves. The public terms would sum
     the output gradient in another association, so this uses the loss cores
     in generator_loss's order."""
     outputs, gen_cache = generator.forward_with_cache(latents.values)
@@ -332,18 +341,18 @@ def _per_parameter_generator_loss(generator, classifier, latents, reference, wei
             g_out = via_clf if g_out is None else g_out + via_clf
         return _per_parameter_backprop(generator, gen_cache, disp_vjp(g, g_out))[1]
 
-    return ad.node(value, "generator_loss", tuple(generator.parameters()), vjp)
+    return ad.node(value, "generator_loss", tuple(leaves), vjp)
 
 
-def _per_parameter_step(model, loss, state, step_losses):
-    params = model.parameters()
+def _per_parameter_step(leaves, loss, state, step_losses):
     ad.backward(loss)
-    adam_step(params, [p.grad for p in params], state)
+    adam_step(leaves, [p.grad for p in leaves], state)
     step_losses.append(loss.item())
 
 
 def _reference_train_classifier(model, normals, pools, weights, schedule, epochs, prefix):
-    state = AdamState.for_params(model.parameters(), lr=schedule.lr_a)
+    leaves = _leaves(model)
+    state = AdamState.for_params(leaves, lr=schedule.lr_a)
     n, trace = len(normals), []
     for epoch in range(epochs):
         perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
@@ -352,19 +361,20 @@ def _reference_train_classifier(model, normals, pools, weights, schedule, epochs
         for start in range(0, n, schedule.batch_n):
             idx = perm[start : start + schedule.batch_n]
             negatives = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
-            for p in model.parameters():
+            for p in leaves:
                 p.zero_grad()
-            loss = cross_entropy_term(_per_parameter_forward(model, normals.inputs[idx]), normals.labels[idx])
+            loss = cross_entropy_term(_per_parameter_forward(model, leaves, normals.inputs[idx]), normals.labels[idx])
             if negatives is not None:
-                nt = negative_training_term(_per_parameter_forward(model, negatives))
+                nt = negative_training_term(_per_parameter_forward(model, leaves, negatives))
                 loss = ad.add(loss, ad.scalar_mul(nt, weights.lam))
-            _per_parameter_step(model, loss, state, step_losses)
+            _per_parameter_step(leaves, loss, state, step_losses)
         trace.append(float(np.mean(step_losses)))
     return trace
 
 
 def _reference_train_generator(generator, classifier, normal_inputs, weights, schedule, epochs, prefix):
-    state = AdamState.for_params(generator.parameters(), lr=schedule.lr_b)
+    leaves = _leaves(generator)
+    state = AdamState.for_params(leaves, lr=schedule.lr_b)
     n, trace = len(normal_inputs), []
     q = min(schedule.proximity_q, n)
     for epoch in range(epochs):
@@ -373,10 +383,10 @@ def _reference_train_generator(generator, classifier, normal_inputs, weights, sc
         for b, start in enumerate(range(0, n, q)):
             reference = normal_inputs[perm[start : start + q]]
             latents = sample_latent((*prefix, epoch, b, 2), schedule.latent_n, generator.latent_dim)
-            for p in generator.parameters():
+            for p in leaves:
                 p.zero_grad()
-            loss = _per_parameter_generator_loss(generator, classifier, latents, reference, weights)
-            _per_parameter_step(generator, loss, state, step_losses)
+            loss = _per_parameter_generator_loss(generator, leaves, classifier, latents, reference, weights)
+            _per_parameter_step(leaves, loss, state, step_losses)
         trace.append(float(np.mean(step_losses)))
     return trace
 
