@@ -129,6 +129,9 @@ def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: in
     few_shot = None
     if config.few_shot is not None:
         pool = _outlier_pool(config, "data.few_shot", config.few_shot, normals, FEW_SHOT_OE)
+        # a synthetic spec's size is checked at load; a CSV's rows only once it is read
+        if config.few_shot.kind == "csv" and few_shot_count > pool.size:
+            raise ConfigError(f"data.few_shot: has {pool.size} rows, fewer than the {few_shot_count} few-shots to sample")
         few_shot = sample_few_shots(pool, few_shot_count, seed=(run_seed, 5))
     outlier = None
     if config.outlier is not None:
@@ -209,36 +212,57 @@ def _scored_record(
     )
 
 
+def _error(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
 def run_ablation(config: ExperimentConfig, modes=("i", "ii", "iii", "iv"), out_dir=None) -> dict:
-    """Run each requested mode with the identical seed; isolate failures."""
+    """Run each requested mode with the identical seed; isolate failures.
+
+    A mode whose own config is invalid fails alone. A ConfigError raised
+    while running a mode (bad data the config points at, which every mode
+    reads) stops the ablation.
+    """
     results: dict[str, RunRecord | dict] = {}
     for mode in modes:
         try:
             mode_cfg = config.with_updates(mode=mode)
+        except ConfigError as e:
+            results[mode] = {"error": _error(e)}
+            continue
+        try:
             results[mode] = run_single(mode_cfg, run_seed=config.seed, out_dir=out_dir)
+        except ConfigError:
+            raise
         except Exception as e:  # per-mode isolation
-            results[mode] = {"error": f"{type(e).__name__}: {e}"}
+            results[mode] = {"error": _error(e)}
     return results
 
 
 def _sweep_entry(args):
+    """``("ok", (count, record))`` or ``("err", (count, message))``, with
+    run_ablation's isolation rules, also across processes."""
     config, count, run_seed, out_dir = args
-    entry_cfg = config.with_updates(few_shot_count=count)
-    return count, run_single(entry_cfg, run_seed=run_seed, out_dir=out_dir)
-
-
-def _sweep_entry_isolated(args):
     try:
-        return "ok", _sweep_entry(args)
-    except Exception as e:  # per-count isolation, also across processes
-        return "err", (args[1], f"{type(e).__name__}: {e}")
+        entry_cfg = config.with_updates(few_shot_count=count)
+    except ConfigError as e:
+        return "err", (count, _error(e))
+    try:
+        return "ok", (count, run_single(entry_cfg, run_seed=run_seed, out_dir=out_dir))
+    except ConfigError:
+        raise
+    except Exception as e:  # per-count isolation
+        return "err", (count, _error(e))
 
 
 def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
     """One pipeline + evaluation per few-shot count, seeds varied per count.
 
     Counts must be strictly decreasing (they may end at 0). Entries failing
-    are isolated into .failures; the rest of the sweep still runs.
+    are isolated into .failures; the rest of the sweep still runs. A
+    ConfigError raised while running an entry (bad data the config points
+    at) stops the sweep instead; with ``jobs > 1`` the entries not yet
+    started are cancelled.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -249,10 +273,13 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
         raise ValueError("sweep counts must be >= 0")
     tasks = [(config, count, config.seed + i, out_dir) for i, count in enumerate(counts)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_entry_isolated, tasks))
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            outcomes = list(pool.map(_sweep_entry, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [_sweep_entry_isolated(task) for task in tasks]
+        outcomes = [_sweep_entry(task) for task in tasks]
     entries = [payload for status, payload in outcomes if status == "ok"]
     failures = {count: message for status, (count, message) in outcomes if status == "err"}
     return SweepResult(entries=entries, failures=failures, fingerprint=config.fingerprint)
@@ -284,7 +311,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
 
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
-    draw; test-time OoD are the other classes of a held-out draw.
+    draw; test-time OoD are the other classes of a held-out draw. A class's
+    failure is isolated into its entry, but a ConfigError stops the run.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
@@ -295,8 +323,10 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
     for cls in classes:
         try:
             per_class[cls] = _run_occ_class(config, train, holdout, cls, out_dir)
+        except ConfigError:
+            raise
         except Exception as e:  # per-class isolation
-            per_class[cls] = {"error": f"{type(e).__name__}: {e}"}
+            per_class[cls] = {"error": _error(e)}
     metric_lists: dict[str, list[float]] = {"auroc": [], "aauroc": [], "gauroc": []}
     for rec in per_class.values():
         if isinstance(rec, RunRecord):

@@ -61,11 +61,18 @@ class LossWeights:
 # weights: reordering one changes them in the last bits.
 
 def _log_softmax_parts(logits: np.ndarray):
-    """Rowwise log-sum-exp via max-shift, with the softmax that is its gradient."""
-    m = logits.max(axis=1, keepdims=True)
-    shifted = np.exp(logits - m)
-    total = shifted.sum(axis=1, keepdims=True)
-    return np.squeeze(m + np.log(total), axis=1), shifted / total, m[:, 0]
+    """Rowwise log-sum-exp via max-shift, with the softmax that is its gradient.
+
+    numpy reduces a last axis of fewer than 8 entries in order, so below 8
+    classes chaining ``np.maximum`` and ``+`` over the columns gives the bits
+    of ``max``/``sum(axis=1)`` at a fraction of their cost; from 8 classes
+    numpy sums pairwise and the axis reductions stay.
+    """
+    by_columns = logits.shape[1] < 8
+    m = functools.reduce(np.maximum, logits.T) if by_columns else logits.max(axis=1)
+    shifted = np.exp(logits - m[:, None])
+    total = functools.reduce(np.add, shifted.T) if by_columns else shifted.sum(axis=1)
+    return m + np.log(total), shifted / total[:, None], m
 
 
 def _max_softmax(logits: np.ndarray):

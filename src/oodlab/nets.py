@@ -9,6 +9,16 @@ There is one forward arithmetic, ``Mlp.forward_with_cache``: the tape node
 ``forward`` wraps it for training, and ``forward_array`` (scoring, PGD, the
 boundary pool) returns its outputs, so every caller sees the same bits.
 
+Graph-free passes over many rows run in row blocks of ``BLOCK_ROWS``
+(``row_blocks``), so a 48-wide activation is 384 KiB whatever the set size.
+``forward_array``, PGD and interval bounds share these blocks, so their rows
+see the same matmul shapes; a batch of at most ``BLOCK_ROWS`` rows is one
+block and keeps the unblocked arithmetic, which covers every training
+batch. Within a pass the bias add, tanh and activation derivative work in
+place on the fresh matmul result, so at most one block-sized temporary is
+alive at a time: freeing two together lets glibc trim the top of the heap
+and fault its pages back in on the next PGD iterate.
+
 All parameters of a model sit in one flat vector held by one leaf Tensor,
 ``Mlp.flat``. A training step's tape is one loss node over that leaf: its VJP
 (``Mlp.backprop``) writes one flat gradient, ``backward`` adds it to one
@@ -31,14 +41,23 @@ from .autodiff import Tensor
 
 __all__ = [
     "ACTIVATIONS",
+    "BLOCK_ROWS",
     "Mlp",
     "MlpClassifier",
     "BoundaryGenerator",
     "save_checkpoint",
     "load_checkpoint",
+    "row_blocks",
 ]
 
 ACTIVATIONS = ("relu", "tanh")
+BLOCK_ROWS = 1024  # rows per graph-free block: 1,024 x 48 float64 is 384 KiB
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of at most ``BLOCK_ROWS`` rows covering
+    ``range(n)``; one (empty) slice when ``n`` is 0."""
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, max(n, 1), BLOCK_ROWS)]
 
 
 class Mlp:
@@ -122,7 +141,9 @@ class Mlp:
         Each layer computes ``h @ wt + b`` with ``wt`` a contiguous copy of
         ``w.T``; ``h @ w.T`` sends small batches to OpenBLAS dgemm kernels
         that round differently. Training, scoring, PGD and the interval
-        centers all use this arithmetic.
+        centers all use this arithmetic. The bias add and tanh write into
+        the fresh matmul result (the same float operations as ``h @ wt + b``
+        and ``activate``); the input and cached arrays are never written.
         """
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
@@ -131,8 +152,13 @@ class Mlp:
         for i, (w, b) in enumerate(self.layers):
             wt = np.ascontiguousarray(w.T)
             cache.append((h, wt))
-            h = h @ wt + b
-            if i != last:
+            h = h @ wt
+            h += b
+            if i == last:
+                break
+            if self.activation == "tanh":
+                np.tanh(h, out=h)
+            else:
                 h = self.activate(h)
         return h, cache
 
@@ -141,7 +167,9 @@ class Mlp:
 
         With ``grad`` (a buffer laid out like ``flat``), the parameter
         gradient is written into it. Returns the input gradient when
-        ``inputs`` is true, else None (and skips its cost).
+        ``inputs`` is true, else None (and skips its cost). The activation
+        derivative multiplies the fresh ``g @ wt.T`` in place; the caller's
+        ``g`` and the cache are never written.
         """
         for i in range(len(cache) - 1, -1, -1):
             h, wt = cache[i]
@@ -152,8 +180,15 @@ class Mlp:
             if i == 0 and not inputs:
                 return None
             g = g @ wt.T
-            if i > 0:  # h is the activation output of layer i - 1
-                g = g * (h > 0.0) if self.activation == "relu" else g * (1.0 - h * h)
+            if i == 0:
+                break
+            # h is the activation output of layer i - 1
+            if self.activation == "relu":
+                g *= h > 0.0
+            else:
+                d = h * h
+                g *= np.subtract(1.0, d, out=d)
+                del d  # freed before the next matmul result is allocated (module docstring)
         return g
 
     def forward(self, x) -> Tensor:
@@ -170,8 +205,10 @@ class Mlp:
         return ad.node(out, "mlp", (xt, flat), vjp)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass: the outputs of ``forward_with_cache``."""
-        return self.forward_with_cache(x)[0]
+        """Graph-free forward pass: the outputs of ``forward_with_cache``,
+        one ``row_blocks`` block at a time."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return np.concatenate([self.forward_with_cache(x[rows])[0] for rows in row_blocks(len(x))])
 
 
 class MlpClassifier(Mlp):

@@ -14,6 +14,12 @@ Nothing here uses the autodiff tape. Clean scores, every PGD iterate and the
 interval centers come from the one forward pass training uses
 (``Mlp.forward_with_cache``); the PGD input gradient is its ``backprop``
 with the max-softmax VJP, and the softmax arithmetic is the loss code's.
+
+Clean scores, PGD and interval bounds all run over the same row blocks
+(``nets.row_blocks``, ``nets.BLOCK_ROWS`` rows each), so the PGD clean start
+equals ``anomaly_scores`` and zero-radius bounds equal ``forward_array`` bit
+for bit on any BLAS. PGD is block-major: every start and step of one block
+runs before the next block, so its iterates stay cache-resident.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import _log_softmax_parts, _max_softmax
+from .nets import row_blocks
 
 __all__ = [
     "IN_DISTRIBUTION",
@@ -185,13 +192,15 @@ def auroc(scores: ScoreSet) -> float:
     return _rank_auroc(scores.in_scores, scores.out_scores)
 
 
-def _clip_ball(adv: np.ndarray, center: np.ndarray, budget: RobustnessBudget) -> np.ndarray:
-    lo = center - budget.epsilon
-    hi = center + budget.epsilon
-    if budget.input_box is not None:
-        lo = np.maximum(lo, budget.input_box[0])
-        hi = np.minimum(hi, budget.input_box[1])
-    return np.clip(adv, lo, hi)
+def _ball(center: np.ndarray, epsilon: float, input_box) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate bounds of the l-infinity ball around ``center``,
+    clamped to ``input_box`` when it is set."""
+    lo = center - epsilon
+    hi = center + epsilon
+    if input_box is not None:
+        lo = np.maximum(lo, input_box[0])
+        hi = np.minimum(hi, input_box[1])
+    return lo, hi
 
 
 def pgd_max_confidence_batch(
@@ -206,6 +215,12 @@ def pgd_max_confidence_batch(
     gradient, so a start costs pgd_steps + 1 passes; the model's parameters
     and their gradients are never touched. epsilon 0 short-circuits to the
     clean scores for both.
+
+    The attack runs block-major over ``row_blocks``: all starts and steps of
+    one block, then the next block. Rows never interact, so this changes no
+    score beyond the matmul rounding of a shorter last block. The restart
+    jitter is drawn once for all of ``x`` before the block loop, and each
+    block's ball bounds are computed once.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if budget.epsilon == 0:
@@ -213,24 +228,34 @@ def pgd_max_confidence_batch(
         return clean, clean
     starts = [x]
     if budget.pgd_restarts > 0:
+        lo, hi = _ball(x, budget.epsilon, budget.input_box)
         rng = np.random.default_rng(seed)
         for _ in range(budget.pgd_restarts):
             jitter = rng.uniform(-budget.epsilon, budget.epsilon, x.shape)
-            starts.append(_clip_ball(x + jitter, x, budget))
-    best = None
-    for start in starts:
-        adv = start.copy()
-        for step in range(budget.pgd_steps + 1):
-            logits, cache = model.forward_with_cache(adv)
-            score, vjp = _max_softmax(logits)
-            if best is None:
-                clean = best = score
-            else:
-                best = np.maximum(best, score)
-            if step == budget.pgd_steps:
-                break
-            grad = model.backprop(cache, vjp(np.ones(len(score))), inputs=True)
-            adv = _clip_ball(adv + budget.pgd_step_size * np.sign(grad), x, budget)
+            starts.append(np.clip(x + jitter, lo, hi))
+    clean = np.empty(len(x))
+    best = np.empty(len(x))
+    for rows in row_blocks(len(x)):
+        lo, hi = _ball(x[rows], budget.epsilon, budget.input_box)
+        block_best = None
+        for start in starts:
+            adv = start[rows]
+            for step in range(budget.pgd_steps + 1):
+                logits, cache = model.forward_with_cache(adv)
+                score, vjp = _max_softmax(logits)
+                if block_best is None:
+                    clean[rows] = block_best = score
+                else:
+                    np.maximum(block_best, score, out=block_best)
+                if step == budget.pgd_steps:
+                    break
+                # clip(adv + step_size * sign(grad)), in the fresh gradient's buffer
+                grad = model.backprop(cache, vjp(np.ones(len(score))), inputs=True)
+                np.sign(grad, out=grad)
+                grad *= budget.pgd_step_size
+                grad += adv
+                adv = np.clip(grad, lo, hi, out=grad)
+        best[rows] = block_best
     return clean, best
 
 
@@ -244,8 +269,9 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
 
     Affine layers map intervals by center-radius arithmetic (center W.mid + b,
     radius |W|.rad); the monotone activation is applied endpoint-wise. The
-    center pass uses the forward's arithmetic (``Mlp.forward_with_cache``),
-    so with epsilon 0 the bounds collapse bit-exactly onto its logits.
+    center pass uses the forward's arithmetic (``Mlp.forward_with_cache``)
+    over the same row blocks as ``forward_array``, so with epsilon 0 the
+    bounds collapse bit-exactly onto its logits.
     """
     if model.activation not in ("relu", "tanh"):
         raise ValueError(f"interval propagation supports relu/tanh, not '{model.activation}'")
@@ -253,26 +279,28 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
         raise ValueError("epsilon must be >= 0")
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
-    h = np.atleast_2d(arr)
-    lo = h - epsilon
-    hi = h + epsilon
-    if input_box is not None:
-        lo = np.maximum(lo, input_box[0])
-        hi = np.minimum(hi, input_box[1])
-    last = len(model.layers) - 1
-    for i, (w, b) in enumerate(model.layers):
-        center = (lo + hi) / 2.0
-        radius = (hi - lo) / 2.0
-        center = center @ np.ascontiguousarray(w.T) + b
-        radius = radius @ np.abs(w).T
-        lo = center - radius
-        hi = center + radius
-        if i != last:
-            lo = model.activate(lo)
-            hi = model.activate(hi)
+    x2 = np.atleast_2d(arr)
+    layers = [(np.ascontiguousarray(w.T), np.abs(w).T, b) for w, b in model.layers]
+    last = len(layers) - 1
+    lo_out = np.empty((len(x2), model.output_dim))
+    hi_out = np.empty_like(lo_out)
+    for rows in row_blocks(len(x2)):
+        lo, hi = _ball(x2[rows], epsilon, input_box)
+        for i, (wt, abs_wt, b) in enumerate(layers):
+            center = (lo + hi) / 2.0
+            radius = (hi - lo) / 2.0
+            center = center @ wt + b
+            radius = radius @ abs_wt
+            lo = center - radius
+            hi = center + radius
+            if i != last:
+                lo = model.activate(lo)
+                hi = model.activate(hi)
+        lo_out[rows] = lo
+        hi_out[rows] = hi
     if single:
-        return lo[0], hi[0]
-    return lo, hi
+        return lo_out[0], hi_out[0]
+    return lo_out, hi_out
 
 
 def certified_max_confidence(lo, hi):

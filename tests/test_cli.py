@@ -136,6 +136,41 @@ class TestConfigErrors:
         assert err.startswith("config error: data.few_shot: has 3 columns, the normal data has dim 2")
         assert not out.exists()
 
+    def test_train_with_a_csv_shorter_than_the_few_shot_count_exits_2(self, tiny_doc, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        save_csv(OutlierPool(np.random.default_rng(0).uniform(-1, 1, (10, 2))), short)
+        tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(short)}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(tiny_doc), encoding="utf-8")
+        out = tmp_path / "o"
+        code = dispatch(["train", "--config", str(path), "--out", str(out), "-q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: data.few_shot: has 10 rows, fewer than the 16 few-shots")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (["sweep", "--jobs", "1"], "few_shot"),
+            (["sweep", "--jobs", "2"], "few_shot"),
+            (["ablate", "--modes", "ii,iii"], "few_shot"),
+            (["occ"], "outlier"),
+        ],
+    )
+    def test_bad_csv_stops_a_multi_run_command_once_with_exit_2(self, tiny_doc, tmp_path, capsys, command, key):
+        wide = tmp_path / "wide.csv"
+        save_csv(OutlierPool(np.random.default_rng(0).uniform(-1, 1, (200, 3))), wide)
+        tiny_doc["data"][key] = {"kind": "csv", "path": str(wide)}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(tiny_doc), encoding="utf-8")
+        out = tmp_path / "o"
+        code = dispatch([*command, "--config", str(path), "--out", str(out), "-q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"config error: data.{key}: has 3 columns, the normal data has dim 2\n"
+        assert not (out / "experiment.json").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2
 

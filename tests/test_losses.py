@@ -16,7 +16,14 @@ from oodlab.losses import (
     negative_training_term,
     proximity_term,
 )
-from oodlab.losses import _dispersion, _pair_indices, _proximity, _scatter_rows, _squared_distances
+from oodlab.losses import (
+    _dispersion,
+    _log_softmax_parts,
+    _pair_indices,
+    _proximity,
+    _scatter_rows,
+    _squared_distances,
+)
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 
 LN2 = 0.6931471805599453
@@ -467,3 +474,16 @@ def test_pair_indices_are_cached_and_read_only():
     assert _pair_indices(9)[0] is ii
     with pytest.raises(ValueError):
         ii[0] = 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 12])
+@pytest.mark.parametrize("rows", [1, 64, 1025])
+def test_log_softmax_parts_match_the_axis_reductions(k, rows):
+    logits = np.random.default_rng(rows * 100 + k).normal(0.0, 4.0, (rows, k))
+    logits[0, 0] = -0.0  # a signed zero among the candidates for the max
+    m = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    expected = (np.squeeze(m + np.log(total), axis=1), shifted / total, m[:, 0])
+    for got, want in zip(_log_softmax_parts(logits), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -288,3 +288,17 @@ def test_forward_node_has_the_flat_leaf_as_its_only_parameter_parent():
     assert out.record.parents == (x, model.flat)
     ad.backward(ad.reduce_sum(out))
     assert x.grad.any() and model.flat.grad.any()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("inputs", [False, True])
+def test_backprop_leaves_the_output_gradient_and_cache_unchanged(activation, inputs):
+    model = MlpClassifier([2, 8, 8, 3], activation=activation, seed=4)
+    rng = np.random.default_rng(5)
+    _, cache = model.forward_with_cache(rng.normal(size=(6, 2)))
+    g = rng.normal(size=(6, 3))
+    g_before = g.tobytes()
+    cache_before = [(h.tobytes(), wt.tobytes()) for h, wt in cache]
+    model.backprop(cache, g, np.empty_like(model.flat.data), inputs=inputs)
+    assert g.tobytes() == g_before
+    assert [(h.tobytes(), wt.tobytes()) for h, wt in cache] == cache_before

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodlab import nets
 from oodlab.nets import Mlp, MlpClassifier, load_checkpoint, save_checkpoint
 from oodlab.scoring import (
     IN_DISTRIBUTION,
@@ -199,6 +200,46 @@ class TestPgd:
         pgd_max_confidence_batch(model, xs, budget, seed=1)
         assert calls == [4] * ((restarts + 1) * (budget.pgd_steps + 1))
 
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_blocks_run_block_major(self, restarts, monkeypatch):
+        calls = []
+        original = Mlp.forward_with_cache
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(nets, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(Mlp, "forward_with_cache", counting)
+        model = MlpClassifier([2, 6, 3], seed=5)
+        xs = np.random.default_rng(0).normal(size=(10, 2))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=7, pgd_restarts=restarts)
+        pgd_max_confidence_batch(model, xs, budget, seed=1)
+        k = (restarts + 1) * (budget.pgd_steps + 1)
+        assert calls == [4] * k + [4] * k + [2] * k
+
+    def test_blocked_restarts_match_unblocked(self, monkeypatch):
+        # the restart jitter is drawn once for all rows, not per block
+        model = MlpClassifier([2, 6, 3], activation="tanh", seed=5)
+        xs = np.random.default_rng(3).normal(size=(10, 2))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=6, pgd_restarts=2)
+        whole = pgd_max_confidence_batch(model, xs, budget, seed=4)
+        monkeypatch.setattr(nets, "BLOCK_ROWS", 4)
+        blocked = pgd_max_confidence_batch(model, xs, budget, seed=4)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_score_order_holds_across_block_edges(self, activation, monkeypatch):
+        monkeypatch.setattr(nets, "BLOCK_ROWS", 4)
+        model = MlpClassifier([2, 8, 3], activation=activation, seed=2)
+        xs = np.random.default_rng(8).normal(size=(10, 2))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=5, pgd_restarts=1)
+        clean, adv = pgd_max_confidence_batch(model, xs, budget, seed=3)
+        cert = certified_max_confidence(*ibp_logit_bounds(model, xs, budget.epsilon))
+        assert clean.tobytes() == anomaly_scores(model, xs).tobytes()
+        assert np.all(adv >= clean) and np.all(cert >= adv)
+
 
 class TestIbp:
     def test_epsilon_zero_collapses_to_exact_logits(self):
@@ -213,6 +254,15 @@ class TestIbp:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_epsilon_zero_is_bit_equal_to_forward_at_any_batch_size(self, rows, activation):
         model = MlpClassifier([2, 48, 48, 3], activation=activation, seed=5)
+        x = np.random.default_rng(rows).normal(size=(rows, 2))
+        lo, hi = ibp_logit_bounds(model, x, 0.0)
+        exact = model.forward_array(x).tobytes()
+        assert lo.tobytes() == exact and hi.tobytes() == exact
+
+    @pytest.mark.parametrize("rows", [1025, 2051])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_epsilon_zero_is_bit_equal_to_forward_with_a_short_last_block(self, rows, activation):
+        model = MlpClassifier([2, 48, 48, 3], activation=activation, seed=6)
         x = np.random.default_rng(rows).normal(size=(rows, 2))
         lo, hi = ibp_logit_bounds(model, x, 0.0)
         exact = model.forward_array(x).tobytes()
