@@ -29,6 +29,7 @@ be shared read-only across threads. There is no internal locking.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -250,10 +251,13 @@ def check_gradients(loss_fn, params: Sequence[Tensor], h: float = 1e-5, rel_tol:
     loss_fn rebuilds the scalar loss from the live parameter tensors; the
     finite-difference side perturbs one parameter entry at a time, in place.
     A coordinate passes when |analytic - numeric| is within rel_tol of the
-    larger magnitude, with an absolute fallback of 1e-8 near zero.
+    larger magnitude, with an absolute fallback of 1e-8 near zero. ``h`` and
+    ``rel_tol`` must be positive and finite.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h}")
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError(f"relative tolerance rel_tol must be positive and finite, got {rel_tol}")
     for p in params:
         p.zero_grad()
     root = loss_fn()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .data import DatasetSpec, generate_dataset, load_csv, save_csv
+from .data import DatasetSpec, check_spec, generate_dataset, load_csv, save_csv
 from .harness import (
     detect_break_point,
     emit_report,
@@ -30,7 +31,7 @@ from .harness import (
 )
 from .nets import MlpClassifier, load_checkpoint, save_checkpoint
 from .scoring import evaluate_ood
-from .training import TrainingError
+from .training import MODES, TrainingError
 
 __all__ = ["main", "dispatch"]
 
@@ -135,6 +136,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[sweep] counts {config.sweep_counts} (mode {config.mode}, jobs {args.jobs})")
@@ -152,8 +155,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    modes = [m.strip() for m in args.modes.split(",")]
+    if not all(m in MODES for m in modes) or len(set(modes)) != len(modes):
+        raise ConfigError(f"--modes: must list distinct modes out of {', '.join(MODES)}, got {args.modes!r}")
     config = load_config(args.config, args.overrides)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     out = _out_dir(args)
     _progress(args, f"[ablate] modes {modes}, seed {config.seed}")
     results = run_ablation(config, modes=modes, out_dir=out)
@@ -182,16 +187,14 @@ def _cmd_occ(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    normals = None if args.base_csv is None else load_csv(args.base_csv)
     try:
-        doc = json.loads(args.spec_json)
-        spec = DatasetSpec(**doc)
+        spec = DatasetSpec(**json.loads(args.spec_json))
+        check_spec(spec, None if normals is None else normals.inputs.shape[1])
     except (json.JSONDecodeError, TypeError, ValueError) as e:
         raise ConfigError(f"--spec-json: {e}") from e
-    normals = None
-    if spec.kind == "low-frequency-noise":
-        if args.base_csv is None:
-            raise ConfigError("--base-csv is required for low-frequency-noise")
-        normals = load_csv(args.base_csv)
+    if spec.kind == "low-frequency-noise" and normals is None:
+        raise ConfigError("--base-csv is required for low-frequency-noise")
     data = generate_dataset(spec, normals=normals)
     save_csv(data, args.out)
     _progress(args, f"[gen-data] wrote {len(data.inputs)} x {data.inputs.shape[1]} samples to {args.out}")
@@ -203,6 +206,9 @@ def _cmd_grad_check(args) -> int:
 
     if args.instances < 1:
         raise ConfigError(f"--instances: must be >= 1, got {args.instances}")
+    for flag, value in (("--h", args.step), ("--rel-tol", args.rel_tol)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{flag}: must be positive and finite, got {value}")
     worst_rel = 0.0
     worst_name = ""
     ok = True

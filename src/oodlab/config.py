@@ -1,9 +1,12 @@
 """Experiment configuration: JSON documents with defaults and overrides.
 
-A config file is a nested key-value document. Every key has a default below;
-unknown keys are rejected with their dotted path. Command-line overrides use
-``dotted.key=value`` where the value is parsed as a JSON literal, then as a
-comma-separated number list, then as a bare string.
+A config file is a nested key-value document. Every key has a default in
+``DEFAULTS``; unknown keys are rejected with their dotted path. The
+``weights``, ``schedule`` and ``budget`` sections and the dataset specs are
+declared once, by the dataclass each builds: its field defaults, annotated
+types and own range checks. Command-line overrides use ``dotted.key=value``
+where the value is parsed as a JSON literal, then as a comma-separated
+number list, then as a bare string.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .data import DatasetSpec, check_spec
@@ -35,22 +40,19 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the offending key."""
 
 
-_DATASET_DEFAULTS = {
-    "kind": "gaussian-mixture",
-    "dim": 2,
-    "size": 100,
-    "seed": 0,
-    "means": [],
-    "cov_scale": 0.1,
-    "r_inner": 0.8,
-    "r_outer": 1.2,
-    "center": [],
-    "box_lo": -1.0,
-    "box_hi": 1.0,
-    "amplitude": 1.0,
-    "window": 2,
-    "path": "",
-}
+def _field_defaults(cls, omit=()) -> dict:
+    """The defaults of ``cls``'s fields not named in ``omit``, as a config section."""
+    return {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(cls)
+        if f.name not in omit
+    }
+
+
+# Each field's resolved annotation: the type of the value its config key takes.
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (LossWeights, TrainSchedule, RobustnessBudget, DatasetSpec)}
+
+_DATASET_DEFAULTS = {"kind": "gaussian-mixture", **_field_defaults(DatasetSpec, omit=("kind",))}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -64,28 +66,9 @@ DEFAULTS: dict = {
         "generator_activation": "relu",
         "latent_dim": 2,
     },
-    "weights": {"lam": 1.0, "mu": 1.0, "nu": 1.0, "delta": 1e-6},
-    "schedule": {
-        "phase_a_epochs": 40,
-        "phase_b_epochs": 30,
-        "phase_c_epochs": 40,
-        "batch_n": 64,
-        "batch_m": 64,
-        "latent_n": 64,
-        "proximity_q": 64,
-        "lr_a": 1e-3,
-        "lr_b": 1e-3,
-        "lr_c": 1e-3,
-        "alternations": 1,
-    },
-    "budget": {
-        "epsilon": 0.05,
-        "pgd_steps": 40,
-        "pgd_step_size": None,
-        "pgd_restarts": 0,
-        "tau": 0.5,
-        "input_box": None,
-    },
+    "weights": _field_defaults(LossWeights),
+    "schedule": _field_defaults(TrainSchedule, omit=("master_seed",)),
+    "budget": _field_defaults(RobustnessBudget),
     "eval": {"in_size": 256, "in_seed_offset": 104729},
     "sweep": {"counts": [64, 32, 16, 8, 0], "break_floor": 0.55},
 }
@@ -236,18 +219,46 @@ def _int_list(value, key: str, lo: int) -> list[int]:
     return [_int(v, key, lo) for v in value]
 
 
-def _build(section: str, cls, **kwargs):
-    """``cls(**kwargs)``, with its range errors reported under ``section``."""
+def _typed(value, hint, key: str):
+    """``value`` if it is a JSON value of the field annotation ``hint``: int,
+    float, str, list[...], tuple[...] or X | None. A list for a tuple field
+    becomes a tuple; no other value is converted."""
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is int:
+        _int(value, key)
+    elif hint is float:
+        _number(value, key)
+    elif hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: must be a string, got {value!r}")
+    elif origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: must be a list, got {value!r}")
+        for item in value:
+            _typed(item, args[0], key)
+    elif origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{key}: must be a list of {len(args)} values, got {value!r}")
+        return tuple(_typed(item, arg, key) for item, arg in zip(value, args))
+    else:
+        raise TypeError(f"{key}: unsupported field annotation {hint!r}")
+    return value
+
+
+def _build(section: str, cls, doc: dict, **extra):
+    """``cls`` built from the config section ``doc``, each value checked
+    against its field's annotation. The class's range errors start with the
+    field name and are reported under ``section``."""
+    hints = _HINTS[cls]
+    kwargs = {name: _typed(value, hints[name], f"{section}.{name}") for name, value in doc.items()}
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{section}: {e}") from e
-
-
-def _number_list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: must be a list of numbers, got {value!r}")
-    return [_number(v, key) for v in value]
+        return cls(**kwargs, **extra)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from e
 
 
 def _dataset_spec(doc, path, data_dim: int | None = None) -> DatasetSpec | None:
@@ -260,22 +271,7 @@ def _dataset_spec(doc, path, data_dim: int | None = None) -> DatasetSpec | None:
     """
     if doc is None:
         return None
-    for name in ("dim", "size", "window"):
-        _int(doc[name], f"{path}.{name}")
-    _int(doc["seed"], f"{path}.seed", 0)
-    for name in ("cov_scale", "r_inner", "r_outer", "box_lo", "box_hi", "amplitude"):
-        _number(doc[name], f"{path}.{name}")
-    if not isinstance(doc["means"], list):
-        raise ConfigError(f"{path}.means: must be a list of coordinate lists, got {doc['means']!r}")
-    for row in doc["means"]:
-        _number_list(row, f"{path}.means")
-    _number_list(doc["center"], f"{path}.center")
-    if not isinstance(doc["path"], str):
-        raise ConfigError(f"{path}.path: must be a string, got {doc['path']!r}")
-    try:
-        spec = DatasetSpec(**doc)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{path}: {e}") from e
+    spec = _build(path, DatasetSpec, doc)
     try:
         check_spec(spec, data_dim)
     except ValueError as e:
@@ -294,32 +290,6 @@ def _check_model(model: dict) -> None:
     _int(model["latent_dim"], "model.latent_dim", 1)
 
 
-def _budget(doc: dict) -> RobustnessBudget:
-    kwargs = dict(doc)
-    for name in ("epsilon", "tau"):
-        _number(kwargs[name], f"budget.{name}")
-    _int(kwargs["pgd_steps"], "budget.pgd_steps")
-    _int(kwargs["pgd_restarts"], "budget.pgd_restarts")
-    if kwargs["pgd_step_size"] is not None:
-        _number(kwargs["pgd_step_size"], "budget.pgd_step_size")
-    box = kwargs["input_box"]
-    if box is not None:
-        if not isinstance(box, list) or len(box) != 2:
-            raise ConfigError(f"budget.input_box: must be null or a [lo, hi] pair, got {box!r}")
-        kwargs["input_box"] = tuple(_number(v, "budget.input_box") for v in box)
-    return _build("budget", RobustnessBudget, **kwargs)
-
-
-def _schedule(doc: dict, seed: int) -> TrainSchedule:
-    for name, value in doc.items():
-        if name.startswith("lr_"):
-            if _number(value, f"schedule.{name}") <= 0:
-                raise ConfigError(f"schedule.{name}: must be positive, got {value}")
-        else:
-            _int(value, f"schedule.{name}")
-    return _build("schedule", TrainSchedule, **doc, master_seed=seed)
-
-
 def build_config(document: dict) -> ExperimentConfig:
     """Validate a fully merged document into typed objects.
 
@@ -333,11 +303,9 @@ def build_config(document: dict) -> ExperimentConfig:
     if doc["boundary_pool_size"] is not None:
         _int(doc["boundary_pool_size"], "boundary_pool_size", 1)
     _check_model(doc["model"])
-    for name, value in doc["weights"].items():
-        _number(value, f"weights.{name}")
-    weights = _build("weights", LossWeights, **doc["weights"])
-    schedule = _schedule(doc["schedule"], seed)
-    budget = _budget(doc["budget"])
+    weights = _build("weights", LossWeights, doc["weights"])
+    schedule = _build("schedule", TrainSchedule, doc["schedule"], master_seed=seed)
+    budget = _build("budget", RobustnessBudget, doc["budget"])
     _int(doc["eval"]["in_size"], "eval.in_size", 1)
     _int(doc["eval"]["in_seed_offset"], "eval.in_seed_offset", 0)
     tests = doc["data"]["tests"]

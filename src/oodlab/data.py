@@ -110,12 +110,12 @@ class DatasetSpec:
     size: int = 100
     seed: int = 0
     # gaussian-mixture
-    means: list = field(default_factory=list)
+    means: list[list[float]] = field(default_factory=list)
     cov_scale: float = 0.1
     # ring
     r_inner: float = 0.8
     r_outer: float = 1.2
-    center: list = field(default_factory=list)
+    center: list[float] = field(default_factory=list)
     # uniform-noise
     box_lo: float = -1.0
     box_hi: float = 1.0
@@ -129,9 +129,11 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown dataset kind '{self.kind}' (one of {self.KINDS})")
-        if self.kind != "csv" and (self.size < 1 or self.dim < 1):
-            raise ValueError(f"dataset size and dim must be >= 1, got size={self.size} dim={self.dim}")
+            raise ValueError(f"kind: unknown dataset kind '{self.kind}' (one of {self.KINDS})")
+        if self.kind != "csv":
+            for name in ("size", "dim"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         _reject_non_finite(self)
 
 
@@ -158,6 +160,8 @@ def check_spec(spec: DatasetSpec, data_dim: int | None = None) -> None:
     of the normals a low-frequency-noise spec corrupts, the upper end of its
     window range; None checks only the lower end.
     """
+    if spec.seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {spec.seed}")
     if spec.kind == "gaussian-mixture":
         try:
             means = np.asarray(spec.means, dtype=np.float64)
@@ -225,14 +229,15 @@ def _smooth_circular(noise: np.ndarray, window: int) -> np.ndarray:
     return out / window
 
 
-def gen_low_frequency_noise(spec: DatasetSpec, normals: LabeledBatch, source: str = OUTLIER_DATASET) -> OutlierPool:
-    """Normal samples plus amplitude * smoothed Gaussian noise.
+def gen_low_frequency_noise(spec: DatasetSpec, normals, source: str = OUTLIER_DATASET) -> OutlierPool:
+    """Normal samples (a LabeledBatch or an OutlierPool) plus amplitude *
+    smoothed Gaussian noise.
 
     Smoothing is a circular moving average over coordinates, which suppresses
     the high-frequency content of the perturbation; window == d makes the
     perturbation constant across coordinates for each sample.
     """
-    d = normals.dim
+    d = normals.inputs.shape[1]
     check_spec(spec, d)
     rng = np.random.default_rng(spec.seed)
     rows = rng.integers(0, len(normals), spec.size)

@@ -109,11 +109,16 @@ def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None, source
 
 
 def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Generate every OoD test set; LFN corrupts a fresh draw of normals."""
+    """Generate every OoD test set; LFN corrupts a fresh draw of normals.
+
+    A set with no rows (a header-only CSV) raises ConfigError naming its key.
+    """
     out = {}
     for name, spec in config.tests.items():
         base = _fresh_normal_draw(config, spec.seed + 1, spec.size) if spec.kind == "low-frequency-noise" else None
         out[name] = _outlier_pool(config, f"data.tests.{name}", spec, base).inputs
+        if len(out[name]) == 0:
+            raise ConfigError(f"data.tests.{name}: has no rows")
     return out
 
 
@@ -164,16 +169,18 @@ def _assemble_pipeline(
 
 
 def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=None, keep_models: bool = False) -> RunRecord:
-    """Train one pipeline and evaluate every test set against held-out normals."""
+    """Train one pipeline and evaluate every test set against held-out normals.
+
+    All data is materialized before training, so a test set the config
+    points at but cannot be read fails before any training time is spent.
+    """
     t0 = time.perf_counter()
     run_seed = config.seed if run_seed is None else run_seed
     pipe_cfg = _pipeline_config(config, run_seed, config.few_shot_count)
+    in_eval, tests = materialize_eval_in(config), materialize_test_sets(config)
     result = run_pipeline(pipe_cfg)
     run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{config.fingerprint[:8]}"
-    record = _scored_record(
-        config, result, run_id, config.few_shot_count, run_seed,
-        materialize_eval_in(config), materialize_test_sets(config), out_dir, t0,
-    )
+    record = _scored_record(config, result, run_id, config.few_shot_count, run_seed, in_eval, tests, out_dir, t0)
     if keep_models:
         record.result = result
     return record

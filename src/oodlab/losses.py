@@ -13,6 +13,7 @@ normal support).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,12 @@ class LossWeights:
     delta: float = 1e-6
 
     def __post_init__(self):
-        vals = (self.lam, self.mu, self.nu, self.delta)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"loss weights must be finite, got {vals}")
-        if self.lam < 0 or self.mu < 0 or self.nu < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("dispersion guard delta must be positive")
+        for name in ("lam", "mu", "nu"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name}: must be finite and non-negative, got {value}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta: the dispersion guard must be finite and positive, got {self.delta}")
 
 
 # Each term has a numpy core returning (value, vjp). The order of every float

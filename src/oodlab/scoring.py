@@ -71,23 +71,24 @@ class RobustnessBudget:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise ValueError(f"epsilon: must be >= 0, got {self.epsilon}")
         if self.pgd_steps < 1:
-            raise ValueError("pgd_steps must be >= 1")
+            raise ValueError(f"pgd_steps: must be >= 1, got {self.pgd_steps}")
         if self.pgd_restarts < 0:
-            raise ValueError("pgd_restarts must be >= 0")
+            raise ValueError(f"pgd_restarts: must be >= 0, got {self.pgd_restarts}")
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
+            raise ValueError(f"tau: must lie in [0, 1], got {self.tau}")
         if self.pgd_step_size is None:
             object.__setattr__(self, "pgd_step_size", self.epsilon / 10.0)
         elif self.pgd_step_size <= 0:
-            raise ValueError("pgd_step_size must be positive")
+            raise ValueError(f"pgd_step_size: must be positive, got {self.pgd_step_size}")
         elif self.epsilon > 0 and self.pgd_step_size > self.epsilon:
-            raise ValueError("pgd_step_size must not exceed epsilon")
+            raise ValueError(f"pgd_step_size: must not exceed epsilon {self.epsilon}, got {self.pgd_step_size}")
         if self.input_box is not None:
             lo, hi = self.input_box
             if not lo < hi:
-                raise ValueError(f"input_box is empty: [{lo}, {hi}]")
+                raise ValueError(f"input_box: must be a non-empty [lo, hi] range, got [{lo}, {hi}]")
+            object.__setattr__(self, "input_box", (float(lo), float(hi)))
 
 
 @dataclass

@@ -15,6 +15,7 @@ Adam updates the whole model as one slice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,14 +125,16 @@ class TrainSchedule:
     def __post_init__(self):
         for name in ("phase_a_epochs", "phase_b_epochs", "phase_c_epochs"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("batch_n", "batch_m", "proximity_q"):
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name in ("batch_n", "batch_m", "proximity_q", "alternations"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.latent_n < 2:
-            raise ValueError("latent_n must be >= 2 (the dispersion term needs pairs)")
-        if self.alternations < 1:
-            raise ValueError("alternations must be >= 1")
+            raise ValueError(f"latent_n: must be >= 2 (the dispersion term needs pairs), got {self.latent_n}")
+        for name in ("lr_a", "lr_b", "lr_c"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name}: must be positive and finite, got {value}")
 
 
 def _epoch_rng(*key) -> np.random.Generator:

@@ -172,6 +172,13 @@ def test_non_positive_step_is_rejected(h):
         ad.check_gradients(lambda: ad.reduce_sum(_square(x)), [x], h=h)
 
 
+@pytest.mark.parametrize("h, rel_tol", [(float("nan"), 1e-4), (float("inf"), 1e-4), (1e-5, 0.0), (1e-5, -1.0), (1e-5, float("nan"))])
+def test_non_finite_or_non_positive_tolerances_are_rejected(h, rel_tol):
+    x = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        ad.check_gradients(lambda: ad.reduce_sum(_square(x)), [x], h=h, rel_tol=rel_tol)
+
+
 def test_worst_index_counts_across_params_laid_end_to_end():
     a = Tensor([1.0, -2.0], requires_grad=True)
     b = Tensor([[0.5, 3.0], [-1.0, 2.0]], requires_grad=True)

@@ -48,6 +48,30 @@ class TestGenData:
         spec = '{"kind":"low-frequency-noise","dim":2,"size":5}'
         assert dispatch(["gen-data", "--spec-json", spec, "--out", str(tmp_path / "x.csv"), "-q"]) == 2
 
+    def test_lfn_from_an_unlabeled_base_csv(self, tmp_path):
+        base, out = tmp_path / "base.csv", tmp_path / "x.csv"
+        save_csv(OutlierPool(np.zeros((4, 2))), base)
+        spec = '{"kind":"low-frequency-noise","size":5,"seed":2}'
+        assert dispatch(["gen-data", "--spec-json", spec, "--base-csv", str(base), "--out", str(out), "-q"]) == 0
+        assert load_csv(out).inputs.shape == (5, 2)
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ('{"kind":"ring","size":5,"r_inner":1.5,"r_outer":1.2}', "r_inner"),
+            ('{"kind":"uniform-noise","size":5,"seed":-1}', "seed"),
+            ('{"kind":"low-frequency-noise","size":5,"window":3}', "window"),
+        ],
+    )
+    def test_spec_the_generator_would_reject_exits_2_naming_the_field(self, tmp_path, capsys, spec, field):
+        base = tmp_path / "base.csv"
+        save_csv(OutlierPool(np.zeros((4, 2))), base)
+        out = tmp_path / "x.csv"
+        code = dispatch(["gen-data", "--spec-json", spec, "--base-csv", str(base), "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: --spec-json: {field}:")
+        assert not out.exists()
+
 
 class TestGradCheckCommand:
     def test_passes_and_prints_discrepancy(self, capsys):
@@ -60,6 +84,14 @@ class TestGradCheckCommand:
         assert dispatch(["grad-check", "--instances", count, "-q"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--instances" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--rel-tol", "-1"), ("--rel-tol", "nan")]
+    )
+    def test_bad_tolerance_exits_2(self, capsys, flag, value):
+        assert dispatch(["grad-check", "--instances", "1", flag, value, "-q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"config error: {flag}:")
 
 
 class TestConfigErrors:
@@ -88,6 +120,8 @@ class TestConfigErrors:
             ('model.classifier_hidden="x"', "model.classifier_hidden"),
             ("model.latent_dim=0", "model.latent_dim"),
             ('model.classifier_activation="softplus"', "model.classifier_activation"),
+            ("schedule.lr_c=-1", "schedule.lr_c"),
+            ("data.few_shot.seed=-1", "data.few_shot.seed"),
         ],
     )
     def test_bad_override_value_exits_2_naming_the_key(self, tiny_config_path, tmp_path, capsys, override, key):
@@ -171,8 +205,42 @@ class TestConfigErrors:
         assert err == f"config error: data.{key}: has 3 columns, the normal data has dim 2\n"
         assert not (out / "experiment.json").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "eval"])
+    def test_header_only_test_csv_exits_2_naming_the_key(self, tiny_doc, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x0,x1\n", encoding="utf-8")
+        tiny_doc["data"]["tests"]["empty"] = {"kind": "csv", "path": str(empty)}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(tiny_doc), encoding="utf-8")
+        ckpt = tmp_path / "clf.ckpt"
+        save_checkpoint(MlpClassifier([2, 16, 16, 3], activation="tanh", seed=0), ckpt)
+        extra = ["--classifier", str(ckpt)] if command == "eval" else []
+        out = tmp_path / "o"
+        code = dispatch([command, "--config", str(path), *extra, "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: data.tests.empty: has no rows\n"
+        assert not list(out.glob("*.json"))
+
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exits_2(self, tiny_config_path, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), "--jobs", jobs, "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --jobs:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modes", ["", "ii,ii", "x", "ii,,iii", "v"])
+    def test_ablate_modes_must_be_distinct_known_modes(self, tiny_config_path, tmp_path, capsys, modes):
+        out = tmp_path / "o"
+        code = dispatch(["ablate", "--config", str(tiny_config_path), "--modes", modes, "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --modes:")
+        assert not out.exists()
 
 
 class TestSweepCommand:

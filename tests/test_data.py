@@ -12,6 +12,7 @@ from oodlab.data import (
     DatasetSpec,
     LabeledBatch,
     OutlierPool,
+    check_spec,
     gen_gaussian_mixture,
     gen_low_frequency_noise,
     gen_ring,
@@ -267,6 +268,14 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="moons")
     with pytest.raises(ValueError, match="size"):
         DatasetSpec(kind="ring", size=0)
+
+
+def test_negative_seed_is_rejected_naming_the_field():
+    spec = DatasetSpec(kind="ring", seed=-1)
+    with pytest.raises(ValueError, match="^seed: must be >= 0, got -1"):
+        check_spec(spec)
+    with pytest.raises(ValueError, match="^seed: must be >= 0"):
+        generate_dataset(spec)
 
 
 _NON_FINITE_FIELDS = [

@@ -14,6 +14,7 @@ from oodlab.config import (
     load_config,
     parse_override,
 )
+from oodlab import harness
 from oodlab.data import LabeledBatch, OutlierPool, load_csv, save_csv
 from oodlab.harness import (
     SUMMARY_COLUMNS,
@@ -180,6 +181,10 @@ class TestConfig:
             ("model=5", "model"),
             ("data=5", "data"),
             ("data.tests=[]", "data.tests"),
+            ("weights.delta=0", "weights.delta"),
+            ("schedule.latent_n=1", "schedule.latent_n"),
+            ("budget.tau=2", "budget.tau"),
+            ("budget.input_box=[0,1,2]", "budget.input_box"),
         ],
     )
     def test_bad_value_is_config_error_naming_the_key(self, tiny_doc, override, key):
@@ -193,6 +198,17 @@ class TestConfig:
         assert config.model["classifier_hidden"] == [64, 64]
         assert config.outlier is None
         assert config.tests["ring"].seed == 0 and config.tests["ring"].r_outer == 1.2
+
+    def test_fingerprints_are_pinned(self, reference_config):
+        # the fingerprint is stamped on every result file; it hashes the merged
+        # document, so a changed default or key changes it
+        assert reference_config.fingerprint == "f9f25bd3755fa7f4bfea7a24a1eae31c77d7dc8e4f4388c9523bf1dd310c6a39"
+        assert config_from_dict(TINY_DOC).fingerprint == "580b2c4f09c6cbe9a3e777924063f167182965f0ce9c5b88e652fa08051d0752"
+
+    def test_input_box_becomes_a_pair_of_floats(self, tiny_doc):
+        config = config_from_dict(tiny_doc, overrides=["budget.input_box=[-2,2]"])
+        assert config.budget.input_box == (-2.0, 2.0)
+        assert all(type(v) is float for v in config.budget.input_box)
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -397,6 +413,20 @@ class TestCsvRoles:
         with pytest.raises(ConfigError, match=f"data.{role}: has 3 columns, the normal data has dim 2"):
             _pipeline_config(config, config.seed, 8)
             materialize_test_sets(config)
+
+    @pytest.mark.parametrize("rows, width, message", [(0, 2, "has no rows"), (40, 3, "has 3 columns")])
+    def test_bad_test_set_fails_before_training(self, tiny_doc, tmp_path, monkeypatch, rows, width, message):
+        path = tmp_path / "test.csv"
+        save_csv(OutlierPool(np.random.default_rng(5).uniform(-1, 1, (rows, width))), path)
+        tiny_doc["data"]["tests"]["extra"] = {"kind": "csv", "path": str(path)}
+        config = config_from_dict(tiny_doc)
+
+        def no_training(_):
+            raise AssertionError("training started before the test sets were read")
+
+        monkeypatch.setattr(harness, "run_pipeline", no_training)
+        with pytest.raises(ConfigError, match=f"data.tests.extra: {message}"):
+            run_single(config)
 
 
 def test_boundary_beats_no_boundary_at_zero_shots(reference_sweeps):

@@ -23,6 +23,12 @@ from oodlab.training import (
 )
 
 
+@pytest.mark.parametrize("name, value", [("lr_a", 0.0), ("lr_b", -1.0), ("lr_c", float("nan")), ("lr_a", float("inf"))])
+def test_schedule_rejects_a_learning_rate_naming_it(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: must be positive and finite"):
+        TrainSchedule(**{name: value})
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
