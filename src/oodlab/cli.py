@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run ablation modes with one shared seed")
     _add_common(p)
-    p.add_argument("--modes", default="i,ii,iii,iv", help="comma list of modes to run (default i,ii,iii,iv)")
+    modes = ",".join(MODES)
+    p.add_argument("--modes", default=modes, help=f"comma list of modes to run (default {modes})")
 
     p = sub.add_parser("occ", help="one-class evaluation rotating each mixture component")
     _add_common(p)

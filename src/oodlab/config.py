@@ -24,7 +24,7 @@ from .data import DatasetSpec, check_spec
 from .losses import LossWeights
 from .nets import ACTIVATIONS
 from .scoring import RobustnessBudget
-from .training import MODES, TrainSchedule
+from .training import MODES, NEGATIVES, PipelineConfig, TrainSchedule
 
 __all__ = [
     "ConfigError",
@@ -56,7 +56,7 @@ _DATASET_DEFAULTS = {"kind": "gaussian-mixture", **_field_defaults(DatasetSpec, 
 
 DEFAULTS: dict = {
     "seed": 0,
-    "mode": "iii",
+    "mode": PipelineConfig.mode,
     "few_shot_count": 0,
     "boundary_pool_size": None,
     "model": {
@@ -311,10 +311,9 @@ def build_config(document: dict) -> ExperimentConfig:
     tests = doc["data"]["tests"]
     if not tests:
         raise ConfigError("data.tests: at least one test set is required")
-    if doc["mode"] in ("ii", "iii", "iv") and doc["data"]["few_shot"] is None:
-        raise ConfigError(f"data.few_shot: required for mode ({doc['mode']})")
-    if doc["mode"] in ("i", "iv") and doc["data"]["outlier"] is None:
-        raise ConfigError(f"data.outlier: required for mode ({doc['mode']})")
+    for pool in ("few_shot", "outlier"):
+        if pool in NEGATIVES[doc["mode"]] and doc["data"][pool] is None:
+            raise ConfigError(f"data.{pool}: required for mode ({doc['mode']})")
     counts = _int_list(doc["sweep"]["counts"], "sweep.counts", 0)
     if not counts:
         raise ConfigError("sweep.counts: must not be empty")

@@ -14,9 +14,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FEW_SHOT_OE",
-    "GENERATED_BOUNDARY",
-    "OUTLIER_DATASET",
     "LabeledBatch",
     "OutlierPool",
     "LatentBatch",
@@ -31,11 +28,6 @@ __all__ = [
     "load_csv",
     "save_csv",
 ]
-
-FEW_SHOT_OE = "few-shot-oe"
-GENERATED_BOUNDARY = "generated-boundary"
-OUTLIER_DATASET = "outlier-dataset"
-
 
 @dataclass
 class LabeledBatch:
@@ -62,10 +54,9 @@ class LabeledBatch:
 
 @dataclass
 class OutlierPool:
-    """Unlabeled outlier samples plus a provenance tag. May be empty."""
+    """Unlabeled outlier samples. May be empty."""
 
     inputs: np.ndarray
-    source: str = OUTLIER_DATASET
 
     def __post_init__(self):
         arr = np.asarray(self.inputs, dtype=np.float64)
@@ -79,10 +70,6 @@ class OutlierPool:
     @property
     def size(self) -> int:
         return len(self.inputs)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.inputs) == 0
 
 
 @dataclass
@@ -204,7 +191,7 @@ def gen_gaussian_mixture(spec: DatasetSpec) -> LabeledBatch:
     return LabeledBatch(np.concatenate(chunks), np.concatenate(labels))
 
 
-def gen_ring(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
+def gen_ring(spec: DatasetSpec) -> OutlierPool:
     """Spherical shell: uniform direction, radius uniform in [r_inner, r_outer]."""
     check_spec(spec)
     rng = np.random.default_rng(spec.seed)
@@ -212,13 +199,13 @@ def gen_ring(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radius = rng.uniform(spec.r_inner, spec.r_outer, spec.size)
     center = np.asarray(spec.center, dtype=np.float64) if len(spec.center) else np.zeros(spec.dim)
-    return OutlierPool(center + direction * radius[:, None], source=source)
+    return OutlierPool(center + direction * radius[:, None])
 
 
-def gen_uniform_noise(spec: DatasetSpec, source: str = OUTLIER_DATASET) -> OutlierPool:
+def gen_uniform_noise(spec: DatasetSpec) -> OutlierPool:
     check_spec(spec)
     rng = np.random.default_rng(spec.seed)
-    return OutlierPool(rng.uniform(spec.box_lo, spec.box_hi, (spec.size, spec.dim)), source=source)
+    return OutlierPool(rng.uniform(spec.box_lo, spec.box_hi, (spec.size, spec.dim)))
 
 
 def _smooth_circular(noise: np.ndarray, window: int) -> np.ndarray:
@@ -229,7 +216,7 @@ def _smooth_circular(noise: np.ndarray, window: int) -> np.ndarray:
     return out / window
 
 
-def gen_low_frequency_noise(spec: DatasetSpec, normals, source: str = OUTLIER_DATASET) -> OutlierPool:
+def gen_low_frequency_noise(spec: DatasetSpec, normals) -> OutlierPool:
     """Normal samples (a LabeledBatch or an OutlierPool) plus amplitude *
     smoothed Gaussian noise.
 
@@ -242,10 +229,10 @@ def gen_low_frequency_noise(spec: DatasetSpec, normals, source: str = OUTLIER_DA
     rng = np.random.default_rng(spec.seed)
     rows = rng.integers(0, len(normals), spec.size)
     noise = _smooth_circular(rng.standard_normal((spec.size, d)), spec.window)
-    return OutlierPool(normals.inputs[rows] + spec.amplitude * noise, source=source)
+    return OutlierPool(normals.inputs[rows] + spec.amplitude * noise)
 
 
-def generate_dataset(spec: DatasetSpec, normals: LabeledBatch | None = None, source: str = OUTLIER_DATASET):
+def generate_dataset(spec: DatasetSpec, normals: LabeledBatch | None = None):
     """Dispatch a DatasetSpec to its generator. LFN requires base normals.
 
     A spec with a non-finite numeric field is rejected, also one changed
@@ -255,28 +242,25 @@ def generate_dataset(spec: DatasetSpec, normals: LabeledBatch | None = None, sou
     if spec.kind == "gaussian-mixture":
         return gen_gaussian_mixture(spec)
     if spec.kind == "ring":
-        return gen_ring(spec, source=source)
+        return gen_ring(spec)
     if spec.kind == "uniform-noise":
-        return gen_uniform_noise(spec, source=source)
+        return gen_uniform_noise(spec)
     if spec.kind == "low-frequency-noise":
         if normals is None:
             raise ValueError("low-frequency-noise needs a base normal batch")
-        return gen_low_frequency_noise(spec, normals, source=source)
+        return gen_low_frequency_noise(spec, normals)
     if spec.kind == "csv":
-        loaded = load_csv(spec.path)
-        if isinstance(loaded, OutlierPool):
-            loaded.source = source
-        return loaded
+        return load_csv(spec.path)
     raise ValueError(f"unknown dataset kind '{spec.kind}'")
 
 
 def sample_few_shots(pool: OutlierPool, n: int, seed: int | tuple = 0) -> OutlierPool:
-    """Uniform without-replacement subset of the pool, tag preserved."""
+    """Uniform without-replacement subset of the pool."""
     if not 0 <= n <= pool.size:
         raise ValueError(f"cannot sample {n} few-shots from a pool of {pool.size}")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(pool.size)[:n]
-    return OutlierPool(pool.inputs[idx], source=pool.source)
+    return OutlierPool(pool.inputs[idx])
 
 
 def save_csv(batch, path) -> None:

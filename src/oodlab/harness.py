@@ -19,17 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .data import (
-    FEW_SHOT_OE,
-    OUTLIER_DATASET,
-    LabeledBatch,
-    OutlierPool,
-    gen_gaussian_mixture,
-    generate_dataset,
-    sample_few_shots,
-)
+from .data import LabeledBatch, OutlierPool, gen_gaussian_mixture, generate_dataset, sample_few_shots
 from .scoring import MetricReport, evaluate_ood
-from .training import PipelineConfig, PipelineResult, run_pipeline
+from .training import MODES, PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
     "RunRecord",
@@ -97,15 +89,15 @@ def _fresh_normal_draw(config: ExperimentConfig, seed: int, size: int) -> Labele
     return gen_gaussian_mixture(replace(config.normal, seed=seed, size=size))
 
 
-def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None, source: str = OUTLIER_DATASET) -> OutlierPool:
-    """The data of the spec at config ``key`` as an OutlierPool tagged
-    ``source``; ``normals`` is a low-frequency-noise spec's base. A CSV whose
-    width is not the normal data's dim raises ConfigError naming the key."""
-    data = generate_dataset(spec, normals=normals, source=source)
+def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> OutlierPool:
+    """The data of the spec at config ``key`` as an OutlierPool; ``normals``
+    is a low-frequency-noise spec's base. A CSV whose width is not the
+    normal data's dim raises ConfigError naming the key."""
+    data = generate_dataset(spec, normals=normals)
     width = data.inputs.shape[1]
     if width != config.normal.dim:
         raise ConfigError(f"{key}: has {width} columns, the normal data has dim {config.normal.dim}")
-    return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs, source=source)
+    return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs)
 
 
 def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -133,7 +125,7 @@ def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: in
     normals = generate_dataset(config.normal)
     few_shot = None
     if config.few_shot is not None:
-        pool = _outlier_pool(config, "data.few_shot", config.few_shot, normals, FEW_SHOT_OE)
+        pool = _outlier_pool(config, "data.few_shot", config.few_shot, normals)
         # a synthetic spec's size is checked at load; a CSV's rows only once it is read
         if config.few_shot.kind == "csv" and few_shot_count > pool.size:
             raise ConfigError(f"data.few_shot: has {pool.size} rows, fewer than the {few_shot_count} few-shots to sample")
@@ -223,53 +215,42 @@ def _error(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def run_ablation(config: ExperimentConfig, modes=("i", "ii", "iii", "iv"), out_dir=None) -> dict:
-    """Run each requested mode with the identical seed; isolate failures.
+def _isolated(task) -> RunRecord | dict:
+    """One entry of a multi-run command: ``run(config.with_updates(**updates),
+    *args)``, returning its RunRecord or ``{"error": message}``.
 
-    A mode whose own config is invalid fails alone. A ConfigError raised
-    while running a mode (bad data the config points at, which every mode
-    reads) stops the ablation.
+    The entry fails alone when its own config is invalid (``with_updates``
+    raises) or it raises anything but a ConfigError. A ConfigError raised
+    while it runs (bad data the config points at, which every entry reads)
+    stops the command. ``task`` is one picklable tuple, so a process pool
+    can map this.
     """
-    results: dict[str, RunRecord | dict] = {}
-    for mode in modes:
-        try:
-            mode_cfg = config.with_updates(mode=mode)
-        except ConfigError as e:
-            results[mode] = {"error": _error(e)}
-            continue
-        try:
-            results[mode] = run_single(mode_cfg, run_seed=config.seed, out_dir=out_dir)
-        except ConfigError:
-            raise
-        except Exception as e:  # per-mode isolation
-            results[mode] = {"error": _error(e)}
-    return results
-
-
-def _sweep_entry(args):
-    """``("ok", (count, record))`` or ``("err", (count, message))``, with
-    run_ablation's isolation rules, also across processes."""
-    config, count, run_seed, out_dir = args
+    run, config, updates, args = task
     try:
-        entry_cfg = config.with_updates(few_shot_count=count)
+        config = config.with_updates(**updates) if updates else config
     except ConfigError as e:
-        return "err", (count, _error(e))
+        return {"error": _error(e)}
     try:
-        return "ok", (count, run_single(entry_cfg, run_seed=run_seed, out_dir=out_dir))
+        return run(config, *args)
     except ConfigError:
         raise
-    except Exception as e:  # per-count isolation
-        return "err", (count, _error(e))
+    except Exception as e:
+        return {"error": _error(e)}
+
+
+def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> dict:
+    """Run each requested mode with the identical seed; isolate failures
+    as ``_isolated`` does."""
+    return {mode: _isolated((run_single, config, {"mode": mode}, (config.seed, out_dir))) for mode in modes}
 
 
 def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
     """One pipeline + evaluation per few-shot count, seeds varied per count.
 
     Counts must be strictly decreasing (they may end at 0). Entries failing
-    are isolated into .failures; the rest of the sweep still runs. A
-    ConfigError raised while running an entry (bad data the config points
-    at) stops the sweep instead; with ``jobs > 1`` the entries not yet
-    started are cancelled.
+    are isolated into .failures as ``_isolated`` does; the rest of the sweep
+    still runs. When a ConfigError stops the sweep with ``jobs > 1``, the
+    entries not yet started are cancelled.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -278,17 +259,19 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
         raise ValueError(f"sweep counts must be strictly decreasing, got {counts}")
     if any(c < 0 for c in counts):
         raise ValueError("sweep counts must be >= 0")
-    tasks = [(config, count, config.seed + i, out_dir) for i, count in enumerate(counts)]
+    tasks = [
+        (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir)) for i, count in enumerate(counts)
+    ]
     if jobs > 1:
         pool = ProcessPoolExecutor(max_workers=jobs)
         try:
-            outcomes = list(pool.map(_sweep_entry, tasks))
+            outcomes = list(pool.map(_isolated, tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [_sweep_entry(task) for task in tasks]
-    entries = [payload for status, payload in outcomes if status == "ok"]
-    failures = {count: message for status, (count, message) in outcomes if status == "err"}
+        outcomes = [_isolated(task) for task in tasks]
+    entries = [(count, rec) for count, rec in zip(counts, outcomes) if isinstance(rec, RunRecord)]
+    failures = {count: rec["error"] for count, rec in zip(counts, outcomes) if not isinstance(rec, RunRecord)}
     return SweepResult(entries=entries, failures=failures, fingerprint=config.fingerprint)
 
 
@@ -319,21 +302,14 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. A class's
-    failure is isolated into its entry, but a ConfigError stops the run.
+    failure is isolated into its entry as ``_isolated`` does.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
-    per_class: dict[int, RunRecord | dict] = {}
-    for cls in classes:
-        try:
-            per_class[cls] = _run_occ_class(config, train, holdout, cls, out_dir)
-        except ConfigError:
-            raise
-        except Exception as e:  # per-class isolation
-            per_class[cls] = {"error": _error(e)}
+    per_class = {cls: _isolated((_run_occ_class, config, {}, (train, holdout, cls, out_dir))) for cls in classes}
     metric_lists: dict[str, list[float]] = {"auroc": [], "aauroc": [], "gauroc": []}
     for rec in per_class.values():
         if isinstance(rec, RunRecord):
@@ -348,7 +324,7 @@ def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: Label
     t0 = time.perf_counter()
     mask = train.labels == cls
     normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
-    anomaly_pool = OutlierPool(train.inputs[~mask], source=FEW_SHOT_OE)
+    anomaly_pool = OutlierPool(train.inputs[~mask])
     run_seed = config.seed + cls
     count = min(config.few_shot_count, anomaly_pool.size)
     few_shot = sample_few_shots(anomaly_pool, count, seed=(run_seed, 5))

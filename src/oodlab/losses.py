@@ -317,10 +317,13 @@ def generator_loss(
 
     The dominance reference pairs each generated row with a uniformly drawn
     row of the normal reference; the pairing is reseeded per step from the
-    latent batch's seed unless a pairing_seed is given.
+    latent batch's seed unless a pairing_seed is given; plain-array latents
+    need one when ``weights.mu > 0``.
     """
     if not frozen_classifier.is_frozen:
         raise ValueError("classifier must be frozen (grad tracking disabled) during generator training")
+    if weights.mu > 0 and pairing_seed is None and not isinstance(latents, LatentBatch):
+        raise ValueError("generator_loss: plain-array latents need a pairing_seed (a LatentBatch carries its own seed)")
     reference = np.asarray(normal_reference, dtype=np.float64)
     outputs, gen_cache = generator.forward_with_cache(getattr(latents, "values", latents))
     value, disp_vjp = _dispersion(outputs, latents, weights.delta)

@@ -93,11 +93,10 @@ class RobustnessBudget:
 
 @dataclass
 class ScoreSet:
-    """Per-set anomaly scores plus the semantics of how they were obtained."""
+    """The anomaly scores of an in-set and an out-set."""
 
     in_scores: np.ndarray
     out_scores: np.ndarray
-    kind: str = "clean"  # clean | adversarial | certified-upper
 
     def __post_init__(self):
         self.in_scores = np.asarray(self.in_scores, dtype=np.float64)
@@ -354,9 +353,9 @@ def evaluate_ood(
     lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
     out_cert = certified_max_confidence(lo, hi)
 
-    clean = ScoreSet(in_clean, out_clean, "clean")
-    adversarial = ScoreSet(in_clean, out_adv, "adversarial")
-    certified = ScoreSet(in_clean, out_cert, "certified-upper")
+    clean = ScoreSet(in_clean, out_clean)
+    adversarial = ScoreSet(in_clean, out_adv)
+    certified = ScoreSet(in_clean, out_cert)
     report = MetricReport(
         auroc=auroc(clean),
         aauroc=auroc(adversarial),

@@ -125,7 +125,7 @@ def _check_classifier_loss(rng, h, rel_tol):
         model = MlpClassifier([d, hidden, k], activation=activation, seed=int(rng.integers(0, 2**31)))
         normals = LabeledBatch(rng.normal(0.0, 1.0, (n, d)), rng.integers(0, k, n))
         m = int(rng.integers(1, 5))
-        negatives = OutlierPool(rng.normal(0.0, 1.5, (m, d)), source="few-shot-oe")
+        negatives = OutlierPool(rng.normal(0.0, 1.5, (m, d)))
         stacked = np.concatenate([normals.inputs, negatives.inputs])
         logits = model.forward_array(negatives.inputs)
         if _net_margins_ok(model, stacked) and _rowmax_gap_ok(logits):

@@ -1,11 +1,12 @@
 """Optimizers and the nested train-classifier / train-generator schedule.
 
-Phase A trains the classifier on normals plus whatever outlier pools the
-ablation mode provides. Phase B trains the boundary generator against the
-frozen classifier. Phase C regenerates a boundary pool from fresh latents and
-retrains the classifier with the few-shot pool and the boundary pool (and the
-outlier dataset in mode iv) as negatives. Everything is reseeded per epoch
-from the master seed so a run is a pure function of (config, seed).
+``NEGATIVES`` lists the negative pools each ablation mode trains against.
+Phase A trains the classifier on normals plus the mode's pools other than
+the boundary. When the mode lists the boundary, phase B trains the boundary
+generator against the frozen classifier, and phase C regenerates a boundary
+pool from fresh latents and retrains the classifier on all the mode's pools.
+Everything is reseeded per epoch from the master seed so a run is a pure
+function of (config, seed).
 
 A training step zeroes the model's one flat gradient buffer, builds the
 one-node loss over its flat parameter leaf (``Mlp.flat``), runs
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import GENERATED_BOUNDARY, LabeledBatch, LatentBatch, OutlierPool
+from .data import LabeledBatch, LatentBatch, OutlierPool
 from .losses import LossWeights, classifier_loss, generator_loss
 from .nets import BoundaryGenerator, MlpClassifier
 
@@ -37,9 +38,18 @@ __all__ = [
     "PipelineResult",
     "run_pipeline",
     "MODES",
+    "NEGATIVES",
 ]
 
-MODES = ("i", "ii", "iii", "iv")
+# The negative pools each ablation mode trains against, in draw order:
+# few-shot OE samples, the generated boundary, the outlier dataset.
+NEGATIVES = {
+    "i": ("outlier",),
+    "ii": ("few_shot",),
+    "iii": ("few_shot", "boundary"),
+    "iv": ("few_shot", "boundary", "outlier"),
+}
+MODES = tuple(NEGATIVES)
 
 
 class TrainingError(RuntimeError):
@@ -156,8 +166,9 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
     return np.concatenate(parts) if parts else None
 
 
-_PHASE_LR = {"a": "lr_a", "b": "lr_b", "c": "lr_c"}
-_PHASE_IDX = {"a": 0, "b": 1, "c": 2}
+# Per classifier phase: its TrainSchedule epochs and learning-rate fields and
+# its seed index.
+_CLASSIFIER_PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "c": ("phase_c_epochs", "lr_c", 2)}
 
 
 def train_classifier(
@@ -174,14 +185,17 @@ def train_classifier(
 
     ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
     leaving pure cross-entropy). Batch shuffling is reseeded per epoch.
+    ``phase`` is ``"a"`` or ``"c"``.
     """
+    if phase not in _CLASSIFIER_PHASES:
+        raise ValueError(f"unknown classifier phase {phase!r} (one of {tuple(_CLASSIFIER_PHASES)})")
     if len(normals) < 1:
         raise ValueError("normal data source is empty")
     pools = list(negatives) if negatives else []
-    epochs = {"a": schedule.phase_a_epochs, "c": schedule.phase_c_epochs}.get(phase, 0) if epochs is None else epochs
-    lr = getattr(schedule, _PHASE_LR.get(phase, "lr_a"))
-    prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, _PHASE_IDX.get(phase, 0))
-    state = AdamState.for_params([model.flat], lr=lr)
+    epochs_field, lr_field, index = _CLASSIFIER_PHASES[phase]
+    epochs = getattr(schedule, epochs_field) if epochs is None else epochs
+    prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, index)
+    state = AdamState.for_params([model.flat], lr=getattr(schedule, lr_field))
     trace: list[float] = []
     n = len(normals)
     for epoch in range(epochs):
@@ -193,7 +207,7 @@ def train_classifier(
             idx = perm[start : start + schedule.batch_n]
             batch = LabeledBatch(normals.inputs[idx], normals.labels[idx])
             neg_inputs = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
-            neg = OutlierPool(neg_inputs, source="mixed") if neg_inputs is not None else None
+            neg = OutlierPool(neg_inputs) if neg_inputs is not None else None
             model.zero_grad()
             loss = classifier_loss(model, batch, neg, weights)
             value = loss.item()
@@ -274,10 +288,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown ablation mode '{self.mode}' (one of {MODES})")
-        if self.mode in ("ii", "iii", "iv") and self.few_shot is None:
-            raise ValueError(f"mode ({self.mode}) requires a few-shot pool (it may be empty)")
-        if self.mode in ("i", "iv") and self.outlier is None:
-            raise ValueError(f"mode ({self.mode}) requires an outlier dataset")
+        for pool, what in (("few_shot", "a few-shot pool (it may be empty)"), ("outlier", "an outlier dataset")):
+            if pool in NEGATIVES[self.mode] and getattr(self, pool) is None:
+                raise ValueError(f"mode ({self.mode}) requires {what}")
 
 
 @dataclass
@@ -299,18 +312,13 @@ def _boundary_pool_size(cfg: PipelineConfig) -> int:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run the mode-gated phases and return models, boundary pool, traces.
 
-    Modes: (i) outlier dataset only, (ii) few-shot pool only, (iii) few-shot
-    pool plus generated boundary, (iv) all three. Modes i/ii skip the
-    generator phases entirely.
+    The negatives come from ``NEGATIVES[cfg.mode]``; a mode that does not
+    list the boundary skips the generator phases entirely.
     """
     schedule = cfg.schedule
-    use_boundary = cfg.mode in ("iii", "iv")
-    phase_a_negs = {
-        "i": [cfg.outlier],
-        "ii": [cfg.few_shot],
-        "iii": [cfg.few_shot],
-        "iv": [cfg.few_shot, cfg.outlier],
-    }[cfg.mode]
+    negatives = NEGATIVES[cfg.mode]
+    pools = {"few_shot": cfg.few_shot, "outlier": cfg.outlier}
+    phase_a_negs = [pools[name] for name in negatives if name != "boundary"]
 
     classifier = MlpClassifier(cfg.classifier_sizes, activation=cfg.classifier_activation, seed=(cfg.seed * 2 + 1) % 2**32)
     traces: dict = {}
@@ -321,7 +329,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     except Exception as e:
         raise TrainingError(f"phase A failed: {e}") from e
 
-    if not use_boundary:
+    if "boundary" not in negatives:
         return PipelineResult(classifier, None, None, traces)
 
     generator = BoundaryGenerator(cfg.generator_sizes, activation=cfg.generator_activation, seed=(cfg.seed * 2 + 2) % 2**32)
@@ -339,11 +347,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
         pool_n = _boundary_pool_size(cfg)
         latents = sample_latent((cfg.seed, 3, alt), pool_n, generator.latent_dim)
-        boundary = OutlierPool(generator.forward_array(latents.values), source=GENERATED_BOUNDARY)
-
-        phase_c_negs = [cfg.few_shot, boundary]
-        if cfg.mode == "iv":
-            phase_c_negs.append(cfg.outlier)
+        boundary = pools["boundary"] = OutlierPool(generator.forward_array(latents.values))
+        phase_c_negs = [pools[name] for name in negatives]
         try:
             trace_c = train_classifier(
                 classifier, cfg.normals, phase_c_negs, cfg.weights, schedule, phase="c", seed_prefix=(cfg.seed, 2, alt)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oodlab import harness
 from oodlab.config import load_config
 from oodlab.harness import run_fewshot_sweep, run_single
 
@@ -63,6 +64,18 @@ TINY_DOC = {
     "eval": {"in_size": 60, "in_seed_offset": 104729},
     "sweep": {"counts": [16, 4, 0], "break_floor": 0.55},
 }
+
+
+def fail_run_seed(monkeypatch, seed: int, error: Exception) -> None:
+    """Make every pipeline the harness runs with ``seed`` raise ``error``."""
+    real = harness.run_pipeline
+
+    def run_pipeline(cfg):
+        if cfg.seed == seed:
+            raise error
+        return real(cfg)
+
+    monkeypatch.setattr(harness, "run_pipeline", run_pipeline)
 
 
 @pytest.fixture(scope="session")

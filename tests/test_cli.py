@@ -8,6 +8,8 @@ from oodlab.cli import dispatch
 from oodlab.data import OutlierPool, load_csv, save_csv
 from oodlab.nets import MlpClassifier, save_checkpoint
 
+from conftest import fail_run_seed
+
 
 def _tree_bytes(root: Path) -> dict:
     """Relative path -> bytes for every file, meta sidecars excluded."""
@@ -321,3 +323,22 @@ class TestAblateOccCommands:
         assert dispatch(["occ", "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 0
         doc = json.loads((out / "experiment.json").read_text())
         assert "occ_mean" in doc
+
+    def test_occ_with_a_failing_class_exits_1_naming_it(self, tiny_config_path, tmp_path, monkeypatch):
+        seed = json.loads(tiny_config_path.read_text())["seed"]
+        fail_run_seed(monkeypatch, seed + 1, RuntimeError("class 1 diverged"))  # class c runs with seed + c
+        out = tmp_path / "occ"
+        assert dispatch(["occ", "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 1
+        doc = json.loads((out / "experiment.json").read_text())
+        assert doc["occ_errors"] == {"1": "RuntimeError: class 1 diverged"}
+        assert sorted(p.name.split("-")[0] for p in out.glob("*.result.json")) == ["occ0", "occ2"]
+
+    @pytest.mark.parametrize("command", [["ablate", "--modes", "i,ii,iii,iv"], ["occ"]])
+    def test_repeat_invocation_is_byte_identical(self, tiny_config_path, tmp_path, command):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert dispatch([*command, "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 0
+        ta, tb = _tree_bytes(a), _tree_bytes(b)
+        assert ta.keys() == tb.keys()
+        assert "summary.csv" in ta and any(k.endswith(".result.json") for k in ta)
+        assert all(ta[k] == tb[k] for k in ta)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oodlab.data import (
-    FEW_SHOT_OE,
     DatasetSpec,
     LabeledBatch,
     OutlierPool,
@@ -158,12 +157,11 @@ class TestLowFrequencyNoise:
 
 class TestSampleFewShots:
     def _pool(self, m=20):
-        return OutlierPool(np.arange(m * 2, dtype=float).reshape(m, 2), source=FEW_SHOT_OE)
+        return OutlierPool(np.arange(m * 2, dtype=float).reshape(m, 2))
 
     def test_zero_shot_gives_empty_pool(self):
         subset = sample_few_shots(self._pool(), 0, seed=1)
         assert subset.size == 0
-        assert subset.source == FEW_SHOT_OE
 
     def test_full_sample_is_whole_pool(self):
         pool = self._pool()

@@ -32,7 +32,7 @@ from oodlab.harness import (
 )
 from oodlab.scoring import MetricReport
 
-from conftest import TINY_DOC
+from conftest import TINY_DOC, fail_run_seed
 
 
 def _fake_sweep(curve: dict[int, float], test_set: str = "t") -> SweepResult:
@@ -294,6 +294,21 @@ class TestOcc:
         # the detector head is binary: scores live in [0.5, 1]
         for rec in result["per_class"].values():
             assert rec.reports["occ"].n_in > 0 and rec.reports["occ"].n_out > 0
+
+    def test_a_failing_class_is_isolated(self, tiny_doc, monkeypatch):
+        config = config_from_dict(tiny_doc)
+        fail_run_seed(monkeypatch, config.seed + 1, RuntimeError("class 1 diverged"))  # class c runs with seed + c
+        result = run_occ(config)
+        assert result["per_class"][1] == {"error": "RuntimeError: class 1 diverged"}
+        others = [result["per_class"][c] for c in (0, 2)]
+        assert all(isinstance(rec, RunRecord) for rec in others)
+        assert result["mean"]["auroc"] == pytest.approx(np.mean([r.reports["occ"].auroc for r in others]), abs=1e-12)
+
+    def test_a_config_error_in_a_class_stops_the_run(self, tiny_doc, monkeypatch):
+        config = config_from_dict(tiny_doc)
+        fail_run_seed(monkeypatch, config.seed + 1, ConfigError("data.outlier: unreadable"))
+        with pytest.raises(ConfigError, match="data.outlier: unreadable"):
+            run_occ(config)
 
     def test_single_class_rejected(self, tiny_doc):
         tiny_doc["data"]["normal"]["means"] = [[0.0, 0.0]]

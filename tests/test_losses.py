@@ -109,7 +109,7 @@ class TestClassifierLoss:
         rng = np.random.default_rng(5)
         model = MlpClassifier([2, 6, 2], activation="tanh", seed=3)
         normals = LabeledBatch(rng.normal(size=(5, 2)), rng.integers(0, 2, 5))
-        negatives = OutlierPool(rng.normal(size=(4, 2)), source="few-shot-oe")
+        negatives = OutlierPool(rng.normal(size=(4, 2)))
         return model, normals, negatives, LossWeights(lam=lam)
 
     def test_lambda_zero_equals_pure_cross_entropy(self):
@@ -120,7 +120,7 @@ class TestClassifierLoss:
 
     def test_empty_pool_equals_pure_cross_entropy(self):
         model, normals, _, weights = self._setup()
-        empty = OutlierPool(np.zeros((0, 2)), source="few-shot-oe")
+        empty = OutlierPool(np.zeros((0, 2)))
         loss = classifier_loss(model, normals, empty, weights).item()
         ce = cross_entropy_term(model.forward_logits(normals.inputs), normals.labels).item()
         assert loss == ce
@@ -130,7 +130,7 @@ class TestClassifierLoss:
         for p in model.parameters():
             p.data[...] = 0.0
         normals = LabeledBatch(np.zeros((1, 2)), [0])
-        negatives = OutlierPool(np.zeros((1, 2)), source="few-shot-oe")
+        negatives = OutlierPool(np.zeros((1, 2)))
         loss = classifier_loss(model, normals, negatives, LossWeights(lam=1.0)).item()
         assert loss == pytest.approx(2 * LN2, abs=1e-12)
 
@@ -180,6 +180,13 @@ class TestDispersion:
         latents = LatentBatch(np.zeros((1, 2)), seed=0)
         with pytest.raises(ValueError, match="at least two"):
             dispersion_term(latents, Tensor(np.zeros((1, 2))), 1e-6)
+
+    def test_plain_array_latents_equal_a_latent_batch(self):
+        rng = np.random.default_rng(4)
+        latents = LatentBatch(rng.normal(size=(5, 3)), seed=4)
+        outputs = rng.normal(size=(5, 2))
+        expected = dispersion_term(latents, Tensor(outputs), 1e-3).item()
+        assert dispersion_term(latents.values, Tensor(outputs), 1e-3).item() == expected
 
 
 class TestConfidenceDominance:
@@ -295,6 +302,18 @@ class TestGeneratorLoss:
         other = LatentBatch(latents.values.copy(), seed=999)
         c = generator_loss(generator, classifier, other, reference, weights).item()
         assert a != c  # different seed draws a different dominance pairing
+
+    def test_plain_array_latents_need_a_pairing_seed(self):
+        generator, classifier, latents, reference = self._setup()
+        weights = LossWeights(mu=1.0, nu=0.3, delta=1e-3)
+        with pytest.raises(ValueError, match="pairing_seed"):
+            generator_loss(generator, classifier, latents.values, reference, weights)
+        # with a pairing_seed, or without the dominance term, an array is a LatentBatch's values
+        seeded = generator_loss(generator, classifier, latents.values, reference, weights, pairing_seed=(1, 2))
+        assert seeded.item() == generator_loss(generator, classifier, latents, reference, weights, pairing_seed=(1, 2)).item()
+        no_dominance = LossWeights(mu=0.0, nu=0.3, delta=1e-3)
+        plain = generator_loss(generator, classifier, latents.values, reference, no_dominance)
+        assert plain.item() == generator_loss(generator, classifier, latents, reference, no_dominance).item()
 
 
 def test_loss_weights_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodlab import autodiff as ad
-from oodlab import losses
+from oodlab import losses, training
 from oodlab.autodiff import Tensor
 from oodlab.data import DatasetSpec, OutlierPool, gen_gaussian_mixture, gen_ring, sample_few_shots
 from oodlab.losses import LossWeights, cross_entropy_term, negative_training_term, proximity_term
@@ -107,7 +107,7 @@ class TestTrainClassifier:
 
     def test_lambda_zero_equals_run_without_negatives(self):
         normals = _two_blobs()
-        negatives = OutlierPool(np.random.default_rng(0).normal(size=(20, 2)), source="few-shot-oe")
+        negatives = OutlierPool(np.random.default_rng(0).normal(size=(20, 2)))
         schedule = TrainSchedule(phase_a_epochs=5, batch_n=32, master_seed=4)
         m1 = MlpClassifier([2, 8, 2], seed=6)
         train_classifier(m1, normals, [negatives], LossWeights(lam=0.0), schedule, phase="a")
@@ -122,6 +122,12 @@ class TestTrainClassifier:
         model.layers[-1][0][0, 0] = float("nan")
         with pytest.raises(TrainingError, match="phase a, epoch 0, batch 0"):
             train_classifier(model, normals, [], LossWeights(), TrainSchedule(phase_a_epochs=1), phase="a")
+
+    @pytest.mark.parametrize("phase, epochs", [("b", None), ("A", None), ("", None), ("b", 2)])
+    def test_unknown_phase_is_rejected_naming_it(self, phase, epochs):
+        model = MlpClassifier([2, 8, 2], seed=5)
+        with pytest.raises(ValueError, match=f"unknown classifier phase '{phase}'"):
+            train_classifier(model, _two_blobs(), [], LossWeights(), TrainSchedule(), phase=phase, epochs=epochs)
 
 
 class TestTrainGenerator:
@@ -178,9 +184,9 @@ def _pipeline_inputs(mode="iii", few_count=8, seed=1):
     normals = gen_gaussian_mixture(
         DatasetSpec(kind="gaussian-mixture", dim=2, size=150, seed=4, means=[[0.0, 0.6], [-0.5, -0.3], [0.5, -0.3]], cov_scale=0.1)
     )
-    pool = gen_ring(DatasetSpec(kind="ring", dim=2, size=64, seed=5, r_inner=0.9, r_outer=1.2), source="few-shot-oe")
+    pool = gen_ring(DatasetSpec(kind="ring", dim=2, size=64, seed=5, r_inner=0.9, r_outer=1.2))
     few = sample_few_shots(pool, few_count, seed=(seed, 5))
-    outlier = OutlierPool(np.random.default_rng(6).uniform(-1.4, 1.4, (64, 2)), source="outlier-dataset")
+    outlier = OutlierPool(np.random.default_rng(6).uniform(-1.4, 1.4, (64, 2)))
     schedule = TrainSchedule(
         phase_a_epochs=6, phase_b_epochs=4, phase_c_epochs=6, batch_n=32, batch_m=32, latent_n=16, proximity_q=32, master_seed=seed
     )
@@ -212,7 +218,6 @@ class TestPipeline:
         cfg = _pipeline_inputs(mode="iii", few_count=0)
         result = run_pipeline(cfg)
         assert result.boundary_pool is not None
-        assert result.boundary_pool.source == "generated-boundary"
         assert len(result.boundary_pool) == 32
         assert set(result.traces) == {"phase_a", "phase_b", "phase_c"}
 
@@ -223,6 +228,34 @@ class TestPipeline:
         cfg0 = _pipeline_inputs(mode="iii", few_count=0)
         cfg0.boundary_pool_size = None
         assert len(run_pipeline(cfg0).boundary_pool) == cfg0.schedule.batch_m
+
+    # Each mode's phase A and phase C negatives, in draw order (None: no phase C).
+    MODE_POOLS = {
+        "i": (("outlier",), None),
+        "ii": (("few_shot",), None),
+        "iii": (("few_shot",), ("few_shot", "boundary")),
+        "iv": (("few_shot", "outlier"), ("few_shot", "boundary", "outlier")),
+    }
+
+    @pytest.mark.parametrize("mode", ["i", "ii", "iii", "iv"])
+    def test_phases_train_on_the_mode_pools_in_order(self, mode, monkeypatch):
+        calls = []
+        real = training.train_classifier
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs["phase"], list(args[2])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_classifier", recording)
+        cfg = _pipeline_inputs(mode=mode)
+        result = run_pipeline(cfg)
+        pools = {"few_shot": cfg.few_shot, "outlier": cfg.outlier, "boundary": result.boundary_pool}
+        phase_a, phase_c = self.MODE_POOLS[mode]
+        expected = [("a", phase_a)] + ([("c", phase_c)] if phase_c else [])
+        assert [phase for phase, _ in calls] == [phase for phase, _ in expected]
+        for (_, got), (_, names) in zip(calls, expected):
+            assert len(got) == len(names)
+            assert all(pool is pools[name] for pool, name in zip(got, names))
 
     def test_mode_validation(self):
         cfg = _pipeline_inputs()
