@@ -36,14 +36,10 @@ from .scoring import (
     MetricReport,
     RobustnessBudget,
     ScoreSet,
-    anomaly_score,
     auroc,
-    calibrate_threshold,
     certified_max_confidence,
-    classify_with_threshold,
     evaluate_ood,
     ibp_logit_bounds,
-    pgd_max_confidence,
 )
 from .training import (
     AdamState,

@@ -136,6 +136,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _report_entries(args, result, out: Path) -> int:
+    """Write a multi-run command's report, print one stderr line per entry
+    and per failed entry (failures even with -q), and return 1 when any
+    entry failed."""
+    emit_report(result, out)
+    for label, rec in result.entries:
+        line = " ".join(f"{n}={r.auroc:.3f}" for n, r in rec.reports.items())
+        _progress(args, f"[{result.command}] {label}: {line}")
+    for label, error in result.failures.items():
+        print(f"[{result.command}] {label} failed: {error}", file=sys.stderr)
+    return 1 if result.failures else 0
+
+
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
@@ -143,16 +156,10 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     _progress(args, f"[sweep] counts {config.sweep_counts} (mode {config.mode}, jobs {args.jobs})")
     sweep = run_fewshot_sweep(config, out_dir=out, jobs=args.jobs)
-    emit_report(sweep, out)
+    code = _report_entries(args, sweep, out)
     breaks = detect_break_point(sweep, config.break_floor) if sweep.entries else {}
     (Path(out) / "break_points.json").write_text(json.dumps(breaks, sort_keys=True) + "\n", encoding="utf-8")
-    for count, rec in sweep.entries:
-        line = " ".join(f"{n}={r.auroc:.3f}" for n, r in rec.reports.items())
-        _progress(args, f"[sweep] n={count}: {line}")
-    if sweep.failures:
-        _progress(args, f"[sweep] failures: {sweep.failures}")
-        return 1
-    return 0
+    return code
 
 
 def _cmd_ablate(args) -> int:
@@ -162,29 +169,14 @@ def _cmd_ablate(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[ablate] modes {modes}, seed {config.seed}")
-    results = run_ablation(config, modes=modes, out_dir=out)
-    emit_report(results, out)
-    failed = False
-    for mode, rec in results.items():
-        if isinstance(rec, dict):
-            _progress(args, f"[ablate] mode ({mode}) failed: {rec['error']}")
-            failed = True
-        else:
-            line = " ".join(f"{n}={r.auroc:.3f}" for n, r in rec.reports.items())
-            _progress(args, f"[ablate] mode ({mode}): {line}")
-    return 1 if failed else 0
+    return _report_entries(args, run_ablation(config, modes=modes, out_dir=out), out)
 
 
 def _cmd_occ(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[occ] rotating classes of data.normal, mode {config.mode}")
-    results = run_occ(config, out_dir=out)
-    emit_report(results, out)
-    _progress(args, f"[occ] mean auroc={results['mean']['auroc']:.4f}")
-    if any(not hasattr(r, "reports") for r in results["per_class"].values()):
-        return 1
-    return 0
+    return _report_entries(args, run_occ(config, out_dir=out), out)
 
 
 def _cmd_gen_data(args) -> int:

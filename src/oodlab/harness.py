@@ -71,14 +71,15 @@ class RunRecord:
 
 @dataclass
 class SweepResult:
-    """Ordered (few_shot_count, RunRecord) entries plus isolated failures."""
+    """The record of one multi-run command (``sweep``, ``ablate`` or ``occ``):
+    ``(label, RunRecord)`` entries in run order plus ``{label: error}`` for
+    the entries that failed. The label is the few-shot count, the mode or
+    the class."""
 
-    entries: list[tuple[int, RunRecord]]
-    failures: dict[int, str]
+    entries: list[tuple[int | str, RunRecord]]
+    failures: dict[int | str, str]
     fingerprint: str
-
-    def counts(self) -> list[int]:
-        return [c for c, _ in self.entries]
+    command: str = "sweep"
 
     def curve(self, test_set: str, metric: str = "auroc") -> list[tuple[int, float]]:
         return [(c, getattr(rec.reports[test_set], metric)) for c, rec in self.entries]
@@ -215,9 +216,9 @@ def _error(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _isolated(task) -> RunRecord | dict:
+def _isolated(task) -> RunRecord | str:
     """One entry of a multi-run command: ``run(config.with_updates(**updates),
-    *args)``, returning its RunRecord or ``{"error": message}``.
+    *args)``, returning its RunRecord or its error message.
 
     The entry fails alone when its own config is invalid (``with_updates``
     raises) or it raises anything but a ConfigError. A ConfigError raised
@@ -229,19 +230,41 @@ def _isolated(task) -> RunRecord | dict:
     try:
         config = config.with_updates(**updates) if updates else config
     except ConfigError as e:
-        return {"error": _error(e)}
+        return _error(e)
     try:
         return run(config, *args)
     except ConfigError:
         raise
     except Exception as e:
-        return {"error": _error(e)}
+        return _error(e)
 
 
-def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> dict:
-    """Run each requested mode with the identical seed; isolate failures
-    as ``_isolated`` does."""
-    return {mode: _isolated((run_single, config, {"mode": mode}, (config.seed, out_dir))) for mode in modes}
+def _run_entries(command: str, config: ExperimentConfig, tasks: dict, jobs: int = 1) -> SweepResult:
+    """Run ``{label: task}`` through ``_isolated`` into one record, serially
+    or over ``jobs`` processes. When a ConfigError stops the command with
+    ``jobs > 1``, the tasks not yet started are cancelled."""
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            outcomes = list(pool.map(_isolated, tasks.values()))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        outcomes = [_isolated(task) for task in tasks.values()]
+    done = list(zip(tasks, outcomes))
+    return SweepResult(
+        entries=[(label, rec) for label, rec in done if isinstance(rec, RunRecord)],
+        failures={label: rec for label, rec in done if isinstance(rec, str)},
+        fingerprint=config.fingerprint,
+        command=command,
+    )
+
+
+def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
+    """Run each requested mode with the identical seed, labelled by mode;
+    isolate failures as ``_isolated`` does."""
+    tasks = {mode: (run_single, config, {"mode": mode}, (config.seed, out_dir)) for mode in modes}
+    return _run_entries("ablate", config, tasks)
 
 
 def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
@@ -249,8 +272,7 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
 
     Counts must be strictly decreasing (they may end at 0). Entries failing
     are isolated into .failures as ``_isolated`` does; the rest of the sweep
-    still runs. When a ConfigError stops the sweep with ``jobs > 1``, the
-    entries not yet started are cancelled.
+    still runs.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -259,20 +281,11 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
         raise ValueError(f"sweep counts must be strictly decreasing, got {counts}")
     if any(c < 0 for c in counts):
         raise ValueError("sweep counts must be >= 0")
-    tasks = [
-        (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir)) for i, count in enumerate(counts)
-    ]
-    if jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            outcomes = list(pool.map(_isolated, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        outcomes = [_isolated(task) for task in tasks]
-    entries = [(count, rec) for count, rec in zip(counts, outcomes) if isinstance(rec, RunRecord)]
-    failures = {count: rec["error"] for count, rec in zip(counts, outcomes) if not isinstance(rec, RunRecord)}
-    return SweepResult(entries=entries, failures=failures, fingerprint=config.fingerprint)
+    tasks = {
+        count: (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir))
+        for i, count in enumerate(counts)
+    }
+    return _run_entries("sweep", config, tasks, jobs)
 
 
 def detect_break_point(sweep: SweepResult, floor: float = 0.55) -> dict[str, int | None]:
@@ -296,28 +309,21 @@ def detect_break_point(sweep: SweepResult, floor: float = 0.55) -> dict[str, int
     return out
 
 
-def run_occ(config: ExperimentConfig, out_dir=None) -> dict:
+def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     """One-class evaluation: rotate each mixture component as the normal class.
 
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
-    draw; test-time OoD are the other classes of a held-out draw. A class's
-    failure is isolated into its entry as ``_isolated`` does.
+    draw; test-time OoD are the other classes of a held-out draw. Entries are
+    labelled by class; a class's failure is isolated as ``_isolated`` does.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
-    per_class = {cls: _isolated((_run_occ_class, config, {}, (train, holdout, cls, out_dir))) for cls in classes}
-    metric_lists: dict[str, list[float]] = {"auroc": [], "aauroc": [], "gauroc": []}
-    for rec in per_class.values():
-        if isinstance(rec, RunRecord):
-            rep = rec.reports["occ"]
-            for m in metric_lists:
-                metric_lists[m].append(getattr(rep, m))
-    mean = {m: (float(np.mean(v)) if v else float("nan")) for m, v in metric_lists.items()}
-    return {"per_class": per_class, "mean": mean}
+    tasks = {cls: (_run_occ_class, config, {}, (train, holdout, cls, out_dir)) for cls in classes}
+    return _run_entries("occ", config, tasks)
 
 
 def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: LabeledBatch, cls: int, out_dir) -> RunRecord:
@@ -370,37 +376,31 @@ def summary_rows(records: list[RunRecord]) -> list[list]:
     return rows
 
 
-def emit_report(results, out_dir) -> list[Path]:
-    """Write per-run result files, a flat CSV summary, and plot-data series.
+# experiment.json by command: the key its failures go under ({label: error})
+# and whether it is written when no entry failed; occ adds "occ_mean"
+_EXPERIMENT = {"sweep": ("failures", False), "ablate": ("mode_errors", True), "occ": ("occ_errors", True)}
 
-    Each run's ``*.meta.json`` sidecar holds its own wall seconds.
 
-    ``results`` may be a RunRecord, a SweepResult, an ablation dict
-    (mode -> RunRecord), or an OCC dict. Returns the written paths.
+def _occ_mean(records: list[RunRecord]) -> dict[str, float]:
+    """Each OCC metric averaged over the classes that ran; NaN when none did."""
+    return {
+        m: float(np.mean([getattr(rec.reports["occ"], m) for rec in records])) if records else float("nan")
+        for m in ("auroc", "aauroc", "gauroc")
+    }
+
+
+def emit_report(results: RunRecord | SweepResult, out_dir) -> list[Path]:
+    """Write per-run result files, a flat CSV summary, and for a SweepResult
+    its ``experiment.json`` (see ``_EXPERIMENT``) and, for a sweep, the
+    plot-data series.
+
+    Each run's ``*.meta.json`` sidecar holds its own wall seconds. Returns
+    the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records: list[RunRecord] = []
-    extra: dict = {}
-    sweep: SweepResult | None = None
-    if isinstance(results, RunRecord):
-        records = [results]
-    elif isinstance(results, SweepResult):
-        sweep = results
-        records = [rec for _, rec in results.entries]
-        if results.failures:
-            extra["failures"] = {str(k): v for k, v in results.failures.items()}
-    elif isinstance(results, dict) and "per_class" in results:
-        records = [r for r in results["per_class"].values() if isinstance(r, RunRecord)]
-        extra["occ_mean"] = results["mean"]
-        extra["occ_errors"] = {
-            str(c): r["error"] for c, r in results["per_class"].items() if not isinstance(r, RunRecord)
-        }
-    elif isinstance(results, dict):
-        records = [r for r in results.values() if isinstance(r, RunRecord)]
-        extra["mode_errors"] = {m: r["error"] for m, r in results.items() if not isinstance(r, RunRecord)}
-    else:
-        raise TypeError(f"cannot emit report for {type(results).__name__}")
+    single = isinstance(results, RunRecord)
+    records = [results] if single else [rec for _, rec in results.entries]
 
     written: list[Path] = []
     for rec in records:
@@ -415,23 +415,29 @@ def emit_report(results, out_dir) -> list[Path]:
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerows(summary_rows(records))
     written.append(summary)
+    if single:
+        return written
 
-    if extra:
+    key, always = _EXPERIMENT[results.command]
+    if always or results.failures:
+        doc = {key: {str(label): error for label, error in results.failures.items()}}
+        if results.command == "occ":
+            doc["occ_mean"] = _occ_mean(records)
         path = out / "experiment.json"
-        _write_json(extra, path)
+        _write_json(doc, path)
         written.append(path)
 
-    if sweep is not None and sweep.entries:
+    if results.command == "sweep" and results.entries:
         plots = out / "plots"
         plots.mkdir(exist_ok=True)
-        test_names = sweep.entries[0][1].reports.keys()
+        test_names = results.entries[0][1].reports.keys()
         for name in test_names:
             for metric in ("auroc", "aauroc", "gauroc"):
                 path = plots / f"{name}_{metric}.csv"
                 with path.open("w", newline="", encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["few_shots", metric])
-                    for count, value in sweep.curve(name, metric):
+                    for count, value in results.curve(name, metric):
                         writer.writerow([count, repr(value)])
                 written.append(path)
     return written

@@ -1,8 +1,9 @@
-"""Anomaly scoring, thresholding, and the clean/adversarial/certified AUROCs.
+"""Anomaly scoring and the clean/adversarial/certified AUROCs.
 
 The anomaly score of a sample is the max softmax probability of the detector
-logits; a sample is flagged out-of-distribution when the score falls below
-the threshold tau. AUROC is the rank statistic P(in-score > out-score) with
+logits (scores near 1 look in-distribution). The AUROCs rank the scores and
+need no threshold: the budget's tau decides nothing and is only recorded in
+reports. AUROC is the rank statistic P(in-score > out-score) with
 ties counted 1/2. The adversarial AUROC replaces each out-sample's score by
 its worst (largest) value found by projected sign-gradient ascent inside the
 l-infinity ball; the guaranteed AUROC replaces it by a certified upper bound
@@ -33,30 +34,22 @@ from .losses import _log_softmax_parts, _max_softmax
 from .nets import row_blocks
 
 __all__ = [
-    "IN_DISTRIBUTION",
-    "OUT_OF_DISTRIBUTION",
     "RobustnessBudget",
     "ScoreSet",
     "MetricReport",
-    "anomaly_score",
     "anomaly_scores",
-    "classify_with_threshold",
-    "calibrate_threshold",
     "auroc",
-    "pgd_max_confidence",
     "pgd_max_confidence_batch",
     "ibp_logit_bounds",
     "certified_max_confidence",
     "evaluate_ood",
 ]
 
-IN_DISTRIBUTION = "in-distribution"
-OUT_OF_DISTRIBUTION = "ood"
-
 
 @dataclass(frozen=True)
 class RobustnessBudget:
-    """l-infinity radius, attack parameters, and the decision threshold.
+    """l-infinity radius, attack parameters, and the threshold tau that
+    reports record.
 
     pgd_step_size defaults to epsilon/10. input_box, when set, is a (lo, hi)
     pair clamping every input dimension.
@@ -151,27 +144,6 @@ def anomaly_scores(model, x: np.ndarray) -> np.ndarray:
     return _max_softmax(model.forward_array(x))[0]
 
 
-def anomaly_score(model, x) -> float:
-    """Anomaly score of a single sample (scores near 1 look in-distribution)."""
-    return float(anomaly_scores(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
-
-def classify_with_threshold(score: float, tau: float) -> str:
-    """Out-of-distribution iff score < tau; a tie counts as in-distribution."""
-    return OUT_OF_DISTRIBUTION if score < tau else IN_DISTRIBUTION
-
-
-def calibrate_threshold(in_scores, target_tpr: float) -> float:
-    """Largest tau keeping at least target_tpr of the in-scores at or above it."""
-    scores = np.sort(np.asarray(in_scores, dtype=np.float64))[::-1]
-    if scores.size == 0:
-        raise ValueError("calibrate_threshold needs non-empty in_scores")
-    if not 0.0 < target_tpr <= 1.0:
-        raise ValueError("target_tpr must lie in (0, 1]")
-    k = int(np.ceil(target_tpr * scores.size))
-    return float(scores[k - 1])
-
-
 def _rank_auroc(in_scores: np.ndarray, out_scores: np.ndarray) -> float:
     """Mann-Whitney AUROC by fractional-rank summation, ties counted 1/2."""
     n, m = in_scores.size, out_scores.size
@@ -257,11 +229,6 @@ def pgd_max_confidence_batch(
                 adv = np.clip(grad, lo, hi, out=grad)
         best[rows] = block_best
     return clean, best
-
-
-def pgd_max_confidence(model, x, budget: RobustnessBudget, seed: int | tuple = 0) -> float:
-    """Adversarial (worst-case within the ball) anomaly score of one sample."""
-    return float(pgd_max_confidence_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)), budget, seed)[1][0])
 
 
 def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | None = None):

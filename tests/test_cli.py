@@ -257,6 +257,7 @@ class TestSweepCommand:
         assert (out / "summary.csv").exists()
         assert (out / "break_points.json").exists()
         assert sorted(p.name for p in (out / "plots").glob("*.csv"))
+        assert not (out / "experiment.json").exists()  # sweep writes it only when an entry failed
 
     def test_repeat_invocation_is_byte_identical(self, tiny_config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -317,6 +318,7 @@ class TestAblateOccCommands:
         names = {p.name for p in out.glob("*.result.json")}
         assert any(n.startswith("ii-") for n in names)
         assert any(n.startswith("iii-") for n in names)
+        assert json.loads((out / "experiment.json").read_text()) == {"mode_errors": {}}
 
     def test_occ_runs(self, tiny_config_path, tmp_path):
         out = tmp_path / "occ"
@@ -324,14 +326,35 @@ class TestAblateOccCommands:
         doc = json.loads((out / "experiment.json").read_text())
         assert "occ_mean" in doc
 
-    def test_occ_with_a_failing_class_exits_1_naming_it(self, tiny_config_path, tmp_path, monkeypatch):
-        seed = json.loads(tiny_config_path.read_text())["seed"]
-        fail_run_seed(monkeypatch, seed + 1, RuntimeError("class 1 diverged"))  # class c runs with seed + c
-        out = tmp_path / "occ"
-        assert dispatch(["occ", "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 1
+    @pytest.mark.parametrize(
+        "argv, fails_seed, key, errors, ran",
+        [
+            # sweep entry i and occ class c run with seed + i and seed + c
+            (["sweep"], 1, "failures", {"4": "RuntimeError: diverged"}, ["iii-n0", "iii-n16"]),
+            (
+                ["ablate", "--set", "data.outlier=null", "--set", "mode=ii"],
+                None,
+                "mode_errors",
+                {m: f"ConfigError: data.outlier: required for mode ({m})" for m in ("i", "iv")},
+                ["ii-n16", "iii-n16"],
+            ),
+            (["occ"], 1, "occ_errors", {"1": "RuntimeError: diverged"}, ["occ0-n16", "occ2-n16"]),
+        ],
+        ids=["sweep", "ablate", "occ"],
+    )
+    def test_a_failing_entry_exits_1_naming_it(
+        self, tiny_config_path, tmp_path, monkeypatch, capsys, argv, fails_seed, key, errors, ran
+    ):
+        if fails_seed is not None:
+            seed = json.loads(tiny_config_path.read_text())["seed"]
+            fail_run_seed(monkeypatch, seed + fails_seed, RuntimeError("diverged"))
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 1
         doc = json.loads((out / "experiment.json").read_text())
-        assert doc["occ_errors"] == {"1": "RuntimeError: class 1 diverged"}
-        assert sorted(p.name.split("-")[0] for p in out.glob("*.result.json")) == ["occ0", "occ2"]
+        assert doc[key] == errors
+        failed = [line for line in capsys.readouterr().err.splitlines() if " failed: " in line]
+        assert failed == [f"[{argv[0]}] {label} failed: {error}" for label, error in errors.items()]
+        assert sorted("-".join(p.name.split("-")[:2]) for p in out.glob("*.result.json")) == ran
 
     @pytest.mark.parametrize("command", [["ablate", "--modes", "i,ii,iii,iv"], ["occ"]])
     def test_repeat_invocation_is_byte_identical(self, tiny_config_path, tmp_path, command):

@@ -219,7 +219,7 @@ class TestSweepMechanics:
     def test_counts_execute_including_zero(self, tiny_doc):
         config = config_from_dict(tiny_doc)
         sweep = run_fewshot_sweep(config, counts=[8, 4, 2, 1, 0])
-        assert sweep.counts() == [8, 4, 2, 1, 0]
+        assert [c for c, _ in sweep.entries] == [8, 4, 2, 1, 0]
         assert not sweep.failures
         assert sweep.entries[-1][1].few_shots == 0
 
@@ -237,7 +237,7 @@ class TestSweepMechanics:
         sweep = run_fewshot_sweep(config, counts=[100_000, 4])
         assert 100_000 in sweep.failures
         assert "cannot sample" in sweep.failures[100_000]
-        assert sweep.counts() == [4]
+        assert [c for c, _ in sweep.entries] == [4]
 
     def test_not_descending_rejected(self, tiny_doc):
         config = config_from_dict(tiny_doc)
@@ -256,53 +256,63 @@ class TestSweepMechanics:
 class TestAblation:
     def test_mode_gating_and_shared_seed(self, tiny_doc):
         config = config_from_dict(tiny_doc)
-        results = run_ablation(config, modes=("i", "ii", "iii"))
-        assert set(results) == {"i", "ii", "iii"}
-        for mode, rec in results.items():
+        result = run_ablation(config, modes=("i", "ii", "iii"))
+        assert not result.failures, result.failures
+        records = dict(result.entries)
+        assert list(records) == ["i", "ii", "iii"]
+        for mode, rec in records.items():
             assert isinstance(rec, RunRecord), rec
             assert rec.seed == config.seed
         # mode (i) never builds a boundary pool, mode (iii) always does
-        assert results["i"].boundary_pool_size is None
-        assert "boundary_pool_size" not in results["i"].to_dict()
-        assert results["iii"].boundary_pool_size == config.boundary_pool_size
-        assert "phase_b" not in results["i"].traces
-        assert "phase_b" in results["iii"].traces
+        assert records["i"].boundary_pool_size is None
+        assert "boundary_pool_size" not in records["i"].to_dict()
+        assert records["iii"].boundary_pool_size == config.boundary_pool_size
+        assert "phase_b" not in records["i"].traces
+        assert "phase_b" in records["iii"].traces
 
     def test_mode_failures_are_isolated(self, tiny_doc):
         tiny_doc["data"]["outlier"] = None
         config = config_from_dict(tiny_doc)
-        results = run_ablation(config, modes=("i", "ii"))
-        assert isinstance(results["i"], dict) and "error" in results["i"]
-        assert isinstance(results["ii"], RunRecord)
+        result = run_ablation(config, modes=("i", "ii"))
+        assert list(result.failures) == ["i"] and "data.outlier" in result.failures["i"]
+        assert [m for m, _ in result.entries] == ["ii"]
+        assert isinstance(result.entries[0][1], RunRecord)
 
     def test_deterministic_reports(self, tiny_doc):
         config = config_from_dict(tiny_doc)
-        a = run_ablation(config, modes=("ii",))["ii"]
-        b = run_ablation(config, modes=("ii",))["ii"]
+        a = dict(run_ablation(config, modes=("ii",)).entries)["ii"]
+        b = dict(run_ablation(config, modes=("ii",)).entries)["ii"]
         assert a.reports == b.reports
 
 
+def _written_occ_mean(result: SweepResult, out) -> dict:
+    emit_report(result, out)
+    return json.loads((out / "experiment.json").read_text())["occ_mean"]
+
+
 class TestOcc:
-    def test_two_class_rotation_and_mean(self, tiny_doc):
+    def test_two_class_rotation_and_mean(self, tiny_doc, tmp_path):
         tiny_doc["data"]["normal"]["means"] = [[-1.0, 0.0], [1.0, 0.0]]
         tiny_doc["few_shot_count"] = 8
         config = config_from_dict(tiny_doc)
         result = run_occ(config)
-        assert sorted(result["per_class"]) == [0, 1]
-        per_class = [rec.reports["occ"].auroc for rec in result["per_class"].values()]
-        assert result["mean"]["auroc"] == pytest.approx(np.mean(per_class), abs=1e-12)
+        assert [c for c, _ in result.entries] == [0, 1] and not result.failures
+        per_class = [rec.reports["occ"].auroc for _, rec in result.entries]
+        assert _written_occ_mean(result, tmp_path)["auroc"] == pytest.approx(np.mean(per_class), abs=1e-12)
         # the detector head is binary: scores live in [0.5, 1]
-        for rec in result["per_class"].values():
+        for _, rec in result.entries:
             assert rec.reports["occ"].n_in > 0 and rec.reports["occ"].n_out > 0
 
-    def test_a_failing_class_is_isolated(self, tiny_doc, monkeypatch):
+    def test_a_failing_class_is_isolated(self, tiny_doc, monkeypatch, tmp_path):
         config = config_from_dict(tiny_doc)
         fail_run_seed(monkeypatch, config.seed + 1, RuntimeError("class 1 diverged"))  # class c runs with seed + c
         result = run_occ(config)
-        assert result["per_class"][1] == {"error": "RuntimeError: class 1 diverged"}
-        others = [result["per_class"][c] for c in (0, 2)]
+        assert result.failures == {1: "RuntimeError: class 1 diverged"}
+        assert [c for c, _ in result.entries] == [0, 2]
+        others = [rec for _, rec in result.entries]
         assert all(isinstance(rec, RunRecord) for rec in others)
-        assert result["mean"]["auroc"] == pytest.approx(np.mean([r.reports["occ"].auroc for r in others]), abs=1e-12)
+        mean = _written_occ_mean(result, tmp_path)
+        assert mean["auroc"] == pytest.approx(np.mean([r.reports["occ"].auroc for r in others]), abs=1e-12)
 
     def test_a_config_error_in_a_class_stops_the_run(self, tiny_doc, monkeypatch):
         config = config_from_dict(tiny_doc)

@@ -6,20 +6,14 @@ from hypothesis import strategies as st
 from oodlab import nets
 from oodlab.nets import Mlp, MlpClassifier, load_checkpoint, save_checkpoint
 from oodlab.scoring import (
-    IN_DISTRIBUTION,
-    OUT_OF_DISTRIBUTION,
     MetricReport,
     RobustnessBudget,
     ScoreSet,
-    anomaly_score,
     anomaly_scores,
     auroc,
-    calibrate_threshold,
     certified_max_confidence,
-    classify_with_threshold,
     evaluate_ood,
     ibp_logit_bounds,
-    pgd_max_confidence,
     pgd_max_confidence_batch,
 )
 from oodlab.scoring import _rank_auroc
@@ -39,18 +33,28 @@ def _logit_model(weights, biases=None):
     return model
 
 
+def _row_score(model, x):
+    """The anomaly score of one sample, scored as a one-row batch."""
+    return anomaly_scores(model, np.atleast_2d(x))[0]
+
+
+def _row_attack(model, x, budget):
+    """The PGD score of one sample, attacked as a one-row batch."""
+    return pgd_max_confidence_batch(model, [x], budget)[1][0]
+
+
 class TestAnomalyScore:
     def test_uniform_logits(self):
         model = _logit_model(np.zeros((2, 2)))
-        assert anomaly_score(model, [1.0, -1.0]) == pytest.approx(0.5, abs=1e-12)
+        assert _row_score(model, [1.0, -1.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_saturation(self):
         model = _logit_model([[1e9, 0.0], [0.0, 0.0]])
-        assert anomaly_score(model, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert _row_score(model, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_three_class_value(self):
         model = _logit_model(np.eye(3))
-        assert anomaly_score(model, [1.0, 2.0, 3.0]) == pytest.approx(AS_123, abs=1e-12)
+        assert _row_score(model, [1.0, 2.0, 3.0]) == pytest.approx(AS_123, abs=1e-12)
 
     def test_batch_variant_matches_scalar(self):
         # BLAS may round differently per batch shape, so compare to 1e-12
@@ -59,33 +63,7 @@ class TestAnomalyScore:
         xs = rng.normal(size=(6, 3))
         batch = anomaly_scores(model, xs)
         for i, x in enumerate(xs):
-            assert batch[i] == pytest.approx(anomaly_score(model, x), abs=1e-12)
-
-
-class TestThreshold:
-    def test_below_is_ood(self):
-        assert classify_with_threshold(0.3, 0.5) == OUT_OF_DISTRIBUTION
-
-    def test_tie_is_in_distribution(self):
-        assert classify_with_threshold(0.5, 0.5) == IN_DISTRIBUTION
-
-    def test_above_is_in_distribution(self):
-        assert classify_with_threshold(0.9, 0.5) == IN_DISTRIBUTION
-
-    def test_calibrate_constant_scores(self):
-        assert calibrate_threshold(np.full(20, 0.9), 0.95) == 0.9
-
-    def test_calibrate_deciles(self):
-        deciles = np.arange(0.1, 1.05, 0.1)
-        assert calibrate_threshold(deciles, 0.5) == pytest.approx(0.6)
-
-    def test_calibrate_full_tpr_returns_min(self):
-        scores = np.array([0.2, 0.8, 0.5])
-        assert calibrate_threshold(scores, 1.0) == pytest.approx(0.2)
-
-    def test_calibrate_empty_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_threshold(np.array([]), 0.9)
+            assert batch[i] == pytest.approx(_row_score(model, x), abs=1e-12)
 
 
 def _brute_force_auroc(in_scores, out_scores):
@@ -137,7 +115,7 @@ class TestPgd:
         model = MlpClassifier([2, 8, 3], seed=3)
         x = np.array([0.4, -0.2])
         budget = RobustnessBudget(epsilon=0.0)
-        assert pgd_max_confidence(model, x, budget) == anomaly_score(model, x)
+        assert _row_attack(model, x, budget) == _row_score(model, x)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -156,14 +134,14 @@ class TestPgd:
         model = _logit_model([[2.0], [0.0]])
         x0 = 0.5
         budget = RobustnessBudget(epsilon=0.2, pgd_steps=40)
-        attacked = pgd_max_confidence(model, [x0], budget)
-        assert attacked == anomaly_score(model, [x0 + 0.2])
+        attacked = _row_attack(model, [x0], budget)
+        assert attacked == _row_score(model, [x0 + 0.2])
 
     def test_input_box_clamps_attack(self):
         model = _logit_model([[2.0], [0.0]])
         budget = RobustnessBudget(epsilon=0.5, pgd_steps=20, input_box=(0.0, 0.6))
-        attacked = pgd_max_confidence(model, [0.5], budget)
-        assert attacked == anomaly_score(model, [0.6])
+        attacked = _row_attack(model, [0.5], budget)
+        assert attacked == _row_score(model, [0.6])
 
     def test_random_restarts_are_seeded(self):
         model = MlpClassifier([2, 6, 3], seed=5)
@@ -346,9 +324,9 @@ class TestEvaluate:
         model, in_set, out_set = self._sets(seed=5)
         budget = RobustnessBudget(epsilon=0.05, pgd_steps=10)
         report = evaluate_ood(model, in_set, out_set, budget)
-        in_clean = np.array([anomaly_score(model, x) for x in in_set])
-        out_clean = np.array([anomaly_score(model, x) for x in out_set])
-        out_adv = np.array([pgd_max_confidence(model, x, budget) for x in out_set])
+        in_clean = np.array([_row_score(model, x) for x in in_set])
+        out_clean = np.array([_row_score(model, x) for x in out_set])
+        out_adv = np.array([_row_attack(model, x, budget) for x in out_set])
         out_cert = []
         for x in out_set:
             lo, hi = ibp_logit_bounds(model, x, budget.epsilon)
