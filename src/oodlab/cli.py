@@ -20,6 +20,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .data import DatasetSpec, check_spec, generate_dataset, load_csv, save_csv
 from .harness import (
+    _write_json,
     detect_break_point,
     emit_report,
     materialize_eval_in,
@@ -28,9 +29,9 @@ from .harness import (
     run_fewshot_sweep,
     run_occ,
     run_single,
+    score_test_sets,
 )
 from .nets import MlpClassifier, load_checkpoint, save_checkpoint
-from .scoring import evaluate_ood
 from .training import MODES, TrainingError
 
 __all__ = ["main", "dispatch"]
@@ -122,17 +123,10 @@ def _cmd_eval(args) -> int:
     if not isinstance(model, MlpClassifier):
         raise ConfigError(f"--classifier: '{args.classifier}' is not a classifier checkpoint")
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    in_eval = materialize_eval_in(config)
-    reports = {}
-    for name, inputs in materialize_test_sets(config).items():
-        reports[name] = evaluate_ood(
-            model, in_eval, inputs, config.budget, fingerprint=config.fingerprint,
-            dump_csv=out / f"eval_{name}.csv",
-        )
-        _progress(args, f"[eval] {name}: auroc={reports[name].auroc:.4f}")
-    doc = {name: rep.as_dict() for name, rep in reports.items()}
-    (out / "eval.result.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    reports = score_test_sets(config, model, materialize_eval_in(config), materialize_test_sets(config), out / "eval")
+    for name, rep in reports.items():
+        _progress(args, f"[eval] {name}: auroc={rep.auroc:.4f}")
+    _write_json({name: rep.as_dict() for name, rep in reports.items()}, out / "eval.result.json")
     return 0
 
 

@@ -24,8 +24,10 @@ from .scoring import MetricReport, evaluate_ood
 from .training import MODES, PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
+    "RunData",
     "RunRecord",
     "SweepResult",
+    "score_test_sets",
     "run_single",
     "run_ablation",
     "run_fewshot_sweep",
@@ -90,10 +92,13 @@ def _fresh_normal_draw(config: ExperimentConfig, seed: int, size: int) -> Labele
     return gen_gaussian_mixture(replace(config.normal, seed=seed, size=size))
 
 
-def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> OutlierPool:
-    """The data of the spec at config ``key`` as an OutlierPool; ``normals``
-    is a low-frequency-noise spec's base. A CSV whose width is not the
-    normal data's dim raises ConfigError naming the key."""
+def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> OutlierPool | None:
+    """The data of the spec at config ``key`` as an OutlierPool, None when
+    the spec is; ``normals`` is a low-frequency-noise spec's base. A CSV
+    whose width is not the normal data's dim raises ConfigError naming the
+    key."""
+    if spec is None:
+        return None
     data = generate_dataset(spec, normals=normals)
     width = data.inputs.shape[1]
     if width != config.normal.dim:
@@ -117,134 +122,138 @@ def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
 
 def materialize_eval_in(config: ExperimentConfig) -> np.ndarray:
     """Held-out in-distribution samples: the normal spec with a shifted seed."""
-    return _fresh_normal_draw(
-        config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size
-    ).inputs
+    return _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size).inputs
 
 
-def _pipeline_config(config: ExperimentConfig, run_seed: int, few_shot_count: int) -> PipelineConfig:
-    normals = generate_dataset(config.normal)
-    few_shot = None
-    if config.few_shot is not None:
-        pool = _outlier_pool(config, "data.few_shot", config.few_shot, normals)
-        # a synthetic spec's size is checked at load; a CSV's rows only once it is read
-        if config.few_shot.kind == "csv" and few_shot_count > pool.size:
-            raise ConfigError(f"data.few_shot: has {pool.size} rows, fewer than the {few_shot_count} few-shots to sample")
-        few_shot = sample_few_shots(pool, few_shot_count, seed=(run_seed, 5))
-    outlier = None
-    if config.outlier is not None:
-        outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
-    return _assemble_pipeline(config, normals, few_shot, outlier, len(np.unique(normals.labels)), run_seed)
+@dataclass
+class RunData:
+    """Every dataset the entries of one command read, materialized once: the
+    training normals and their class count, the few-shot and outlier pools
+    (None when the config has none), the held-out normals and the OoD test
+    sets."""
+
+    normals: LabeledBatch
+    num_classes: int
+    few_shot_pool: OutlierPool | None
+    outlier: OutlierPool | None
+    eval_in: np.ndarray
+    tests: dict[str, np.ndarray]
+
+    @classmethod
+    def materialize(cls, config: ExperimentConfig) -> RunData:
+        """Read the config's data. A CSV of the wrong width, a few-shot pool
+        with fewer rows than ``few_shot_count`` or the largest sweep count,
+        and a test set with no rows each raise ConfigError naming the key."""
+        normals = generate_dataset(config.normal)
+        few_shot = _outlier_pool(config, "data.few_shot", config.few_shot, normals)
+        need = max(config.few_shot_count, config.sweep_counts[0])
+        if few_shot is not None and few_shot.size < need:
+            raise ConfigError(f"data.few_shot: has {few_shot.size} rows, fewer than the {need} few-shots to sample")
+        return cls(
+            normals, len(np.unique(normals.labels)), few_shot,
+            _outlier_pool(config, "data.outlier", config.outlier, normals),
+            materialize_eval_in(config), materialize_test_sets(config),
+        )
 
 
-def _assemble_pipeline(
-    config: ExperimentConfig, normals: LabeledBatch, few_shot, outlier, num_classes: int, run_seed: int
-) -> PipelineConfig:
-    """The PipelineConfig for materialized data: layer sizes and activations
-    from config.model, the schedule reseeded with run_seed, and the config's
-    weights and boundary pool size."""
-    d = normals.dim
-    model = config.model
-    return PipelineConfig(
-        normals=normals,
-        mode=config.mode,
-        few_shot=few_shot,
-        outlier=outlier,
-        classifier_sizes=[d, *model["classifier_hidden"], num_classes],
-        classifier_activation=model["classifier_activation"],
-        generator_sizes=[model["latent_dim"], *model["generator_hidden"], d],
-        generator_activation=model["generator_activation"],
-        weights=config.weights,
-        schedule=replace(config.schedule, master_seed=run_seed),
-        seed=run_seed,
-        boundary_pool_size=config.boundary_pool_size,
-    )
+def score_test_sets(
+    config: ExperimentConfig, model, eval_in: np.ndarray, tests: dict[str, np.ndarray], dump_stem=None
+) -> dict[str, MetricReport]:
+    """``evaluate_ood`` of ``model`` on every test set against ``eval_in``;
+    with ``dump_stem``, per-sample scores go to ``{dump_stem}_{test}.csv``."""
+    if dump_stem is not None:
+        Path(dump_stem).parent.mkdir(parents=True, exist_ok=True)
+    return {
+        name: evaluate_ood(
+            model, eval_in, out_inputs, config.budget, fingerprint=config.fingerprint,
+            dump_csv=None if dump_stem is None else Path(f"{dump_stem}_{name}.csv"),
+        )
+        for name, out_inputs in tests.items()
+    }
 
 
-def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=None, keep_models: bool = False) -> RunRecord:
-    """Train one pipeline and evaluate every test set against held-out normals.
-
-    All data is materialized before training, so a test set the config
-    points at but cannot be read fails before any training time is spent.
+def _run(
+    config: ExperimentConfig, data: RunData, few_shots: int, run_seed: int, run_id: str, out_dir,
+    keep_models: bool = False,
+) -> RunRecord:
+    """Train one pipeline on ``data`` with ``few_shots`` sampled from its
+    few-shot pool, its layers from config.model and its schedule reseeded
+    with ``run_seed``; score it on every test set and record the run. With
+    ``out_dir``, per-sample scores go to ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
-    run_seed = config.seed if run_seed is None else run_seed
-    pipe_cfg = _pipeline_config(config, run_seed, config.few_shot_count)
-    in_eval, tests = materialize_eval_in(config), materialize_test_sets(config)
-    result = run_pipeline(pipe_cfg)
-    run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{config.fingerprint[:8]}"
-    record = _scored_record(config, result, run_id, config.few_shot_count, run_seed, in_eval, tests, out_dir, t0)
-    if keep_models:
-        record.result = result
-    return record
-
-
-def _scored_record(
-    config: ExperimentConfig, result: PipelineResult, run_id: str, few_shots: int, run_seed: int,
-    in_eval: np.ndarray, tests: dict[str, np.ndarray], out_dir, t0: float,
-) -> RunRecord:
-    """Evaluate the trained classifier on every test set and record the run.
-
-    With ``out_dir``, per-sample scores go to ``scores/{run_id}_{name}.csv``.
-    ``t0`` is the run's ``perf_counter`` start, for ``wall_seconds``.
-    """
-    fingerprint = config.fingerprint
-    scores_dir = None
-    if out_dir is not None:
-        scores_dir = Path(out_dir) / "scores"
-        scores_dir.mkdir(parents=True, exist_ok=True)
-    reports = {}
-    for name, out_inputs in tests.items():
-        dump = scores_dir / f"{run_id}_{name}.csv" if scores_dir is not None else None
-        reports[name] = evaluate_ood(
-            result.classifier, in_eval, out_inputs, config.budget, fingerprint=fingerprint, dump_csv=dump
+    few_shot = None
+    if data.few_shot_pool is not None:
+        few_shot = sample_few_shots(data.few_shot_pool, few_shots, seed=(run_seed, 5))
+    d = data.normals.dim
+    model = config.model
+    result = run_pipeline(
+        PipelineConfig(
+            normals=data.normals,
+            mode=config.mode,
+            few_shot=few_shot,
+            outlier=data.outlier,
+            classifier_sizes=[d, *model["classifier_hidden"], data.num_classes],
+            classifier_activation=model["classifier_activation"],
+            generator_sizes=[model["latent_dim"], *model["generator_hidden"], d],
+            generator_activation=model["generator_activation"],
+            weights=config.weights,
+            schedule=replace(config.schedule, master_seed=run_seed),
+            seed=run_seed,
+            boundary_pool_size=config.boundary_pool_size,
         )
+    )
+    dump_stem = None if out_dir is None else Path(out_dir) / "scores" / run_id
     return RunRecord(
         run_id=run_id,
         mode=config.mode,
         few_shots=few_shots,
         seed=run_seed,
-        fingerprint=fingerprint,
-        reports=reports,
+        fingerprint=config.fingerprint,
+        reports=score_test_sets(config, result.classifier, data.eval_in, data.tests, dump_stem),
         traces=result.traces,
         boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
+        result=result if keep_models else None,
         wall_seconds=time.perf_counter() - t0,
     )
 
 
-def _error(e: Exception) -> str:
-    return f"{type(e).__name__}: {e}"
+def run_single(
+    config: ExperimentConfig, run_seed: int | None = None, out_dir=None, keep_models: bool = False,
+    data: RunData | None = None,
+) -> RunRecord:
+    """Train one pipeline and evaluate every test set against held-out normals.
+
+    Without ``data`` the config's data is materialized first, so data the
+    config points at but cannot be read fails before any training time is
+    spent.
+    """
+    run_seed = config.seed if run_seed is None else run_seed
+    data = RunData.materialize(config) if data is None else data
+    run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{config.fingerprint[:8]}"
+    return _run(config, data, config.few_shot_count, run_seed, run_id, out_dir, keep_models)
 
 
 def _isolated(task) -> RunRecord | str:
     """One entry of a multi-run command: ``run(config.with_updates(**updates),
-    *args)``, returning its RunRecord or its error message.
-
-    The entry fails alone when its own config is invalid (``with_updates``
-    raises) or it raises anything but a ConfigError. A ConfigError raised
-    while it runs (bad data the config points at, which every entry reads)
-    stops the command. ``task`` is one picklable tuple, so a process pool
-    can map this.
+    *args)``, returning its RunRecord or, for any exception (an invalid
+    entry config included), its error message. ``task`` is one picklable
+    tuple, so a process pool can map this.
     """
     run, config, updates, args = task
     try:
-        config = config.with_updates(**updates) if updates else config
-    except ConfigError as e:
-        return _error(e)
-    try:
-        return run(config, *args)
-    except ConfigError:
-        raise
+        return run(config.with_updates(**updates) if updates else config, *args)
     except Exception as e:
-        return _error(e)
+        return f"{type(e).__name__}: {e}"
 
 
 def _run_entries(command: str, config: ExperimentConfig, tasks: dict, jobs: int = 1) -> SweepResult:
     """Run ``{label: task}`` through ``_isolated`` into one record, serially
-    or over ``jobs`` processes. When a ConfigError stops the command with
-    ``jobs > 1``, the tasks not yet started are cancelled."""
-    if jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    or over ``jobs`` processes, never more processes than tasks. An
+    interrupt cancels the tasks not yet started."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             outcomes = list(pool.map(_isolated, tasks.values()))
         finally:
@@ -262,17 +271,19 @@ def _run_entries(command: str, config: ExperimentConfig, tasks: dict, jobs: int 
 
 def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
     """Run each requested mode with the identical seed, labelled by mode;
-    isolate failures as ``_isolated`` does."""
-    tasks = {mode: (run_single, config, {"mode": mode}, (config.seed, out_dir)) for mode in modes}
+    the data is read once for all of them and failures are isolated as
+    ``_isolated`` does."""
+    data = RunData.materialize(config)
+    tasks = {mode: (run_single, config, {"mode": mode}, (config.seed, out_dir, False, data)) for mode in modes}
     return _run_entries("ablate", config, tasks)
 
 
 def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
     """One pipeline + evaluation per few-shot count, seeds varied per count.
 
-    Counts must be strictly decreasing (they may end at 0). Entries failing
-    are isolated into .failures as ``_isolated`` does; the rest of the sweep
-    still runs.
+    Counts must be strictly decreasing (they may end at 0). The data is read
+    once for every count. Entries failing are isolated into .failures as
+    ``_isolated`` does; the rest of the sweep still runs.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -281,8 +292,9 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
         raise ValueError(f"sweep counts must be strictly decreasing, got {counts}")
     if any(c < 0 for c in counts):
         raise ValueError("sweep counts must be >= 0")
+    data = RunData.materialize(config)
     tasks = {
-        count: (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir))
+        count: (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir, False, data))
         for i, count in enumerate(counts)
     }
     return _run_entries("sweep", config, tasks, jobs)
@@ -314,41 +326,33 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
 
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
-    draw; test-time OoD are the other classes of a held-out draw. Entries are
-    labelled by class; a class's failure is isolated as ``_isolated`` does.
+    draw; test-time OoD are the other classes of a held-out draw. Every
+    class's data is built before any class runs. Entries are labelled by
+    class; a class's failure is isolated as ``_isolated`` does.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
-    tasks = {cls: (_run_occ_class, config, {}, (train, holdout, cls, out_dir)) for cls in classes}
-    return _run_entries("occ", config, tasks)
-
-
-def _run_occ_class(config: ExperimentConfig, train: LabeledBatch, holdout: LabeledBatch, cls: int, out_dir) -> RunRecord:
-    t0 = time.perf_counter()
-    mask = train.labels == cls
-    normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
-    anomaly_pool = OutlierPool(train.inputs[~mask])
-    run_seed = config.seed + cls
-    count = min(config.few_shot_count, anomaly_pool.size)
-    few_shot = sample_few_shots(anomaly_pool, count, seed=(run_seed, 5))
-    outlier = None
-    if config.outlier is not None:
+    tasks = {}
+    for cls in classes:
+        mask, held = train.labels == cls, holdout.labels == cls
+        normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
+        pool = OutlierPool(train.inputs[~mask])
         outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
-    result = run_pipeline(_assemble_pipeline(config, normals, few_shot, outlier, 2, run_seed))
-    run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
-    tests = {"occ": holdout.inputs[holdout.labels != cls]}
-    return _scored_record(
-        config, result, run_id, count, run_seed, holdout.inputs[holdout.labels == cls], tests, out_dir, t0
-    )
+        data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": holdout.inputs[~held]})
+        run_seed = config.seed + cls
+        count = min(config.few_shot_count, pool.size)
+        run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
+        tasks[cls] = (_run, config, {}, (data, count, run_seed, run_id, out_dir))
+    return _run_entries("occ", config, tasks)
 
 
 # --- report emission ---------------------------------------------------------
 
 def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_sidecar(path: Path, wall_seconds: float | None) -> None:
@@ -381,12 +385,11 @@ def summary_rows(records: list[RunRecord]) -> list[list]:
 _EXPERIMENT = {"sweep": ("failures", False), "ablate": ("mode_errors", True), "occ": ("occ_errors", True)}
 
 
-def _occ_mean(records: list[RunRecord]) -> dict[str, float]:
-    """Each OCC metric averaged over the classes that ran; NaN when none did."""
-    return {
-        m: float(np.mean([getattr(rec.reports["occ"], m) for rec in records])) if records else float("nan")
-        for m in ("auroc", "aauroc", "gauroc")
-    }
+def _occ_mean(records: list[RunRecord]) -> dict[str, float] | None:
+    """Each OCC metric averaged over the classes that ran; None when none did."""
+    if not records:
+        return None
+    return {m: float(np.mean([getattr(r.reports["occ"], m) for r in records])) for m in ("auroc", "aauroc", "gauroc")}
 
 
 def emit_report(results: RunRecord | SweepResult, out_dir) -> list[Path]:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oodlab import harness
 from oodlab.cli import dispatch
 from oodlab.data import OutlierPool, load_csv, save_csv
 from oodlab.nets import MlpClassifier, save_checkpoint
@@ -207,6 +208,17 @@ class TestConfigErrors:
         assert err == f"config error: data.{key}: has 3 columns, the normal data has dim 2\n"
         assert not (out / "experiment.json").exists()
 
+    def test_a_missing_data_file_stops_a_sweep_once_with_exit_1(self, tiny_doc, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(missing)}
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(tiny_doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count(str(missing)) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "eval"])
     def test_header_only_test_csv_exits_2_naming_the_key(self, tiny_doc, tmp_path, capsys, command):
         empty = tmp_path / "empty.csv"
@@ -325,6 +337,19 @@ class TestAblateOccCommands:
         assert dispatch(["occ", "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 0
         doc = json.loads((out / "experiment.json").read_text())
         assert "occ_mean" in doc
+
+    def test_occ_with_every_class_failing_exits_1_with_a_null_mean(self, tiny_config_path, tmp_path, monkeypatch):
+        def diverged(cfg):
+            raise RuntimeError("diverged")
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        monkeypatch.setattr(harness, "run_pipeline", diverged)
+        out = tmp_path / "occ"
+        assert dispatch(["occ", "--config", str(tiny_config_path), "--out", str(out), "-q"]) == 1
+        doc = json.loads((out / "experiment.json").read_text(), parse_constant=refuse)
+        assert doc == {"occ_errors": {c: "RuntimeError: diverged" for c in "012"}, "occ_mean": None}
 
     @pytest.mark.parametrize(
         "argv, fails_seed, key, errors, ran",
