@@ -20,11 +20,15 @@ Clean scores, PGD and interval bounds all run over the same row blocks
 (``nets.row_blocks``, ``nets.BLOCK_ROWS`` rows each), so the PGD clean start
 equals ``anomaly_scores`` and zero-radius bounds equal ``forward_array`` bit
 for bit on any BLAS. PGD is block-major: every start and step of one block
-runs before the next block, so its iterates stay cache-resident.
+runs before the next block, so its iterates stay cache-resident. Within a
+start, PGD forwards only the rows still moving: a row stops once its next
+iterate repeats its current or previous one, since every later iterate
+would revisit a point already scored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +67,8 @@ class RobustnessBudget:
     input_box: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon: must be >= 0, got {self.epsilon}")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon: must be finite and >= 0, got {self.epsilon}")
         if self.pgd_steps < 1:
             raise ValueError(f"pgd_steps: must be >= 1, got {self.pgd_steps}")
         if self.pgd_restarts < 0:
@@ -73,8 +77,8 @@ class RobustnessBudget:
             raise ValueError(f"tau: must lie in [0, 1], got {self.tau}")
         if self.pgd_step_size is None:
             object.__setattr__(self, "pgd_step_size", self.epsilon / 10.0)
-        elif self.pgd_step_size <= 0:
-            raise ValueError(f"pgd_step_size: must be positive, got {self.pgd_step_size}")
+        elif not (self.pgd_step_size > 0 and math.isfinite(self.pgd_step_size)):
+            raise ValueError(f"pgd_step_size: must be positive and finite, got {self.pgd_step_size}")
         elif self.epsilon > 0 and self.pgd_step_size > self.epsilon:
             raise ValueError(f"pgd_step_size: must not exceed epsilon {self.epsilon}, got {self.pgd_step_size}")
         if self.input_box is not None:
@@ -184,15 +188,24 @@ def pgd_max_confidence_batch(
     iterate (``anomaly_scores(model, x)``, bit for bit) and the max score over
     every iterate visited, so adversarial >= clean. One forward pass per
     iterate gives both its score and, through the max-softmax VJP, its input
-    gradient, so a start costs pgd_steps + 1 passes; the model's parameters
-    and their gradients are never touched. epsilon 0 short-circuits to the
-    clean scores for both.
+    gradient; the model's parameters and their gradients are never touched.
+    epsilon 0 short-circuits to the clean scores for both.
 
     The attack runs block-major over ``row_blocks``: all starts and steps of
-    one block, then the next block. Rows never interact, so this changes no
-    score beyond the matmul rounding of a shorter last block. The restart
-    jitter is drawn once for all of ``x`` before the block loop, and each
-    block's ball bounds are computed once.
+    one block, then the next block. The restart jitter is drawn once for all
+    of ``x`` before the block loop, and each block's ball bounds are computed
+    once. A start's first pass covers its whole block; after that a pass
+    covers only the live rows. A row leaves the live set when its next
+    iterate equals its current one (a fixed point) or its previous one (a
+    2-cycle): every later iterate then repeats a point whose score is already
+    in the max. A start ends after pgd_steps + 1 passes or when no row is
+    live, so it costs at most pgd_steps + 1 passes.
+
+    Rows never interact, but BLAS may round a row's matmul differently with
+    the number of rows in the pass, so a shorter last block or a shrunken
+    live set can change an adversarial score in the last bits against a run
+    without the early exit. The clean scores are unaffected: the first pass
+    is always the full block.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if budget.epsilon == 0:
@@ -208,17 +221,21 @@ def pgd_max_confidence_batch(
     clean = np.empty(len(x))
     best = np.empty(len(x))
     for rows in row_blocks(len(x)):
-        lo, hi = _ball(x[rows], budget.epsilon, budget.input_box)
+        block_lo, block_hi = _ball(x[rows], budget.epsilon, budget.input_box)
         block_best = None
         for start in starts:
-            adv = start[rows]
+            # live: the block rows still moving, with their iterate, the one
+            # before it and their ball bounds, compacted alike
+            adv = prev = start[rows]
+            live = np.arange(len(adv))
+            lo, hi = block_lo, block_hi
             for step in range(budget.pgd_steps + 1):
                 logits, cache = model.forward_with_cache(adv)
                 score, vjp = _max_softmax(logits)
                 if block_best is None:
                     clean[rows] = block_best = score
                 else:
-                    np.maximum(block_best, score, out=block_best)
+                    block_best[live] = np.maximum(block_best[live], score)
                 if step == budget.pgd_steps:
                     break
                 # clip(adv + step_size * sign(grad)), in the fresh gradient's buffer
@@ -226,7 +243,15 @@ def pgd_max_confidence_batch(
                 np.sign(grad, out=grad)
                 grad *= budget.pgd_step_size
                 grad += adv
-                adv = np.clip(grad, lo, hi, out=grad)
+                nxt = np.clip(grad, lo, hi, out=grad)
+                # a row whose next iterate repeats its current (fixed point) or
+                # previous one (2-cycle) only revisits points already scored
+                moving = (nxt != adv).any(axis=1) & (nxt != prev).any(axis=1)
+                prev, adv = adv, nxt
+                if not moving.any():
+                    break
+                if not moving.all():
+                    live, adv, prev, lo, hi = live[moving], adv[moving], prev[moving], lo[moving], hi[moving]
         best[rows] = block_best
     return clean, best
 

@@ -16,7 +16,8 @@ from oodlab.scoring import (
     ibp_logit_bounds,
     pgd_max_confidence_batch,
 )
-from oodlab.scoring import _rank_auroc
+from oodlab.losses import _max_softmax
+from oodlab.scoring import _ball, _rank_auroc
 
 # frozen from a 40-digit evaluation of the closed forms
 AS_123 = 0.6652409557748219
@@ -41,6 +42,103 @@ def _row_score(model, x):
 def _row_attack(model, x, budget):
     """The PGD score of one sample, attacked as a one-row batch."""
     return pgd_max_confidence_batch(model, [x], budget)[1][0]
+
+
+def _starts(xs, budget, seed):
+    """The attack's starts: the clean inputs, then one jittered copy per
+    restart, drawn for the whole set as ``pgd_max_confidence_batch`` does."""
+    starts = [xs]
+    lo, hi = _ball(xs, budget.epsilon, budget.input_box)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget.pgd_restarts):
+        starts.append(np.clip(xs + rng.uniform(-budget.epsilon, budget.epsilon, xs.shape), lo, hi))
+    return starts, lo, hi
+
+
+def _full_schedule_pgd(model, xs, budget, seed=0):
+    """PGD without the early exit: every start runs pgd_steps + 1 passes over
+    all of ``xs``. Returns ``(clean, adversarial)``."""
+    starts, lo, hi = _starts(xs, budget, seed)
+    clean = best = None
+    for adv in starts:
+        for step in range(budget.pgd_steps + 1):
+            logits, cache = model.forward_with_cache(adv)
+            score, vjp = _max_softmax(logits)
+            clean = score if clean is None else clean
+            best = score if best is None else np.maximum(best, score)
+            if step == budget.pgd_steps:
+                break
+            grad = model.backprop(cache, vjp(np.ones(len(score))), inputs=True)
+            adv = np.clip(adv + budget.pgd_step_size * np.sign(grad), lo, hi)
+    return clean, best
+
+
+# (input dim, hidden widths, classes, activation, init seed) of a small MLP
+_MLPS = st.tuples(
+    st.integers(1, 3),
+    st.lists(st.integers(2, 8), min_size=1, max_size=2),
+    st.integers(2, 4),
+    st.sampled_from(["relu", "tanh"]),
+    st.integers(0, 10**6),
+)
+# (epsilon, pgd_steps, pgd_restarts, whether to clamp to the box [-1, 1])
+_ATTACKS = st.tuples(st.sampled_from([0.01, 0.05, 0.2, 0.5]), st.integers(1, 40), st.integers(0, 2), st.booleans())
+
+
+def _attack_case(mlp, attack):
+    d, hidden, classes, activation, init = mlp
+    epsilon, steps, restarts, boxed = attack
+    model = MlpClassifier([d, *hidden, classes], activation=activation, seed=init)
+    budget = RobustnessBudget(
+        epsilon=epsilon, pgd_steps=steps, pgd_restarts=restarts, input_box=(-1.0, 1.0) if boxed else None
+    )
+    return model, budget
+
+
+def _pass_schedule(monkeypatch, model, xs, budget, seed):
+    """Attack ``xs`` and split its forward passes by block and start:
+    ``schedule[b][s]`` lists the inputs of start ``s``'s passes in block ``b``.
+
+    A start is found by its first pass, whose input is that start's whole
+    block; the starts are searched for in block-major order, so a run that
+    is not block-major fails here."""
+    inputs = []
+    original = Mlp.forward_with_cache
+
+    def recording(self, x):
+        inputs.append(np.array(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Mlp, "forward_with_cache", recording)
+    pgd_max_confidence_batch(model, xs, budget, seed=seed)
+    starts = _starts(xs, budget, seed)[0]
+    firsts = [(b, start[rows]) for b, rows in enumerate(nets.row_blocks(len(xs))) for start in starts]
+    at = []
+    for _, first in firsts:
+        found = [i for i in range(at[-1] + 1 if at else 0, len(inputs)) if inputs[i].tobytes() == first.tobytes()]
+        assert found, "a start's first pass is missing or out of block-major order"
+        at.append(found[0])
+    assert at[0] == 0
+    schedule = [[] for _ in nets.row_blocks(len(xs))]
+    for (b, _), i, j in zip(firsts, at, at[1:] + [len(inputs)]):
+        schedule[b].append(inputs[i:j])
+    return schedule
+
+
+def _assert_start_schedules(schedule, xs, budget):
+    """Each start's passes stay inside its block's balls, begin with the whole
+    block, never grow, and number at most pgd_steps + 1."""
+    for rows, block in zip(nets.row_blocks(len(xs)), schedule):
+        centers = xs[rows]
+        sizes = [[len(p) for p in start] for start in block]
+        for start, size in zip(block, sizes):
+            assert size[0] == len(centers)
+            assert all(a >= b for a, b in zip(size, size[1:]))
+            assert len(size) <= budget.pgd_steps + 1
+            for p in start:
+                dist = np.abs(p[:, None, :] - centers[None, :, :]).max(axis=2).min(axis=1)
+                assert np.all(dist <= budget.epsilon * (1 + 1e-12))
+        assert sum(map(len, sizes)) <= (budget.pgd_restarts + 1) * (budget.pgd_steps + 1)
 
 
 class TestAnomalyScore:
@@ -164,22 +262,30 @@ class TestPgd:
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_one_forward_pass_per_iterate(self, restarts, monkeypatch):
-        calls = []
-        original = Mlp.forward_with_cache
-
-        def counting(self, x):
-            calls.append(len(x))
-            return original(self, x)
-
-        monkeypatch.setattr(Mlp, "forward_with_cache", counting)
         model = MlpClassifier([2, 6, 3], seed=5)
         xs = np.random.default_rng(0).normal(size=(4, 2))
-        budget = RobustnessBudget(epsilon=0.1, pgd_steps=7, pgd_restarts=restarts)
-        pgd_max_confidence_batch(model, xs, budget, seed=1)
-        assert calls == [4] * ((restarts + 1) * (budget.pgd_steps + 1))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=40, pgd_restarts=restarts)
+        schedule = _pass_schedule(monkeypatch, model, xs, budget, seed=1)
+        assert len(schedule) == 1 and len(schedule[0]) == restarts + 1
+        _assert_start_schedules(schedule, xs, budget)
+        # forty steps of epsilon/10 let rows settle, so starts end early
+        assert any(len(start) < budget.pgd_steps + 1 for block in schedule for start in block)
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_blocks_run_block_major(self, restarts, monkeypatch):
+        monkeypatch.setattr(nets, "BLOCK_ROWS", 4)
+        model = MlpClassifier([2, 6, 3], seed=5)
+        xs = np.random.default_rng(0).normal(size=(10, 2))
+        budget = RobustnessBudget(epsilon=0.1, pgd_steps=40, pgd_restarts=restarts)
+        schedule = _pass_schedule(monkeypatch, model, xs, budget, seed=1)
+        assert [len(block) for block in schedule] == [restarts + 1] * 3
+        _assert_start_schedules(schedule, xs, budget)
+        # forty steps of epsilon/10 let rows settle, so starts end early
+        assert any(len(start) < budget.pgd_steps + 1 for block in schedule for start in block)
+
+    def test_linear_scorer_stops_at_the_ball_edge(self, monkeypatch):
+        # the iterate climbs 0.5 -> 0.7 in ten steps of 0.02, then sits on the
+        # ball edge: eleven passes, not pgd_steps + 1 = 41
         calls = []
         original = Mlp.forward_with_cache
 
@@ -187,14 +293,41 @@ class TestPgd:
             calls.append(len(x))
             return original(self, x)
 
-        monkeypatch.setattr(nets, "BLOCK_ROWS", 4)
+        model = _logit_model([[2.0], [0.0]])
         monkeypatch.setattr(Mlp, "forward_with_cache", counting)
-        model = MlpClassifier([2, 6, 3], seed=5)
-        xs = np.random.default_rng(0).normal(size=(10, 2))
-        budget = RobustnessBudget(epsilon=0.1, pgd_steps=7, pgd_restarts=restarts)
-        pgd_max_confidence_batch(model, xs, budget, seed=1)
-        k = (restarts + 1) * (budget.pgd_steps + 1)
-        assert calls == [4] * k + [4] * k + [2] * k
+        _row_attack(model, [0.5], RobustnessBudget(epsilon=0.2, pgd_steps=40))
+        assert calls == [1] * 11
+
+    @settings(max_examples=120, deadline=None)
+    @given(_MLPS, _ATTACKS, st.integers(0, 2**32 - 1))
+    def test_single_row_attack_equals_the_full_schedule(self, mlp, attack, seed):
+        # one row keeps every pass the same size, so the exit may change no bit
+        model, budget = _attack_case(mlp, attack)
+        d = model.input_dim
+        low, high = budget.input_box or (-1.0, 1.0)
+        for x in np.random.default_rng(seed).uniform(low, high, (4, 1, d)):
+            clean, adv = pgd_max_confidence_batch(model, x, budget, seed=seed)
+            want_clean, want_adv = _full_schedule_pgd(model, x, budget, seed=seed)
+            assert clean.tobytes() == want_clean.tobytes()
+            assert adv.tobytes() == want_adv.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_MLPS, _ATTACKS, st.integers(0, 2**32 - 1), st.integers(2, 40))
+    def test_multi_row_attack_matches_the_full_schedule(self, mlp, attack, seed, rows):
+        # a shrinking live set may round a row's matmul differently, so only
+        # the clean start is bit-exact
+        model, budget = _attack_case(mlp, attack)
+        low, high = budget.input_box or (-1.0, 1.0)
+        xs = np.random.default_rng(seed).uniform(low, high, (rows, model.input_dim))
+        clean, adv = pgd_max_confidence_batch(model, xs, budget, seed=seed)
+        cert = certified_max_confidence(*ibp_logit_bounds(model, xs, budget.epsilon, input_box=budget.input_box))
+        assert clean.tobytes() == anomaly_scores(model, xs).tobytes()
+        # the interval bounds are not rounded outward, so where a bound is tight
+        # (a monotone piece) PGD can reach it to within rounding, as in TestIbp
+        assert np.all(clean <= adv) and np.all(adv <= cert + 1e-12)
+        want_clean, want_adv = _full_schedule_pgd(model, xs, budget, seed=seed)
+        np.testing.assert_allclose(clean, want_clean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(adv, want_adv, rtol=0, atol=1e-12)
 
     def test_blocked_restarts_match_unblocked(self, monkeypatch):
         # the restart jitter is drawn once for all rows, not per block
@@ -385,6 +518,19 @@ class TestBudgetAndReportValidation:
     def test_step_size_cannot_exceed_epsilon(self):
         with pytest.raises(ValueError):
             RobustnessBudget(epsilon=0.1, pgd_step_size=0.2)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("epsilon", {"epsilon": float("nan")}),
+            ("epsilon", {"epsilon": float("inf")}),
+            ("pgd_step_size", {"pgd_step_size": float("nan")}),
+            ("pgd_step_size", {"epsilon": 0.0, "pgd_step_size": float("inf")}),
+        ],
+    )
+    def test_non_finite_budget_rejected_naming_the_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            RobustnessBudget(**kwargs)
 
     def test_tau_range_checked(self):
         with pytest.raises(ValueError):
