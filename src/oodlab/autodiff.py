@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over small dense float64 tensors.
 
-Values live in numpy arrays. A node records its parents and a
-vector-Jacobian product in a ComputationRecord attached to the result
-tensor. Tensors carry monotonically increasing creation ids, so walking
-recorded nodes in reverse creation order is a valid topological order for
-backpropagation (parents are always created before children). Only leaf
-tensors made with requires_grad=True own a ``.grad`` buffer; gradients of
-intermediate nodes live in ``backward`` alone.
+Values live in numpy arrays. A tape node is a tensor holding its value,
+its parents and a vector-Jacobian product; leaves and constants hold no
+parents and no VJP. Tensors carry monotonically increasing creation ids, so
+walking recorded nodes in reverse creation order is a valid topological
+order for backpropagation (parents are always created before children).
+Only leaf tensors made with requires_grad=True own a ``.grad`` buffer;
+gradients of intermediate nodes live in ``backward`` alone.
 
 The tape is a thin driver. The MLP forward pass (``nets``) and each loss
 term (``losses``) are one node each, built with ``node`` around a VJP
@@ -17,10 +17,9 @@ flat leaf (``nets.Mlp.flat``), so a training step's tape is one loss node
 over one leaf. The only generic primitives are ``add``, ``scalar_mul`` and
 ``reduce_sum``, for composing terms.
 
-Broadcasting in ``add`` is deliberately narrow: equal shapes, a scalar
-(shape ()) against anything, or one operand matching the other with the
-leading batch axis removed. Anything else raises ShapeMismatchError naming
-the primitive and both shapes.
+``add`` takes operands of equal shape or a scalar (shape ()) against
+anything. Anything else raises ShapeMismatchError naming the primitive and
+both shapes.
 
 A computation graph belongs to one thread; tensors without grad tracking may
 be shared read-only across threads. There is no internal locking.
@@ -31,13 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "ComputationRecord",
     "ShapeMismatchError",
     "node",
     "backward",
@@ -60,24 +58,15 @@ class ShapeMismatchError(ValueError):
         super().__init__(f"{primitive}: incompatible shapes {rendered}")
 
 
-@dataclass
-class ComputationRecord:
-    """Graph bookkeeping for one tape node.
+class Tensor:
+    """A dense float64 array with optional gradient tracking.
 
-    ``vjp`` maps the gradient flowing into this node to one gradient per
-    parent (``None`` for parents that do not require grad).
+    A recorded node holds its ``parents`` and its ``vjp``, which maps the
+    gradient flowing into it to one gradient per parent (``None`` for a
+    parent that needs none); leaves and constants hold ``()`` and ``None``.
     """
 
-    node_id: int
-    kind: str
-    parents: tuple["Tensor", ...]
-    vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]
-
-
-class Tensor:
-    """A dense float64 array with optional gradient tracking."""
-
-    __slots__ = ("data", "requires_grad", "grad", "record", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "vjp", "node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         # np.ascontiguousarray would promote 0-d scalars to shape (1,)
@@ -85,7 +74,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.record: ComputationRecord | None = None
+        self.parents: tuple[Tensor, ...] = ()
+        self.vjp = None
         self.node_id = next(_node_ids)
 
     @property
@@ -109,59 +99,31 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def node(data: np.ndarray, kind: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """A tensor holding ``data``, recorded on the tape when a parent requires
-    grad. ``vjp(g)`` returns one gradient per parent (``None`` for a parent
-    that needs none); it is only called for a recorded node."""
+    grad; ``vjp`` is only called for a recorded node."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.record = ComputationRecord(out.node_id, kind, parents, vjp)
+        out.parents = parents
+        out.vjp = vjp
     return out
 
 
-def _check_broadcast(kind: str, a: Tensor, b: Tensor) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb or sa == () or sb == ():
-        return
-    if len(sb) == len(sa) - 1 and sb == sa[1:]:
-        return
-    if len(sa) == len(sb) - 1 and sa == sb[1:]:
-        return
-    raise ShapeMismatchError(kind, sa, sb)
-
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Undo the leading-batch/scalar broadcast for a parent of ``shape``."""
-    if grad.shape == shape:
-        return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    return grad.sum(axis=0)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    return node(
-        a.data + b.data,
-        "add",
-        (a, b),
-        lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)),
-    )
+    if not (a.shape == b.shape or a.shape == () or b.shape == ()):
+        raise ShapeMismatchError("add", a.shape, b.shape)
+    # a scalar operand was broadcast, so its gradient is the sum of g
+    return node(a.data + b.data, (a, b), lambda g: tuple(g if p.shape == g.shape else np.asarray(g.sum()) for p in (a, b)))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return node(a.data * c, "scalar-mul", (a,), lambda g: (g * c,))
+    return node(a.data * c, (a,), lambda g: (g * c,))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return node(
-        np.asarray(a.data.sum()),
-        "reduce_sum",
-        (a,),
-        lambda g: (np.broadcast_to(g, a.shape).copy(),),
-    )
+    return node(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def backward(root: Tensor) -> None:
@@ -180,8 +142,7 @@ def backward(root: Tensor) -> None:
         if t.node_id in nodes:
             continue
         nodes[t.node_id] = t
-        if t.record is not None:
-            stack.extend(t.record.parents)
+        stack.extend(t.parents)
 
     grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
     for nid in sorted(nodes, reverse=True):
@@ -191,9 +152,9 @@ def backward(root: Tensor) -> None:
         t = nodes[nid]
         if t.requires_grad and t.grad is not None:
             t.grad += g
-        if t.record is None:
+        if t.vjp is None:
             continue
-        for parent, pg in zip(t.record.parents, t.record.vjp(g)):
+        for parent, pg in zip(t.parents, t.vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(parent.node_id)

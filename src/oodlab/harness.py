@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .data import LabeledBatch, OutlierPool, gen_gaussian_mixture, generate_dataset, sample_few_shots
-from .scoring import MetricReport, evaluate_ood
+from .scoring import MetricReport, _check_in_box, evaluate_ood
 from .training import MODES, PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
@@ -109,7 +109,8 @@ def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> Out
 def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Generate every OoD test set; LFN corrupts a fresh draw of normals.
 
-    A set with no rows (a header-only CSV) raises ConfigError naming its key.
+    A set with no rows (a header-only CSV) or with a row outside
+    ``budget.input_box`` raises ConfigError naming its key.
     """
     out = {}
     for name, spec in config.tests.items():
@@ -117,6 +118,10 @@ def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
         out[name] = _outlier_pool(config, f"data.tests.{name}", spec, base).inputs
         if len(out[name]) == 0:
             raise ConfigError(f"data.tests.{name}: has no rows")
+        try:
+            _check_in_box(out[name], config.budget.input_box, "budget.input_box")
+        except ValueError as e:
+            raise ConfigError(f"data.tests.{name}: {e}") from None
     return out
 
 

@@ -221,20 +221,20 @@ def _proximity(generated: np.ndarray, normal_reference):
     return value, vjp
 
 
-def _term(kind: str, core, t: Tensor, *args) -> Tensor:
+def _term(core, t: Tensor, *args) -> Tensor:
     """One tape node for a term whose only differentiable input is ``t``."""
     value, vjp = core(t.data, *args)
-    return ad.node(value, kind, (t,), lambda g: (vjp(g),))
+    return ad.node(value, (t,), lambda g: (vjp(g),))
 
 
 def max_softmax_prob(logits: Tensor) -> Tensor:
     """Rowwise max softmax probability, computed as exp(max - logsumexp)."""
-    return _term("max_softmax_prob", _max_softmax, logits)
+    return _term(_max_softmax, logits)
 
 
 def cross_entropy_term(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax of the labeled class, via log-sum-exp."""
-    return _term("cross_entropy", _cross_entropy, logits, labels)
+    return _term(_cross_entropy, logits, labels)
 
 
 def negative_training_term(logits: Tensor) -> Tensor:
@@ -243,7 +243,7 @@ def negative_training_term(logits: Tensor) -> Tensor:
     1 - p* is clamped at 1e-12 before the log, so a confidently classified
     negative contributes a large but finite penalty (and zero gradient).
     """
-    return _term("negative_training", _negative_training, logits)
+    return _term(_negative_training, logits)
 
 
 def dispersion_term(latents, outputs: Tensor, delta: float) -> Tensor:
@@ -253,7 +253,7 @@ def dispersion_term(latents, outputs: Tensor, delta: float) -> Tensor:
     which equals the mean over unordered pairs by symmetry. The subgradient
     at coinciding outputs is 0.
     """
-    return _term("dispersion", _dispersion, outputs, latents, delta)
+    return _term(_dispersion, outputs, latents, delta)
 
 
 def confidence_dominance_term(generated_logits: Tensor, reference_logits: Tensor) -> Tensor:
@@ -268,7 +268,7 @@ def confidence_dominance_term(generated_logits: Tensor, reference_logits: Tensor
             -grad if reference_logits.requires_grad else None,
         )
 
-    return ad.node(value, "confidence_dominance", (generated_logits, reference_logits), both)
+    return ad.node(value, (generated_logits, reference_logits), both)
 
 
 def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
@@ -277,7 +277,7 @@ def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
     The nearest row is picked in numpy; on a tie the subgradient follows the
     first nearest row, and at distance 0 it is 0.
     """
-    return _term("proximity", _proximity, generated, normal_reference)
+    return _term(_proximity, generated, normal_reference)
 
 
 def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None, weights: LossWeights) -> Tensor:
@@ -301,7 +301,7 @@ def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None,
             grad += neg_grad
         return (grad,)
 
-    return ad.node(value, "classifier_loss", (model.flat,), vjp)
+    return ad.node(value, (model.flat,), vjp)
 
 
 def generator_loss(
@@ -350,7 +350,7 @@ def generator_loss(
         generator.backprop(gen_cache, disp_vjp(g, g_out), grad)
         return (grad,)
 
-    return ad.node(value, "generator_loss", (generator.flat,), vjp)
+    return ad.node(value, (generator.flat,), vjp)
 
 
 def _seed_key(seed) -> int:

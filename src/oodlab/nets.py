@@ -192,8 +192,8 @@ class Mlp:
         return g
 
     def forward(self, x) -> Tensor:
-        """Forward pass for a 2-D batch (rows are samples) as one ``mlp``
-        tape node over the input and the flat parameter leaf."""
+        """Forward pass for a 2-D batch (rows are samples) as one tape node
+        over the input and the flat parameter leaf."""
         xt = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         out, cache = self.forward_with_cache(xt.data)
         flat = self.flat
@@ -202,7 +202,7 @@ class Mlp:
             grad = np.empty_like(flat.data) if flat.requires_grad else None
             return self.backprop(cache, g, grad, inputs=xt.requires_grad), grad
 
-        return ad.node(out, "mlp", (xt, flat), vjp)
+        return ad.node(out, (xt, flat), vjp)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass: the outputs of ``forward_with_cache``,

@@ -19,11 +19,12 @@ with the max-softmax VJP, and the softmax arithmetic is the loss code's.
 Clean scores, PGD and interval bounds all run over the same row blocks
 (``nets.row_blocks``, ``nets.BLOCK_ROWS`` rows each), so the PGD clean start
 equals ``anomaly_scores`` and zero-radius bounds equal ``forward_array`` bit
-for bit on any BLAS. PGD is block-major: every start and step of one block
-runs before the next block, so its iterates stay cache-resident. Within a
-start, PGD forwards only the rows still moving: a row stops once its next
-iterate repeats its current or previous one, since every later iterate
-would revisit a point already scored.
+for bit on any BLAS. Epsilon 0 runs the attack loop too: its first step is
+a fixed point. With epsilon > 0 the bounds are widened by a bound on their
+own rounding and the forward pass's, so clean <= adversarial <= certified
+holds for the computed scores with no slack; at epsilon 0 nothing is
+widened. With ``input_box`` set, a row to attack outside it has an empty
+ball and raises a ValueError naming the row and the box.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ import numpy as np
 
 from .losses import _log_softmax_parts, _max_softmax
 from .nets import row_blocks
+
+# half the spacing of float64 at 1.0: the largest relative error of one rounding
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 __all__ = [
     "RobustnessBudget",
@@ -168,6 +172,16 @@ def auroc(scores: ScoreSet) -> float:
     return _rank_auroc(scores.in_scores, scores.out_scores)
 
 
+def _check_in_box(x: np.ndarray, input_box, box_name: str = "input_box") -> None:
+    """Raise ValueError naming the first row of ``x`` outside ``input_box``."""
+    if input_box is None:
+        return
+    inside = ((x >= input_box[0]) & (x <= input_box[1])).all(axis=1)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"row {i} {x[i].tolist()} lies outside {box_name} [{input_box[0]}, {input_box[1]}]")
+
+
 def _ball(center: np.ndarray, epsilon: float, input_box) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate bounds of the l-infinity ball around ``center``,
     clamped to ``input_box`` when it is set."""
@@ -189,17 +203,16 @@ def pgd_max_confidence_batch(
     every iterate visited, so adversarial >= clean. One forward pass per
     iterate gives both its score and, through the max-softmax VJP, its input
     gradient; the model's parameters and their gradients are never touched.
-    epsilon 0 short-circuits to the clean scores for both.
 
-    The attack runs block-major over ``row_blocks``: all starts and steps of
-    one block, then the next block. The restart jitter is drawn once for all
-    of ``x`` before the block loop, and each block's ball bounds are computed
-    once. A start's first pass covers its whole block; after that a pass
-    covers only the live rows. A row leaves the live set when its next
-    iterate equals its current one (a fixed point) or its previous one (a
-    2-cycle): every later iterate then repeats a point whose score is already
-    in the max. A start ends after pgd_steps + 1 passes or when no row is
-    live, so it costs at most pgd_steps + 1 passes.
+    The attack runs block-major over ``row_blocks``, so a block's iterates
+    stay cache-resident: all starts and steps of one block, then the next.
+    The restart jitter is drawn once for all of ``x`` before the block loop,
+    and each block's ball bounds are computed once. A start's first pass
+    covers its whole block; after that a pass covers only the live rows. A
+    row leaves the live set when its next iterate equals its current one (a
+    fixed point) or its previous one (a 2-cycle): every later iterate then
+    repeats a point already scored. So a start costs at most pgd_steps + 1
+    passes.
 
     Rows never interact, but BLAS may round a row's matmul differently with
     the number of rows in the pass, so a shorter last block or a shrunken
@@ -208,9 +221,7 @@ def pgd_max_confidence_batch(
     is always the full block.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if budget.epsilon == 0:
-        clean = anomaly_scores(model, x)
-        return clean, clean
+    _check_in_box(x, budget.input_box)
     starts = [x]
     if budget.pgd_restarts > 0:
         lo, hi = _ball(x, budget.epsilon, budget.input_box)
@@ -264,6 +275,11 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
     center pass uses the forward's arithmetic (``Mlp.forward_with_cache``)
     over the same row blocks as ``forward_array``, so with epsilon 0 the
     bounds collapse bit-exactly onto its logits.
+
+    With epsilon > 0 the bounds hold for the rounded logits ``forward_array``
+    computes in the ball: with s = (2 fan_in + 8) u (u the unit roundoff), an
+    affine layer maps the radius r + s (r + |c|), then adds s (|b| + |W.c + b|),
+    and activation endpoints move outward by 8u |value| (two tanh errors).
     """
     if model.activation not in ("relu", "tanh"):
         raise ValueError(f"interval propagation supports relu/tanh, not '{model.activation}'")
@@ -272,6 +288,7 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     x2 = np.atleast_2d(arr)
+    _check_in_box(x2, input_box)
     layers = [(np.ascontiguousarray(w.T), np.abs(w).T, b) for w, b in model.layers]
     last = len(layers) - 1
     lo_out = np.empty((len(x2), model.output_dim))
@@ -281,13 +298,21 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
         for i, (wt, abs_wt, b) in enumerate(layers):
             center = (lo + hi) / 2.0
             radius = (hi - lo) / 2.0
+            if epsilon > 0:
+                spread = (2 * len(wt) + 8) * _UNIT_ROUNDOFF
+                radius += spread * (radius + np.abs(center))
             center = center @ wt + b
             radius = radius @ abs_wt
+            if epsilon > 0:
+                radius += spread * (np.abs(b) + np.abs(center))
             lo = center - radius
             hi = center + radius
             if i != last:
                 lo = model.activate(lo)
                 hi = model.activate(hi)
+                if epsilon > 0:
+                    lo -= 8 * _UNIT_ROUNDOFF * np.abs(lo)
+                    hi += 8 * _UNIT_ROUNDOFF * np.abs(hi)
         lo_out[rows] = lo
         hi_out[rows] = hi
     if single:
@@ -297,7 +322,9 @@ def ibp_logit_bounds(model, x, epsilon: float, input_box: tuple[float, float] | 
 
 def certified_max_confidence(lo, hi):
     """Upper bound on the max softmax over any logit vector inside [lo, hi]:
-    each candidate class takes its upper endpoint while rivals take lower."""
+    each candidate class takes its upper endpoint while rivals take lower.
+    A row with lo < hi somewhere is scaled by 1 + 16u (max|logit| + K + 2),
+    capped at 1, for the rounding of this softmax and ``anomaly_scores``'."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if lo.shape != hi.shape:
@@ -309,10 +336,15 @@ def certified_max_confidence(lo, hi):
     hi2 = np.atleast_2d(hi)
     k = lo2.shape[1]
     best = np.zeros(lo2.shape[0])
+    size = np.zeros(lo2.shape[0])  # max |logit| over the row's box, as lo <= hi
+    wide = np.zeros(lo2.shape[0], dtype=bool)  # a zero-width row is scored as anomaly_scores scores it
     for cls in range(k):
         z = lo2.copy()
         z[:, cls] = hi2[:, cls]
         best = np.maximum(best, np.exp(hi2[:, cls] - _log_softmax_parts(z)[0]))
+        size = np.maximum(size, np.maximum(-lo2[:, cls], hi2[:, cls]))
+        wide |= lo2[:, cls] < hi2[:, cls]
+    best = np.minimum(best * (1.0 + 16 * _UNIT_ROUNDOFF * (size + k + 2) * wide), 1.0)
     return float(best[0]) if single else best
 
 
@@ -329,7 +361,7 @@ def evaluate_ood(
 
     Only out-samples are attacked/certified; in-samples stay clean. When
     dump_csv is given, per-sample scores are written as
-    sample_id,set,clean_score,adv_score,cert_upper.
+    sample_id,set,clean_score,adv_score,cert_upper at 17 significant digits.
     """
     in_inputs = np.atleast_2d(np.asarray(in_inputs, dtype=np.float64))
     out_inputs = np.atleast_2d(np.asarray(out_inputs, dtype=np.float64))
@@ -359,11 +391,10 @@ def evaluate_ood(
         fingerprint=fingerprint,
     )
     if dump_csv is not None:
-        lines = ["sample_id,set,clean_score,adv_score,cert_upper"]
-        for i, s in enumerate(in_clean):
-            v = format(s, ".17g")
-            lines.append(f"in-{i},in,{v},{v},{v}")
-        for i, (c, a, g) in enumerate(zip(out_clean, out_adv, certified.out_scores)):
-            lines.append(f"out-{i},out,{format(c, '.17g')},{format(a, '.17g')},{format(g, '.17g')}")
-        Path(dump_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # each in-score is formatted once; one %-template covers all out-rows
+        # (its %d prints the float row index as an integer)
+        ins = "".join(f"in-{i},in,{v},{v},{v}\n" for i, v in enumerate("%.17g" % s for s in in_clean.tolist()))
+        rows = np.column_stack([np.arange(len(out_clean)), out_clean, out_adv, certified.out_scores])
+        outs = ("out-%d,out,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+        Path(dump_csv).write_text("sample_id,set,clean_score,adv_score,cert_upper\n" + ins + outs, encoding="utf-8")
     return report

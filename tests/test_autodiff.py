@@ -20,7 +20,7 @@ LN2 = 0.6931471805599453
 
 def _square(x):
     """x * x as one hand-written node, the way nets and losses build theirs."""
-    return ad.node(x.data * x.data, "square", (x,), lambda g: (2.0 * x.data * g,))
+    return ad.node(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
 
 def _net(*weights, activation="relu"):
@@ -153,9 +153,9 @@ def test_grad_check_passes_on_square():
 def test_grad_check_detects_corrupted_gradient():
     def f(x):
         out = _square(x)
-        if out.record is not None:  # only the analytic pass calls the VJP
-            original = out.record.vjp
-            out.record.vjp = lambda g: tuple(None if p is None else 1.1 * p for p in original(g))
+        if out.vjp is not None:  # only the analytic pass calls the VJP
+            original = out.vjp
+            out.vjp = lambda g: tuple(None if p is None else 1.1 * p for p in original(g))
         return ad.reduce_sum(out)
 
     report = ad.grad_check(f, Tensor([1.0, -2.0]), h=1e-5, rel_tol=1e-4)
@@ -186,7 +186,7 @@ def test_worst_index_counts_across_params_laid_end_to_end():
 
     def loss():
         sq = _square(b)
-        bad = ad.node(sq.data, "bad", (sq,), lambda g: (g * wrong,))
+        bad = ad.node(sq.data, (sq,), lambda g: (g * wrong,))
         return ad.add(ad.reduce_sum(_square(a)), ad.reduce_sum(bad))
 
     report = ad.check_gradients(loss, [a, b])
@@ -201,22 +201,14 @@ def test_shape_error_names_primitive_and_shapes():
     assert "classifier-forward" in message and "(2, 2)" in message
 
 
-def test_leading_batch_broadcast_rules():
-    out = ad.add(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)))
-    assert out.shape == (4, 3)
-    scalar = ad.add(Tensor(1.0), Tensor(np.full(5, -0.25)))
-    np.testing.assert_array_equal(scalar.data, np.full(5, 0.75))
-    with pytest.raises(ShapeMismatchError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-    with pytest.raises(ShapeMismatchError):
-        ad.add(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3))))
-
-
-def test_broadcast_gradient_reduces_to_parent_shape():
-    bias = Tensor(np.zeros(3), requires_grad=True)
-    out = ad.add(Tensor(np.ones((4, 3))), bias)
+def test_add_takes_equal_shapes_or_a_scalar_operand():
+    offset = Tensor(1.0, requires_grad=True)
+    out = ad.add(offset, Tensor(np.full(5, -0.25)))
+    np.testing.assert_array_equal(out.data, np.full(5, 0.75))
     ad.backward(ad.reduce_sum(out))
-    np.testing.assert_array_equal(bias.grad, np.full(3, 4.0))
+    assert offset.grad == 5.0
+    with pytest.raises(ShapeMismatchError, match=r"add: .*\(4, 3\) vs \(3,\)"):
+        ad.add(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,6 +258,6 @@ def test_computation_record_topology():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = max_softmax_prob(x)
     z = ad.reduce_sum(ad.add(y, Tensor([1.0])))
-    assert y.record is not None and y.record.kind == "max_softmax_prob"
-    assert z.record is not None
-    assert all(p.node_id < y.node_id for p in y.record.parents)
+    assert y.parents == (x,) and y.vjp is not None
+    assert z.vjp is not None
+    assert all(p.node_id < y.node_id for p in y.parents)

@@ -9,7 +9,7 @@ from oodlab.cli import dispatch
 from oodlab.data import OutlierPool, load_csv, save_csv
 from oodlab.nets import MlpClassifier, save_checkpoint
 
-from conftest import fail_run_seed
+from conftest import REFERENCE_CONFIG, REPO, fail_run_seed
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -307,6 +307,16 @@ class TestTrainEvalCommands:
         for metrics in doc.values():
             assert 0.0 <= metrics["gauroc"] <= metrics["aauroc"] <= metrics["auroc"] <= 1.0
 
+
+    def test_eval_of_a_test_set_outside_the_input_box_exits_2(self, tmp_path, capsys):
+        code = dispatch([
+            "eval", "--config", str(REFERENCE_CONFIG), "--classifier", str(REPO / "bench" / "reference_classifier.ckpt"),
+            "--set", "budget.input_box=[-1,1]", "--out", str(tmp_path / "e"), "-q",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.tests.ring: row ") and "outside budget.input_box [-1.0, 1.0]" in err
+        assert not (tmp_path / "e" / "eval.result.json").exists()
 
     def test_eval_of_non_finite_checkpoint_exits_1_naming_the_array(self, tiny_config_path, tmp_path, capsys):
         ckpt = tmp_path / "clf.ckpt"

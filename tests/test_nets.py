@@ -285,7 +285,7 @@ def test_forward_node_has_the_flat_leaf_as_its_only_parameter_parent():
     model = MlpClassifier([2, 4, 3], seed=1)
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     out = model.forward(x)
-    assert out.record.parents == (x, model.flat)
+    assert out.parents == (x, model.flat)
     ad.backward(ad.reduce_sum(out))
     assert x.grad.any() and model.flat.grad.any()
 

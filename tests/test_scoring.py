@@ -322,9 +322,7 @@ class TestPgd:
         clean, adv = pgd_max_confidence_batch(model, xs, budget, seed=seed)
         cert = certified_max_confidence(*ibp_logit_bounds(model, xs, budget.epsilon, input_box=budget.input_box))
         assert clean.tobytes() == anomaly_scores(model, xs).tobytes()
-        # the interval bounds are not rounded outward, so where a bound is tight
-        # (a monotone piece) PGD can reach it to within rounding, as in TestIbp
-        assert np.all(clean <= adv) and np.all(adv <= cert + 1e-12)
+        assert np.all(clean <= adv) and np.all(adv <= cert)
         want_clean, want_adv = _full_schedule_pgd(model, xs, budget, seed=seed)
         np.testing.assert_allclose(clean, want_clean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(adv, want_adv, rtol=0, atol=1e-12)
@@ -395,8 +393,29 @@ class TestIbp:
         lo, hi = ibp_logit_bounds(model, x, eps)
         points = x + rng.uniform(-eps, eps, (1000, 2))
         logits = model.forward_array(points)
-        assert np.all(logits >= lo - 1e-12)
-        assert np.all(logits <= hi + 1e-12)
+        assert np.all(logits >= lo)
+        assert np.all(logits <= hi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_MLPS, _ATTACKS, st.integers(0, 2**32 - 1))
+    def test_sound_under_rounding_at_corners_and_samples(self, mlp, attack, seed):
+        # no slack: the bounds hold for the rounded logits and scores that
+        # forward_array, anomaly_scores and PGD compute anywhere in the ball
+        model, budget = _attack_case(mlp, attack)
+        rng = np.random.default_rng(seed)
+        low, high = budget.input_box or (-1.0, 1.0)
+        xs = rng.uniform(low, high, (6, model.input_dim))
+        lo, hi = ibp_logit_bounds(model, xs, budget.epsilon, input_box=budget.input_box)
+        cert = certified_max_confidence(lo, hi)
+        ball_lo, ball_hi = _ball(xs, budget.epsilon, budget.input_box)
+        corners = [np.where(np.array(c, bool), ball_hi, ball_lo) for c in np.ndindex(*[2] * model.input_dim)]
+        samples = [ball_lo + rng.uniform(0, 1, xs.shape) * (ball_hi - ball_lo) for _ in range(20)]
+        for points in corners + samples:
+            points = np.clip(points, ball_lo, ball_hi)
+            logits = model.forward_array(points)
+            assert np.all(lo <= logits) and np.all(logits <= hi)
+            assert np.all(anomaly_scores(model, points) <= cert)
+        assert np.all(pgd_max_confidence_batch(model, xs, budget, seed=seed)[1] <= cert)
 
     def test_unsupported_activation_rejected(self):
         model = MlpClassifier([2, 4, 2], seed=0)
@@ -417,6 +436,15 @@ class TestCertified:
         assert value == pytest.approx(CERT_PM1, abs=1e-12)
         direct = np.exp(1) / (np.exp(1) + np.exp(-1))
         assert value == pytest.approx(direct, abs=1e-12)
+
+    def test_pgd_cannot_beat_a_tight_bound_by_rounding(self):
+        # round-to-nearest bounds left one of these rows 1.1e-16 below its PGD score
+        model = MlpClassifier([1, 2, 2], activation="relu", seed=0)
+        xs = np.random.default_rng(0).uniform(-1, 1, (14, 1))
+        budget = RobustnessBudget(epsilon=0.01, pgd_steps=1, pgd_restarts=1)
+        _, adv = pgd_max_confidence_batch(model, xs, budget, seed=0)
+        cert = certified_max_confidence(*ibp_logit_bounds(model, xs, budget.epsilon))
+        assert np.all(adv <= cert)
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError, match="inverted"):
@@ -482,6 +510,35 @@ class TestEvaluate:
         assert first_out[0] == "out-0" and first_out[1] == "out"
         clean, adv, cert = map(float, first_out[2:])
         assert clean <= adv <= cert
+
+    def test_score_dump_is_every_value_at_17_digits(self, tmp_path):
+        model, in_set, out_set = self._sets()
+        budget = RobustnessBudget(epsilon=0.05, pgd_steps=5)
+        path = tmp_path / "scores.csv"
+        evaluate_ood(model, in_set, out_set, budget, dump_csv=path)
+        in_clean = anomaly_scores(model, in_set)
+        out_clean, out_adv = pgd_max_confidence_batch(model, out_set, budget)
+        out_cert = certified_max_confidence(*ibp_logit_bounds(model, out_set, budget.epsilon))
+        want = ["sample_id,set,clean_score,adv_score,cert_upper"]
+        want += [f"in-{i},in," + ",".join([format(v, ".17g")] * 3) for i, v in enumerate(in_clean)]
+        want += [
+            f"out-{i},out," + ",".join(format(v, ".17g") for v in row)
+            for i, row in enumerate(zip(out_clean, out_adv, out_cert))
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
+    def test_rows_outside_the_input_box_rejected_naming_the_row(self):
+        model, in_set, out_set = self._sets()
+        budget = RobustnessBudget(epsilon=0.05, input_box=(-1.0, 3.0))
+        out_set[4, 0] = -1.5
+        with pytest.raises(ValueError, match=r"row 4 .* outside input_box \[-1.0, 3.0\]"):
+            evaluate_ood(model, in_set, out_set, budget)
+        with pytest.raises(ValueError, match=r"row 4 .* outside input_box \[-1.0, 3.0\]"):
+            pgd_max_confidence_batch(model, out_set, budget)
+        with pytest.raises(ValueError, match=r"row 4 .* outside input_box \[-1.0, 3.0\]"):
+            ibp_logit_bounds(model, out_set, budget.epsilon, input_box=budget.input_box)
+        # in-samples are never perturbed, so they may lie anywhere
+        evaluate_ood(model, in_set - 5.0, out_set[5:], budget)
 
     def test_one_clean_pass_per_set(self, monkeypatch):
         # the out-set clean scores are PGD's first iterate, not a pass of their own

@@ -50,7 +50,7 @@ class TestAdam:
         state = AdamState.for_params([x], lr=0.05)
         for _ in range(500):
             x.zero_grad()
-            ad.backward(ad.node(x.data @ x.data, "square", (x,), lambda g: (2.0 * x.data * g,)))
+            ad.backward(ad.node(x.data @ x.data, (x,), lambda g: (2.0 * x.data * g,)))
             adam_step([x], [x.grad], state)
         assert abs(x.data[0]) < 1e-3
 
@@ -353,7 +353,7 @@ def _per_parameter_backprop(model, cache, g, inputs=False):
 
 def _per_parameter_forward(model, leaves, x):
     out, cache = model.forward_with_cache(x)
-    return ad.node(out, "mlp", tuple(leaves), lambda g: _per_parameter_backprop(model, cache, g)[1])
+    return ad.node(out, tuple(leaves), lambda g: _per_parameter_backprop(model, cache, g)[1])
 
 
 def _per_parameter_generator_loss(generator, leaves, classifier, latents, reference, weights):
@@ -380,7 +380,7 @@ def _per_parameter_generator_loss(generator, leaves, classifier, latents, refere
             g_out = via_clf if g_out is None else g_out + via_clf
         return _per_parameter_backprop(generator, gen_cache, disp_vjp(g, g_out))[1]
 
-    return ad.node(value, "generator_loss", tuple(leaves), vjp)
+    return ad.node(value, tuple(leaves), vjp)
 
 
 def _per_parameter_step(leaves, loss, state, step_losses):
