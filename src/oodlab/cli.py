@@ -122,8 +122,13 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.classifier)
     if not isinstance(model, MlpClassifier):
         raise ConfigError(f"--classifier: '{args.classifier}' is not a classifier checkpoint")
+    eval_in = materialize_eval_in(config)
+    if model.input_dim != eval_in.shape[1]:
+        raise ConfigError(
+            f"--classifier: '{args.classifier}' takes {model.input_dim} inputs, the config's data has {eval_in.shape[1]}"
+        )
     out = _out_dir(args)
-    reports = score_test_sets(config, model, materialize_eval_in(config), materialize_test_sets(config), out / "eval")
+    reports = score_test_sets(config, model, eval_in, materialize_test_sets(config), out / "eval")
     for name, rep in reports.items():
         _progress(args, f"[eval] {name}: auroc={rep.auroc:.4f}")
     _write_json({name: rep.as_dict() for name, rep in reports.items()}, out / "eval.result.json")

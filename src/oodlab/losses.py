@@ -57,8 +57,9 @@ class LossWeights:
 
 
 # Each term has a numpy core returning (value, vjp). The order of every float
-# operation in a core, gradient sums included, is part of the trained
-# weights: reordering one changes them in the last bits.
+# operation, gradient sums included, is part of the trained weights:
+# reordering one changes them in the last bits. The fused losses match the
+# composed terms up to summation order.
 
 def _log_softmax_parts(logits: np.ndarray):
     """Rowwise log-sum-exp via max-shift, with the softmax that is its gradient.
@@ -159,15 +160,13 @@ def _dispersion(outputs: np.ndarray, latents, delta: float):
     ratios = z_dist / denom
     value = np.asarray(ratios.mean())
 
-    def vjp(g, acc=None):
-        """Gradient on ``outputs``; with ``acc`` (the other terms' gradient),
-        returns ``(acc + via jj) + via ii`` in that association order."""
+    def vjp(g):
         g_denom = -np.broadcast_to(g / ratios.size, ratios.shape) * z_dist / (denom * denom)
         unit = np.divide(diff, d_norm[:, None], out=np.zeros_like(diff), where=d_norm[:, None] > 0)
         scaled = unit * g_denom[:, None]
         via_jj = _scatter_rows(jj, -scaled, n)
         via_ii = _scatter_rows(ii, scaled, n)
-        return (via_jj if acc is None else acc + via_jj) + via_ii
+        return via_jj + via_ii
 
     return value, vjp
 
@@ -283,22 +282,26 @@ def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
 def classifier_loss(model, normals: LabeledBatch, negatives: OutlierPool | None, weights: LossWeights) -> Tensor:
     """Cross-entropy plus lam * negative training; pure cross-entropy when the
     negative pool is empty or lam is zero. One tape node over the model's
-    flat parameter leaf."""
-    logits, cache = model.forward_with_cache(normals.inputs)
-    value, ce_vjp = _cross_entropy(logits, normals.labels)
+    flat parameter leaf: the negatives are stacked below the normals for one
+    forward and one backprop, so the gradient equals the sum of the two
+    terms' gradients up to the order of the weight-gradient row sums."""
+    inputs, n = normals.inputs, len(normals)
     use_negatives = negatives is not None and negatives.size > 0 and weights.lam > 0
     if use_negatives:
-        neg_logits, neg_cache = model.forward_with_cache(negatives.inputs)
-        neg_value, nt_vjp = _negative_training(neg_logits)
+        # checked before stacking, which would raise numpy's error instead
+        for x in (normals.inputs, negatives.inputs):
+            model._check_input(x)
+        inputs = np.concatenate([inputs, negatives.inputs])
+    logits, cache = model.forward_with_cache(inputs)
+    value, ce_vjp = _cross_entropy(logits[:n], normals.labels)
+    if use_negatives:
+        neg_value, nt_vjp = _negative_training(logits[n:])
         value = value + neg_value * weights.lam
 
     def vjp(g):
+        g_logits = np.concatenate([ce_vjp(g), nt_vjp(g * weights.lam)]) if use_negatives else ce_vjp(g)
         grad = np.empty_like(model.flat.data)
-        model.backprop(cache, ce_vjp(g), grad)
-        if use_negatives:
-            neg_grad = np.empty_like(grad)
-            model.backprop(neg_cache, nt_vjp(g * weights.lam), neg_grad)
-            grad += neg_grad
+        model.backprop(cache, g_logits, grad)
         return (grad,)
 
     return ad.node(value, (model.flat,), vjp)
@@ -329,7 +332,7 @@ def generator_loss(
     value, disp_vjp = _dispersion(outputs, latents, weights.delta)
     dom_vjp = prox_vjp = None
     if weights.mu > 0:
-        seed = pairing_seed if pairing_seed is not None else (_seed_key(latents.seed), 0x9E37)
+        seed = pairing_seed if pairing_seed is not None else (*np.ravel(latents.seed).tolist(), 0x9E37)
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, len(reference), outputs.shape[0])
         gen_logits, clf_cache = frozen_classifier.forward_with_cache(outputs)
@@ -341,22 +344,14 @@ def generator_loss(
         value = value + prox_value * weights.nu
 
     def vjp(g):
-        # ((proximity + classifier input) + dispersion jj) + dispersion ii
-        g_out = prox_vjp(g * weights.nu) if prox_vjp is not None else None
+        g_out = disp_vjp(g)
         if dom_vjp is not None:
-            via_clf = frozen_classifier.backprop(clf_cache, dom_vjp(g * weights.mu), inputs=True)
-            g_out = via_clf if g_out is None else g_out + via_clf
+            g_out += frozen_classifier.backprop(clf_cache, dom_vjp(g * weights.mu), inputs=True)
+        if prox_vjp is not None:
+            g_out += prox_vjp(g * weights.nu)
         grad = np.empty_like(generator.flat.data)
-        generator.backprop(gen_cache, disp_vjp(g, g_out), grad)
+        generator.backprop(gen_cache, g_out, grad)
         return (grad,)
 
     return ad.node(value, (generator.flat,), vjp)
 
-
-def _seed_key(seed) -> int:
-    if isinstance(seed, (tuple, list)):
-        key = 0
-        for s in seed:
-            key = (key * 1_000_003 + int(s)) % (2**63)
-        return key
-    return int(seed)

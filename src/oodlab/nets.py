@@ -277,8 +277,9 @@ def _parse_array(path, name: str, text: str) -> np.ndarray:
 
 def load_checkpoint(path) -> Mlp:
     """Read a ``save_checkpoint`` file. A malformed header, a missing or
-    misnamed array, a wrong value count, or a non-numeric or non-finite
-    value raises ValueError naming the file (and the array)."""
+    misnamed array, a wrong value count, a non-numeric or non-finite value,
+    or a non-blank line after the last array raises ValueError naming the
+    file (and the array or line)."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or text[0] != _CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not an oodlab checkpoint")
@@ -309,4 +310,7 @@ def load_checkpoint(path) -> Mlp:
         if values.size != int(np.prod(shape)):
             raise ValueError(f"{path}: array '{name}' has {values.size} values, expected {int(np.prod(shape))}")
         arr[...] = values.reshape(shape)
+    for lineno, line in enumerate(text[4 + len(expected):], start=5 + len(expected)):
+        if line.strip():
+            raise ValueError(f"{path}: line {lineno}: '{line.split()[0]}' follows the last array of layer_sizes {sizes}")
     return model

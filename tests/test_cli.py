@@ -332,6 +332,30 @@ class TestTrainEvalCommands:
         assert err.startswith("error:") and "'W0'" in err and "non-finite" in err
         assert not (tmp_path / "e" / "eval.result.json").exists()
 
+    def test_eval_of_a_truncated_model_exits_1_naming_the_file_and_line(self, tmp_path, capsys):
+        ckpt = tmp_path / "clf.ckpt"
+        save_checkpoint(MlpClassifier([2, 4, 4, 3], activation="tanh", seed=0), ckpt)
+        lines = ckpt.read_text(encoding="utf-8").splitlines()
+        assert lines[3] == "layer_sizes 2 4 4 3"
+        lines[3] = "layer_sizes 2 4 4"  # W1 is 4 x 4 either way, so only W2 and b2 are left over
+        ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = dispatch(
+            ["eval", "--config", str(REFERENCE_CONFIG), "--classifier", str(ckpt), "--out", str(tmp_path / "e"), "-q"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: line 9: 'W2' follows the last array of layer_sizes [2, 4, 4]\n"
+        assert not (tmp_path / "e").exists()
+
+    def test_eval_of_a_model_of_another_input_width_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "clf.ckpt"
+        save_checkpoint(MlpClassifier([3, 8, 3], seed=0), ckpt)
+        code = dispatch(
+            ["eval", "--config", str(REFERENCE_CONFIG), "--classifier", str(ckpt), "--out", str(tmp_path / "e"), "-q"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: --classifier: '{ckpt}' takes 3 inputs, the config's data has 2\n"
+        assert not (tmp_path / "e").exists()
+
 
 class TestAblateOccCommands:
     def test_ablate_writes_mode_reports(self, tiny_config_path, tmp_path):

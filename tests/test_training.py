@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oodlab import autodiff as ad
 from oodlab import losses, training
 from oodlab.autodiff import Tensor
 from oodlab.data import DatasetSpec, OutlierPool, gen_gaussian_mixture, gen_ring, sample_few_shots
-from oodlab.losses import LossWeights, cross_entropy_term, negative_training_term, proximity_term
+from oodlab.losses import LossWeights, cross_entropy_term, proximity_term
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 from oodlab.scoring import anomaly_scores
 from oodlab.training import (
@@ -276,6 +278,28 @@ class TestPipeline:
         assert a.traces == b.traces
         np.testing.assert_array_equal(a.boundary_pool.inputs, b.boundary_pool.inputs)
 
+    def test_two_alternations_repeat_phases_b_and_c(self):
+        def run():
+            cfg = _pipeline_inputs(seed=12)
+            cfg.schedule = dataclasses.replace(cfg.schedule, alternations=2)
+            return cfg, run_pipeline(cfg)
+
+        cfg, a = run()
+        schedule = cfg.schedule
+        assert {phase: len(trace) for phase, trace in a.traces.items()} == {
+            "phase_a": schedule.phase_a_epochs,
+            "phase_b": 2 * schedule.phase_b_epochs,
+            "phase_c": 2 * schedule.phase_c_epochs,
+        }
+        latents = sample_latent((cfg.seed, 3, 1), len(a.boundary_pool), a.generator.latent_dim)
+        assert a.boundary_pool.inputs.tobytes() == a.generator.forward_array(latents.values).tobytes()
+        assert not a.classifier.is_frozen
+        _, b = run()
+        assert a.traces == b.traces
+        for model in ("classifier", "generator"):
+            assert getattr(a, model).flat.data.tobytes() == getattr(b, model).flat.data.tobytes()
+        assert a.boundary_pool.inputs.tobytes() == b.boundary_pool.inputs.tobytes()
+
     def test_phase_c_never_mutates_generator(self):
         # same seed, different phase-C lengths: the generator must be
         # bit-identical, proving phase C leaves it untouched
@@ -356,6 +380,15 @@ def _per_parameter_forward(model, leaves, x):
     return ad.node(out, tuple(leaves), lambda g: _per_parameter_backprop(model, cache, g)[1])
 
 
+def _stacked_classifier_loss(logits, labels, lam):
+    """classifier_loss's terms over logits whose rows are the normals, then
+    the negatives stacked below them: one node with one logit gradient."""
+    n = len(labels)
+    value, ce_vjp = losses._cross_entropy(logits.data[:n], labels)
+    neg_value, nt_vjp = losses._negative_training(logits.data[n:])
+    return ad.node(value + neg_value * lam, (logits,), lambda g: (np.concatenate([ce_vjp(g), nt_vjp(g * lam)]),))
+
+
 def _per_parameter_generator_loss(generator, leaves, classifier, latents, reference, weights):
     """generator_loss over the parameter leaves. The public terms would sum
     the output gradient in another association, so this uses the loss cores
@@ -364,7 +397,7 @@ def _per_parameter_generator_loss(generator, leaves, classifier, latents, refere
     value, disp_vjp = losses._dispersion(outputs, latents, weights.delta)
     dom_vjp = prox_vjp = None
     if weights.mu > 0:
-        rng = np.random.default_rng((losses._seed_key(latents.seed), 0x9E37))
+        rng = np.random.default_rng((*latents.seed, 0x9E37))
         idx = rng.integers(0, len(reference), len(outputs))
         gen_logits, clf_cache = classifier.forward_with_cache(outputs)
         dom_value, dom_vjp = losses._dominance(gen_logits, classifier.forward_array(reference[idx]))
@@ -374,11 +407,12 @@ def _per_parameter_generator_loss(generator, leaves, classifier, latents, refere
         value = value + prox_value * weights.nu
 
     def vjp(g):
-        g_out = prox_vjp(g * weights.nu) if prox_vjp is not None else None
+        g_out = disp_vjp(g)
         if dom_vjp is not None:
-            via_clf = _per_parameter_backprop(classifier, clf_cache, dom_vjp(g * weights.mu), inputs=True)[0]
-            g_out = via_clf if g_out is None else g_out + via_clf
-        return _per_parameter_backprop(generator, gen_cache, disp_vjp(g, g_out))[1]
+            g_out = g_out + _per_parameter_backprop(classifier, clf_cache, dom_vjp(g * weights.mu), inputs=True)[0]
+        if prox_vjp is not None:
+            g_out = g_out + prox_vjp(g * weights.nu)
+        return _per_parameter_backprop(generator, gen_cache, g_out)[1]
 
     return ad.node(value, tuple(leaves), vjp)
 
@@ -402,10 +436,11 @@ def _reference_train_classifier(model, normals, pools, weights, schedule, epochs
             negatives = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
             for p in leaves:
                 p.zero_grad()
-            loss = cross_entropy_term(_per_parameter_forward(model, leaves, normals.inputs[idx]), normals.labels[idx])
-            if negatives is not None:
-                nt = negative_training_term(_per_parameter_forward(model, leaves, negatives))
-                loss = ad.add(loss, ad.scalar_mul(nt, weights.lam))
+            if negatives is None:
+                loss = cross_entropy_term(_per_parameter_forward(model, leaves, normals.inputs[idx]), normals.labels[idx])
+            else:
+                logits = _per_parameter_forward(model, leaves, np.concatenate([normals.inputs[idx], negatives]))
+                loss = _stacked_classifier_loss(logits, normals.labels[idx], weights.lam)
             _per_parameter_step(leaves, loss, state, step_losses)
         trace.append(float(np.mean(step_losses)))
     return trace
