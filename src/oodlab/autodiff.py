@@ -123,7 +123,7 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return node(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return node(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, g),))
 
 
 def backward(root: Tensor) -> None:

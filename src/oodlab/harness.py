@@ -5,6 +5,14 @@ Determinism contract: a run is a pure function of (config, seed). Sweep entry
 i uses seed = master seed + i, so each count reproduces in isolation. Result
 files contain only deterministic content; wall-clock metadata goes to a
 ``*.meta.json`` sidecar.
+
+Runs that share their data and differ only in few-shot count and seed train
+as one stack in lockstep (``training.run_pipeline`` with entries): a sweep
+trains the counts of each worker process as one stack, and a single run is
+a stack of one. Training a stack leaves every entry's weights, reports and
+result bytes equal to its run alone, and its failures too: an exception
+that stops a whole stack trains its runs again one by one (``_train``), so
+only the run at fault fails.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -177,50 +184,95 @@ def score_test_sets(
     }
 
 
-def _run(
-    config: ExperimentConfig, data: RunData, few_shots: int, run_seed: int, run_id: str, out_dir,
-    keep_models: bool = False,
-) -> RunRecord:
-    """Train one pipeline on ``data`` with ``few_shots`` sampled from its
-    few-shot pool, its layers from config.model and its schedule reseeded
-    with ``run_seed``; score it on every test set and record the run. With
-    ``out_dir``, per-sample scores go to ``scores/{run_id}_{test}.csv``.
+def _train(cfg: PipelineConfig) -> list:
+    """Each entry's PipelineResult or the exception that stopped it. An
+    exception ``run_pipeline`` raises for a stack of several is not one
+    entry's, so each entry then trains again alone and fails alone."""
+    try:
+        return run_pipeline(cfg).entries
+    except Exception as e:
+        if len(cfg.entries) == 1:
+            return [e]
+        return [_train(replace(cfg, entries=[entry]))[0] for entry in cfg.entries]
+
+
+def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_models: bool = False) -> list:
+    """Train one stack of runs on ``data`` in lockstep and score each run on
+    every test set; returns per entry its RunRecord or the exception that
+    stopped it.
+
+    An entry is ``(updates, run_seed, few_shots, run_id)``: it runs
+    ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
+    few-shot pool (None: the config's ``few_shot_count``), layers from
+    config.model and every draw seeded from ``run_seed``; ``run_id`` None is
+    ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
+    everything but count and seed; the stack's settings are the first valid
+    entry's. An entry fails alone, with the message of its run alone, when
+    its config is invalid, its few-shots cannot be sampled, its training
+    fails (``_train``) or its scoring fails. Its wall seconds are the
+    stack's training time plus its own scoring time. With ``out_dir``,
+    per-sample scores go to ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
-    few_shot = None
-    if data.few_shot_pool is not None:
-        few_shot = sample_few_shots(data.few_shot_pool, few_shots, seed=(run_seed, 5))
+    outcomes: list = [None] * len(entries)
+    runs = {}
+    for i, (updates, run_seed, few_shots, run_id) in enumerate(entries):
+        try:
+            cfg = config.with_updates(**updates) if updates else config
+            count = cfg.few_shot_count if few_shots is None else few_shots
+            few_shot = None
+            if data.few_shot_pool is not None:
+                few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5))
+        except Exception as e:  # this entry fails alone
+            outcomes[i] = e
+            continue
+        run_id = run_id or f"{cfg.mode}-n{cfg.few_shot_count}-s{run_seed}-{cfg.fingerprint[:8]}"
+        runs[i] = (cfg, count, run_seed, run_id, few_shot)
+    if not runs:
+        return outcomes
+    first = next(iter(runs.values()))[0]
     d = data.normals.dim
-    model = config.model
-    result = run_pipeline(
+    model = first.model
+    results = _train(
         PipelineConfig(
             normals=data.normals,
-            mode=config.mode,
-            few_shot=few_shot,
+            entries=[(run_seed, few_shot) for _, _, run_seed, _, few_shot in runs.values()],
+            mode=first.mode,
             outlier=data.outlier,
             classifier_sizes=[d, *model["classifier_hidden"], data.num_classes],
             classifier_activation=model["classifier_activation"],
             generator_sizes=[model["latent_dim"], *model["generator_hidden"], d],
             generator_activation=model["generator_activation"],
-            weights=config.weights,
-            schedule=replace(config.schedule, master_seed=run_seed),
-            seed=run_seed,
-            boundary_pool_size=config.boundary_pool_size,
+            weights=first.weights,
+            schedule=first.schedule,
+            boundary_pool_size=first.boundary_pool_size,
         )
     )
-    dump_stem = None if out_dir is None else Path(out_dir) / "scores" / run_id
-    return RunRecord(
-        run_id=run_id,
-        mode=config.mode,
-        few_shots=few_shots,
-        seed=run_seed,
-        fingerprint=config.fingerprint,
-        reports=score_test_sets(config, result.classifier, data.eval_in, data.tests, dump_stem),
-        traces=result.traces,
-        boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
-        result=result if keep_models else None,
-        wall_seconds=time.perf_counter() - t0,
-    )
+    trained = time.perf_counter() - t0
+    for (i, (cfg, count, run_seed, run_id, _)), result in zip(runs.items(), results):
+        if isinstance(result, Exception):
+            outcomes[i] = result
+            continue
+        t1 = time.perf_counter()
+        dump_stem = None if out_dir is None else Path(out_dir) / "scores" / run_id
+        try:
+            reports = score_test_sets(cfg, result.classifier, data.eval_in, data.tests, dump_stem)
+        except Exception as e:  # this entry fails alone
+            outcomes[i] = e
+            continue
+        outcomes[i] = RunRecord(
+            run_id=run_id,
+            mode=cfg.mode,
+            few_shots=count,
+            seed=run_seed,
+            fingerprint=cfg.fingerprint,
+            reports=reports,
+            traces=result.traces,
+            boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
+            result=result if keep_models else None,
+            wall_seconds=trained + time.perf_counter() - t1,
+        )
+    return outcomes
 
 
 def run_single(
@@ -231,44 +283,48 @@ def run_single(
 
     Without ``data`` the config's data is materialized first, so data the
     config points at but cannot be read fails before any training time is
-    spent.
+    spent. A failure raises.
     """
     run_seed = config.seed if run_seed is None else run_seed
     data = RunData.materialize(config) if data is None else data
-    run_id = f"{config.mode}-n{config.few_shot_count}-s{run_seed}-{config.fingerprint[:8]}"
-    return _run(config, data, config.few_shot_count, run_seed, run_id, out_dir, keep_models)
+    (outcome,) = _run(config, data, [({}, run_seed, None, None)], out_dir, keep_models)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _isolated(task) -> RunRecord | str:
-    """One entry of a multi-run command: ``run(config.with_updates(**updates),
-    *args)``, returning its RunRecord or, for any exception (an invalid
-    entry config included), its error message. ``task`` is one picklable
-    tuple, so a process pool can map this.
-    """
-    run, config, updates, args = task
-    try:
-        return run(config.with_updates(**updates) if updates else config, *args)
-    except Exception as e:
-        return f"{type(e).__name__}: {e}"
+def _isolated(task) -> list[RunRecord | str]:
+    """One stack of a multi-run command: ``_run(*task)``, with each failed
+    entry's exception turned into its message. ``task`` is one picklable
+    tuple, so a process pool can map this."""
+    return [rec if isinstance(rec, RunRecord) else f"{type(rec).__name__}: {rec}" for rec in _run(*task)]
 
 
-def _run_entries(command: str, config: ExperimentConfig, tasks: dict, jobs: int = 1) -> SweepResult:
-    """Run ``{label: task}`` through ``_isolated`` into one record, serially
-    or over ``jobs`` processes, never more processes than tasks. An
-    interrupt cancels the tasks not yet started."""
-    workers = min(jobs, len(tasks))
+def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: list, jobs: int = 1) -> SweepResult:
+    """Run the entries labelled ``labels`` into one record, in label order.
+    Each of ``stacks`` is ``(positions in labels, task)``, run through
+    ``_isolated`` serially or over ``jobs`` processes, never more processes
+    than stacks. An interrupt cancels the stacks not yet started."""
+    workers = min(jobs, len(stacks))
+    tasks = [task for _, task in stacks]
     if workers > 1:
+        # imported here: the pool loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            outcomes = list(pool.map(_isolated, tasks.values()))
+            outcomes = list(pool.map(_isolated, tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [_isolated(task) for task in tasks.values()]
-    done = list(zip(tasks, outcomes))
+        outcomes = [_isolated(task) for task in tasks]
+    done: list = [None] * len(labels)
+    for (positions, _), recs in zip(stacks, outcomes):
+        for i, rec in zip(positions, recs):
+            done[i] = rec
     return SweepResult(
-        entries=[(label, rec) for label, rec in done if isinstance(rec, RunRecord)],
-        failures={label: rec for label, rec in done if isinstance(rec, str)},
+        entries=[(label, rec) for label, rec in zip(labels, done) if isinstance(rec, RunRecord)],
+        failures={label: rec for label, rec in zip(labels, done) if isinstance(rec, str)},
         fingerprint=config.fingerprint,
         command=command,
     )
@@ -276,19 +332,21 @@ def _run_entries(command: str, config: ExperimentConfig, tasks: dict, jobs: int 
 
 def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
     """Run each requested mode with the identical seed, labelled by mode;
-    the data is read once for all of them and failures are isolated as
-    ``_isolated`` does."""
+    the data is read once for all of them, each mode is a stack of one and
+    failures are isolated as ``_run`` does."""
     data = RunData.materialize(config)
-    tasks = {mode: (run_single, config, {"mode": mode}, (config.seed, out_dir, False, data)) for mode in modes}
-    return _run_entries("ablate", config, tasks)
+    stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
+    return _run_entries("ablate", config, list(modes), stacks)
 
 
 def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
     """One pipeline + evaluation per few-shot count, seeds varied per count.
 
     Counts must be strictly decreasing (they may end at 0). The data is read
-    once for every count. Entries failing are isolated into .failures as
-    ``_isolated`` does; the rest of the sweep still runs.
+    once for every count. The counts are dealt round-robin to
+    ``min(jobs, len(counts))`` workers, and each worker trains its counts as
+    one stack in lockstep. Entries failing are isolated into .failures as
+    ``_run`` does; the rest of the sweep still runs.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -298,11 +356,13 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
     if any(c < 0 for c in counts):
         raise ValueError("sweep counts must be >= 0")
     data = RunData.materialize(config)
-    tasks = {
-        count: (run_single, config, {"few_shot_count": count}, (config.seed + i, out_dir, False, data))
-        for i, count in enumerate(counts)
-    }
-    return _run_entries("sweep", config, tasks, jobs)
+    workers = max(1, min(jobs, len(counts)))
+    stacks = []
+    for w in range(workers):
+        positions = list(range(w, len(counts), workers))
+        entries = [({"few_shot_count": counts[i]}, config.seed + i, None, None) for i in positions]
+        stacks.append((positions, (config, data, entries, out_dir)))
+    return _run_entries("sweep", config, counts, stacks, jobs)
 
 
 def detect_break_point(sweep: SweepResult, floor: float = 0.55) -> dict[str, int | None]:
@@ -333,15 +393,16 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. Every
     class's data is built before any class runs. Entries are labelled by
-    class; a class's failure is isolated as ``_isolated`` does.
+    class, each a stack of one; a class's failure is isolated as ``_run``
+    does.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
-    tasks = {}
-    for cls in classes:
+    stacks = []
+    for i, cls in enumerate(classes):
         mask, held = train.labels == cls, holdout.labels == cls
         normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
         pool = OutlierPool(train.inputs[~mask])
@@ -350,8 +411,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
         run_seed = config.seed + cls
         count = min(config.few_shot_count, pool.size)
         run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
-        tasks[cls] = (_run, config, {}, (data, count, run_seed, run_id, out_dir))
-    return _run_entries("occ", config, tasks)
+        stacks.append(([i], (config, data, [({}, run_seed, count, run_id)], out_dir)))
+    return _run_entries("occ", config, classes, stacks)
 
 
 # --- report emission ---------------------------------------------------------

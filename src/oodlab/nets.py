@@ -25,6 +25,14 @@ All parameters of a model sit in one flat vector held by one leaf Tensor,
 ``.grad`` buffer, and Adam updates one slice. Checkpoints and interval
 bounds read the per-layer numpy views in ``Mlp.layers``.
 
+A stack (``Mlp.stack``) trains E models of one shape in lockstep: its flat
+leaf is ``(E, P)``, entry e in row e, each member model rebound to a view
+of its row, and its passes take ``(E, rows, d)`` batches. numpy's stacked
+matmul makes one dgemm call per entry with that entry's 2-D operands, and
+the bias add, activation and row sums run along the trailing axes, so each
+entry gets the bits of its own 2-D pass. A stack of one is its model's own
+``(P,)`` leaf, and its passes are the model's 2-D ones.
+
 Models are mutable while training and need external synchronization. Scoring
 reads a model's parameters without changing them or their grad flags.
 """
@@ -91,14 +99,51 @@ class Mlp:
             self._layout.append((w_at, (fan_out, fan_in), b_at))
             start = b_at.stop
         self.flat = Tensor(np.zeros(start), requires_grad=True)
-        data = self.flat.data
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = [
-            (data[w_at].reshape(shape), data[b_at]) for w_at, shape, b_at in self._layout
-        ]
+        self.layers: list[tuple[np.ndarray, np.ndarray]] = self._views(self.flat.data)
+        self.members: list[Mlp] | None = None
         rng = np.random.default_rng(self.seed)
         for (w, _), fan_in in zip(self.layers, sizes):
             bound = math.sqrt(2.0 / fan_in)
             w[...] = rng.uniform(-bound, bound, w.shape)
+
+    def _views(self, data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W, b)`` views of an array laid out like ``flat`` along
+        its last axis; a stack's leading entry axis leads every view."""
+        lead = data.shape[:-1]
+        return [(data[..., w_at].reshape(*lead, *shape), data[..., b_at]) for w_at, shape, b_at in self._layout]
+
+    @classmethod
+    def stack(cls, models: list[Mlp]) -> Mlp:
+        """One model over the parameters of ``models`` (same sizes and
+        activation), entry e in row e of an ``(E, P)`` flat leaf.
+
+        Each model is rebound to a view of its row, so an update of the
+        stack is an update of its members and the reverse. Its passes take
+        ``(E, rows, d)`` inputs, entry by entry with the arithmetic of one
+        model's pass. A stack of one holds its model's own flat leaf and
+        takes its 2-D batches.
+        """
+        first = models[0]
+        for m in models:
+            if m.layer_sizes != first.layer_sizes or m.activation != first.activation:
+                raise ValueError(
+                    f"cannot stack a {m.layer_sizes} {m.activation} model with a {first.layer_sizes} {first.activation} one"
+                )
+        stack = cls.__new__(cls)
+        stack.layer_sizes, stack.activation, stack.seed, stack._layout = (
+            first.layer_sizes, first.activation, first.seed, first._layout,
+        )
+        stack.members = list(models)
+        if len(models) == 1:
+            stack.flat, stack.layers = first.flat, first.layers
+            return stack
+        data = np.stack([m.flat.data for m in models])
+        stack.flat = Tensor(data, requires_grad=True)
+        stack.layers = stack._views(data)
+        for m, row in zip(models, data):
+            m.flat.data = row
+            m.layers = m._views(row)
+        return stack
 
     @property
     def input_dim(self) -> int:
@@ -128,38 +173,43 @@ class Mlp:
         return not self.flat.requires_grad
 
     def _check_input(self, h: np.ndarray) -> None:
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise ad.ShapeMismatchError(f"{self.kind}-forward", h.shape, (self.input_dim,))
+        """A batch is ``(rows, input_dim)``, and ``(E, rows, input_dim)`` for a stack of E."""
+        if h.ndim < 2 or h.shape[:-2] != self.flat.data.shape[:-1] or h.shape[-1] != self.input_dim:
+            raise ad.ShapeMismatchError(f"{self.kind}-forward", h.shape, (*self.flat.data.shape[:-1], self.input_dim))
 
     def activate(self, h: np.ndarray) -> np.ndarray:
         """The hidden-layer activation; relu's subgradient at 0 is 0."""
         return np.where(h > 0.0, h, 0.0) if self.activation == "relu" else np.tanh(h)
 
     def forward_with_cache(self, x) -> tuple[np.ndarray, list]:
-        """Forward pass for a 2-D batch, plus the per-layer cache ``backprop`` needs.
+        """Forward pass for a batch, plus the per-layer cache ``backprop`` needs.
 
         Each layer computes ``h @ wt + b`` with ``wt`` a contiguous copy of
         ``w.T``; ``h @ w.T`` sends small batches to OpenBLAS dgemm kernels
         that round differently. Training, scoring, PGD and the interval
-        centers all use this arithmetic. The bias add and tanh write into
-        the fresh matmul result (the same float operations as ``h @ wt + b``
-        and ``activate``); the input and cached arrays are never written.
+        centers all use this arithmetic, and a stack's ``(E, rows, d)``
+        batch runs it entry by entry (numpy's stacked matmul is one dgemm
+        per entry). The bias add and activation write into the fresh matmul
+        result (the same float operations as ``h @ wt + b`` and
+        ``activate``); the input and cached arrays are never written.
         """
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
         last = len(self.layers) - 1
+        # a stack's (E, rows, d) batch swaps each entry's axes; a 2-D batch keeps the cheaper .T
+        stacked = h.ndim == 3
         cache = []
         for i, (w, b) in enumerate(self.layers):
-            wt = np.ascontiguousarray(w.T)
+            wt = np.ascontiguousarray(w.swapaxes(1, 2) if stacked else w.T)
             cache.append((h, wt))
             h = h @ wt
-            h += b
+            h += b[:, None] if stacked else b
             if i == last:
                 break
             if self.activation == "tanh":
                 np.tanh(h, out=h)
             else:
-                h = self.activate(h)
+                np.copyto(h, 0.0, where=~(h > 0.0))  # activate's relu, in place
         return h, cache
 
     def backprop(self, cache: list, g: np.ndarray, grad: np.ndarray | None = None, inputs: bool = False):
@@ -171,15 +221,19 @@ class Mlp:
         derivative multiplies the fresh ``g @ wt.T`` in place; the caller's
         ``g`` and the cache are never written.
         """
+        stacked = g.ndim == 3
         for i in range(len(cache) - 1, -1, -1):
             h, wt = cache[i]
             if grad is not None:
                 w_at, shape, b_at = self._layout[i]
-                grad[w_at].reshape(shape)[...] = (h.T @ g).T
-                grad[b_at] = g.sum(axis=0)
+                if stacked:
+                    grad[:, w_at].reshape(len(g), *shape)[...] = (h.swapaxes(1, 2) @ g).swapaxes(1, 2)
+                else:
+                    grad[w_at].reshape(shape)[...] = (h.T @ g).T
+                grad[..., b_at] = g.sum(axis=-2)
             if i == 0 and not inputs:
                 return None
-            g = g @ wt.T
+            g = g @ (wt.swapaxes(1, 2) if stacked else wt.T)
             if i == 0:
                 break
             # h is the activation output of layer i - 1

@@ -12,6 +12,13 @@ A training step zeroes the model's one flat gradient buffer, builds the
 one-node loss over its flat parameter leaf (``Mlp.flat``), runs
 ``ad.backward`` once and hands ``adam_step`` that leaf and its gradient, so
 Adam updates the whole model as one slice.
+
+The phase trainers train a stack of models (``Mlp.stack``) in lockstep: one
+stacked loss and one backward per batch, then one ``adam_step`` per entry
+with that entry's own Adam state. Shuffles, negative draws and latents are
+seeded per entry, so an entry's weights equal those of training it alone;
+a single model trains as a stack of one. ``run_pipeline`` trains the
+entries of ``PipelineConfig.entries`` this way, phase by phase.
 """
 
 from __future__ import annotations
@@ -69,12 +76,17 @@ class AdamState:
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sizes: tuple = ()
+    # the step's gradient, a temporary and the update, laid out like m
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         sizes = tuple(p.data.size for p in params)
         total = sum(sizes)
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(total), v=np.zeros(total), sizes=sizes)
+        return cls(
+            lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(total), v=np.zeros(total), sizes=sizes,
+            scratch=np.empty((3, total)),
+        )
 
 
 def adam_step(params, grads, state: AdamState) -> None:
@@ -83,12 +95,21 @@ def adam_step(params, grads, state: AdamState) -> None:
     Every operation is elementwise, so one pass over the concatenated
     gradients gives each parameter the same bits as a per-parameter update:
     ``[model.flat]`` (what training passes, one slice) and leaves over the
-    per-layer views in ``model.layers`` update a model identically.
+    per-layer views in ``model.layers`` update a model identically. The
+    arithmetic is ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``lr (m / c1) / (sqrt(v / c2) + eps)``, operation by operation in that
+    order, written into ``state.scratch``.
     """
     if tuple(p.data.size for p in params) != state.sizes:
         raise ValueError("optimizer state does not match the parameter list")
-    g = np.concatenate([np.ravel(x) for x in grads])
-    if not np.all(np.isfinite(g)):
+    if state.scratch.shape != (3, state.m.size):
+        state.scratch = np.empty((3, state.m.size))
+    g, tmp, update = state.scratch
+    if len(grads) == 1:
+        g = np.ravel(grads[0])  # read only: no copy needed
+    else:
+        np.concatenate([np.ravel(x) for x in grads], out=g)
+    if not np.isfinite(g).all():
         bad = next(i for i, x in enumerate(grads) if not np.all(np.isfinite(x)))
         raise TrainingError(f"non-finite gradient in parameter {bad}")
     state.t += 1
@@ -96,10 +117,17 @@ def adam_step(params, grads, state: AdamState) -> None:
     c2 = 1.0 - state.beta2**state.t
     m, v = state.m, state.v
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
     v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, c1, out=update)
+    update *= state.lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    update /= tmp
     start = 0
     for p in params:
         stop = start + p.data.size
@@ -163,12 +191,47 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
         take = base + (1 if i < extra else 0)
         if take:
             parts.append(pool.inputs[rng.integers(0, pool.size, take)])
-    return np.concatenate(parts) if parts else None
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # Per classifier phase: its TrainSchedule epochs and learning-rate fields and
 # its seed index.
 _CLASSIFIER_PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "c": ("phase_c_epochs", "lr_c", 2)}
+
+
+def _step(stack, loss, states, live: list, errors: dict, step_losses: list, where: tuple) -> None:
+    """Backpropagate one stacked loss node (one value per entry, a scalar
+    for a stack of one; their sum is the root) and give each live entry its
+    own ``adam_step``. An entry whose loss is not finite, or whose gradient
+    ``adam_step`` rejects, leaves ``live`` with its TrainingError in
+    ``errors``; the others never read its rows. ``where`` is the loss's
+    ``(kind, phase, epoch, batch)``, for the message."""
+    ad.backward(ad.reduce_sum(loss) if loss.data.ndim else loss)
+    values, grads = loss.data.reshape(-1), stack.flat.grad.reshape(len(states), -1)
+    for e in list(live):
+        value = float(values[e])
+        try:
+            if not math.isfinite(value):
+                raise TrainingError("non-finite {} loss in phase {}, epoch {}, batch {}".format(*where))
+            adam_step([stack.members[e].flat], [grads[e]], states[e])
+        except TrainingError as err:
+            errors[e] = err
+            live.remove(e)
+            continue
+        step_losses[e].append(value)
+
+
+def _outcomes(traces: list, errors: dict, alone: bool):
+    """Each entry's trace or TrainingError; a model trained alone returns
+    its trace or raises its error."""
+    outcomes = [errors.get(e, trace) for e, trace in enumerate(traces)]
+    if not alone:
+        return outcomes
+    if errors:
+        raise errors[0]
+    return outcomes[0]
 
 
 def train_classifier(
@@ -180,44 +243,55 @@ def train_classifier(
     phase: str = "a",
     epochs: int | None = None,
     seed_prefix: tuple | None = None,
-) -> list[float]:
+) -> list:
     """Mini-batch descent on classifier_loss; returns per-epoch mean loss.
 
     ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
     leaving pure cross-entropy). Batch shuffling is reseeded per epoch.
     ``phase`` is ``"a"`` or ``"c"``.
+
+    A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
+    per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
+    one seed prefix per entry (every entry drawing negatives, or none), and
+    the result holds each entry's trace or the TrainingError that stopped
+    it; the others go on. Every entry keeps its own shuffles, negative
+    draws and Adam state, so its weights and trace are those of training
+    it alone, which is a stack of one.
     """
     if phase not in _CLASSIFIER_PHASES:
         raise ValueError(f"unknown classifier phase {phase!r} (one of {tuple(_CLASSIFIER_PHASES)})")
     if len(normals) < 1:
         raise ValueError("normal data source is empty")
-    pools = list(negatives) if negatives else []
     epochs_field, lr_field, index = _CLASSIFIER_PHASES[phase]
     epochs = getattr(schedule, epochs_field) if epochs is None else epochs
-    prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, index)
-    state = AdamState.for_params([model.flat], lr=getattr(schedule, lr_field))
-    trace: list[float] = []
+    alone = model.members is None
+    if alone:
+        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, index)
+        model, negatives, seed_prefix = type(model).stack([model]), [negatives], [prefix]
+    if seed_prefix is None or not len(negatives) == len(seed_prefix) == len(model.members):
+        raise ValueError("a stack needs one pool list and one seed prefix per entry")
+    pools = [list(p) if p else [] for p in negatives]
+    states = [AdamState.for_params([m.flat], lr=getattr(schedule, lr_field)) for m in model.members]
+    traces: list = [[] for _ in states]
+    live, errors = list(range(len(states))), {}
     n = len(normals)
     for epoch in range(epochs):
-        shuffle_rng = _epoch_rng(*prefix, epoch, 0)
-        neg_rng = _epoch_rng(*prefix, epoch, 1)
-        perm = shuffle_rng.permutation(n)
-        step_losses = []
+        perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
+        neg_rngs = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
+        step_losses: list = [[] for _ in states]
         for b, start in enumerate(range(0, n, schedule.batch_n)):
-            idx = perm[start : start + schedule.batch_n]
-            batch = LabeledBatch(normals.inputs[idx], normals.labels[idx])
-            neg_inputs = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
-            neg = OutlierPool(neg_inputs) if neg_inputs is not None else None
+            batches, negs = [], []
+            for perm, entry_pools, rng in zip(perms, pools, neg_rngs):
+                idx = perm[start : start + schedule.batch_n]
+                batches.append(LabeledBatch(normals.inputs[idx], normals.labels[idx]))
+                neg_inputs = _draw_negatives(entry_pools, schedule.batch_m, rng) if weights.lam > 0 else None
+                negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
             model.zero_grad()
-            loss = classifier_loss(model, batch, neg, weights)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite classifier loss in phase {phase}, epoch {epoch}, batch {b}")
-            ad.backward(loss)
-            adam_step([model.flat], [model.flat.grad], state)
-            step_losses.append(value)
-        trace.append(float(np.mean(step_losses)))
-    return trace
+            loss = classifier_loss(model, batches, negs, weights)
+            _step(model, loss, states, live, errors, step_losses, ("classifier", phase, epoch, b))
+        for e in live:
+            traces[e].append(float(np.mean(step_losses[e])))
+    return _outcomes(traces, errors, alone)
 
 
 def train_generator(
@@ -228,12 +302,17 @@ def train_generator(
     schedule: TrainSchedule,
     epochs: int | None = None,
     seed_prefix: tuple | None = None,
-) -> list[float]:
+) -> list:
     """Descent on generator_loss against the frozen classifier.
 
     The classifier must already be frozen; its parameters are verified
     bit-exact afterwards. Each step draws a fresh seeded latent batch and a
     fresh normal reference chunk of size proximity_q.
+
+    A stack of generators (``Mlp.stack``) trains in lockstep against the
+    stack of their frozen classifiers, entry by entry, with one seed prefix
+    per entry; the result holds each entry's trace or TrainingError, as in
+    ``train_classifier``.
     """
     if not classifier.is_frozen:
         raise ValueError("classifier must be frozen before generator training")
@@ -242,39 +321,48 @@ def train_generator(
     if n < 1:
         raise ValueError("normal data source is empty")
     epochs = schedule.phase_b_epochs if epochs is None else epochs
-    prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, 1)
+    alone = generator.members is None
+    if alone:
+        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, 1)
+        generator, classifier, seed_prefix = type(generator).stack([generator]), type(classifier).stack([classifier]), [prefix]
+    if seed_prefix is None or len(seed_prefix) != len(generator.members):
+        raise ValueError("a stack needs one seed prefix per entry")
     before = classifier.flat.data.copy()
-    state = AdamState.for_params([generator.flat], lr=schedule.lr_b)
-    trace: list[float] = []
+    states = [AdamState.for_params([m.flat], lr=schedule.lr_b) for m in generator.members]
+    traces: list = [[] for _ in states]
+    live, errors = list(range(len(states))), {}
     q = min(schedule.proximity_q, n)
     for epoch in range(epochs):
-        shuffle_rng = _epoch_rng(*prefix, epoch, 0)
-        perm = shuffle_rng.permutation(n)
-        step_losses = []
+        perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
+        step_losses: list = [[] for _ in states]
         for b, start in enumerate(range(0, n, q)):
-            reference = normal_inputs[perm[start : start + q]]
-            latents = sample_latent((*[int(k) for k in prefix], epoch, b, 2), schedule.latent_n, generator.latent_dim)
+            references = [normal_inputs[p[start : start + q]] for p in perms]
+            latents = [
+                sample_latent((*[int(k) for k in prefix], epoch, b, 2), schedule.latent_n, generator.latent_dim)
+                for prefix in seed_prefix
+            ]
             generator.zero_grad()
-            loss = generator_loss(generator, classifier, latents, reference, weights)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite generator loss in phase b, epoch {epoch}, batch {b}")
-            ad.backward(loss)
-            adam_step([generator.flat], [generator.flat.grad], state)
-            step_losses.append(value)
-        trace.append(float(np.mean(step_losses)))
+            loss = generator_loss(generator, classifier, latents, references, weights)
+            _step(generator, loss, states, live, errors, step_losses, ("generator", "b", epoch, b))
+        for e in live:
+            traces[e].append(float(np.mean(step_losses[e])))
     if not np.array_equal(before, classifier.flat.data):
         raise TrainingError("classifier parameters changed during generator training")
-    return trace
+    return _outcomes(traces, errors, alone)
 
 
 @dataclass
 class PipelineConfig:
-    """Materialized inputs for one end-to-end run."""
+    """Materialized inputs for the runs of one stack trained in lockstep.
+
+    ``entries`` lists each run's ``(seed, few_shot)``: its seed and its
+    few-shot pool (None when the mode draws none). The runs share
+    everything else.
+    """
 
     normals: LabeledBatch
+    entries: list
     mode: str = "iii"
-    few_shot: OutlierPool | None = None
     outlier: OutlierPool | None = None
     classifier_sizes: list = field(default_factory=lambda: [2, 64, 64, 3])
     classifier_activation: str = "relu"
@@ -282,79 +370,130 @@ class PipelineConfig:
     generator_activation: str = "relu"
     weights: LossWeights = field(default_factory=LossWeights)
     schedule: TrainSchedule = field(default_factory=TrainSchedule)
-    seed: int = 0
     boundary_pool_size: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown ablation mode '{self.mode}' (one of {MODES})")
-        for pool, what in (("few_shot", "a few-shot pool (it may be empty)"), ("outlier", "an outlier dataset")):
-            if pool in NEGATIVES[self.mode] and getattr(self, pool) is None:
-                raise ValueError(f"mode ({self.mode}) requires {what}")
+        if not self.entries:
+            raise ValueError("a pipeline needs at least one (seed, few_shot) entry")
+        if "few_shot" in NEGATIVES[self.mode] and any(few is None for _, few in self.entries):
+            raise ValueError(f"mode ({self.mode}) requires a few-shot pool (it may be empty)")
+        if "outlier" in NEGATIVES[self.mode] and self.outlier is None:
+            raise ValueError(f"mode ({self.mode}) requires an outlier dataset")
 
 
 @dataclass
 class PipelineResult:
-    classifier: MlpClassifier
+    """The trained models, boundary pool and traces of one run, or of a stack.
+
+    ``run_pipeline`` returns the stack's: ``classifier`` and ``generator``
+    stack the models of the entries that finished (None when none did, and
+    ``generator`` None in a mode without the boundary), ``boundary_pool``
+    is None and ``traces`` empty, and ``entries`` holds each entry's own
+    result or the TrainingError that stopped it.
+    """
+
+    classifier: MlpClassifier | None
     generator: BoundaryGenerator | None
     boundary_pool: OutlierPool | None
     traces: dict
+    entries: list = field(default_factory=list)
 
 
-def _boundary_pool_size(cfg: PipelineConfig) -> int:
+def _boundary_pool_size(cfg: PipelineConfig, few_shot: OutlierPool | None) -> int:
     if cfg.boundary_pool_size is not None:
         return int(cfg.boundary_pool_size)
-    if cfg.few_shot is not None and cfg.few_shot.size > 0:
-        return cfg.few_shot.size
+    if few_shot is not None and few_shot.size > 0:
+        return few_shot.size
     return cfg.schedule.batch_m
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run the mode-gated phases and return models, boundary pool, traces.
+    """Train the entries of ``cfg`` as one stack through the mode-gated
+    phases; returns the stack's PipelineResult.
 
     The negatives come from ``NEGATIVES[cfg.mode]``; a mode that does not
-    list the boundary skips the generator phases entirely.
+    list the boundary skips the generator phases entirely. The entries
+    train in lockstep, phase by phase (``train_classifier``,
+    ``train_generator``); entries whose phase draws no negatives while
+    others do (a count of 0 in phase A) train that phase as a stack of
+    their own. An entry whose own step goes non-finite leaves the stack
+    with ``phase X failed: ...`` in its place in ``entries``, and the rest
+    go on; each entry's result equals its run alone. Anything else a phase
+    raises is not one entry's: it stops the stack, raised as ``phase X
+    failed: ...``.
     """
-    schedule = cfg.schedule
+    schedule, weights = cfg.schedule, cfg.weights
     negatives = NEGATIVES[cfg.mode]
-    pools = {"few_shot": cfg.few_shot, "outlier": cfg.outlier}
-    phase_a_negs = [pools[name] for name in negatives if name != "boundary"]
+    seeds = [int(seed) for seed, _ in cfg.entries]
+    pools = [{"few_shot": few, "outlier": cfg.outlier} for _, few in cfg.entries]
+    classifiers = [
+        MlpClassifier(cfg.classifier_sizes, activation=cfg.classifier_activation, seed=(seed * 2 + 1) % 2**32)
+        for seed in seeds
+    ]
+    generators: list = [None] * len(seeds)
+    traces: list = [{} for _ in seeds]
+    errors: dict = {}
 
-    classifier = MlpClassifier(cfg.classifier_sizes, activation=cfg.classifier_activation, seed=(cfg.seed * 2 + 1) % 2**32)
-    traces: dict = {}
-    try:
-        traces["phase_a"] = train_classifier(
-            classifier, cfg.normals, phase_a_negs, cfg.weights, schedule, phase="a", seed_prefix=(cfg.seed, 0)
-        )
-    except Exception as e:
-        raise TrainingError(f"phase A failed: {e}") from e
+    def alive() -> list:
+        return [e for e in range(len(seeds)) if e not in errors]
 
-    if "boundary" not in negatives:
-        return PipelineResult(classifier, None, None, traces)
-
-    generator = BoundaryGenerator(cfg.generator_sizes, activation=cfg.generator_activation, seed=(cfg.seed * 2 + 2) % 2**32)
-    boundary = None
-    for alt in range(schedule.alternations):
-        classifier.freeze()
+    def run_phase(phase: str, group: list, train) -> None:
+        """``train()`` trains ``group`` as one stack and returns each
+        entry's trace or TrainingError."""
         try:
-            trace_b = train_generator(
-                generator, classifier, cfg.normals.inputs, cfg.weights, schedule, seed_prefix=(cfg.seed, 1, alt)
-            )
-        except Exception as e:
-            raise TrainingError(f"phase B failed: {e}") from e
-        classifier.unfreeze()
-        traces.setdefault("phase_b", []).extend(trace_b)
+            outcomes = train()
+        except Exception as err:
+            raise TrainingError(f"phase {phase.upper()} failed: {err}") from err
+        for e, outcome in zip(group, outcomes):
+            if isinstance(outcome, Exception):
+                errors[e] = TrainingError(f"phase {phase.upper()} failed: {outcome}")
+                errors[e].__cause__ = outcome
+            else:
+                traces[e].setdefault(f"phase_{phase}", []).extend(outcome)
 
-        pool_n = _boundary_pool_size(cfg)
-        latents = sample_latent((cfg.seed, 3, alt), pool_n, generator.latent_dim)
-        boundary = pools["boundary"] = OutlierPool(generator.forward_array(latents.values))
-        phase_c_negs = [pools[name] for name in negatives]
-        try:
-            trace_c = train_classifier(
-                classifier, cfg.normals, phase_c_negs, cfg.weights, schedule, phase="c", seed_prefix=(cfg.seed, 2, alt)
-            )
-        except Exception as e:
-            raise TrainingError(f"phase C failed: {e}") from e
-        traces.setdefault("phase_c", []).extend(trace_c)
+    def classifier_phase(phase: str, names, key: tuple) -> None:
+        def draws(e):
+            return weights.lam > 0 and any(pools[e].get(name) is not None and pools[e][name].size > 0 for name in names)
 
-    return PipelineResult(classifier, generator, boundary, traces)
+        live = alive()
+        for group in ([e for e in live if draws(e)], [e for e in live if not draws(e)]):
+            if group:
+                run_phase(phase, group, lambda: train_classifier(
+                    MlpClassifier.stack([classifiers[e] for e in group]), cfg.normals,
+                    [[pools[e].get(name) for name in names] for e in group], weights, schedule,
+                    phase=phase, seed_prefix=[(seeds[e], *key) for e in group],
+                ))
+
+    classifier_phase("a", [name for name in negatives if name != "boundary"], (0,))
+    for alt in range(schedule.alternations if "boundary" in negatives else 0):
+        live = alive()
+        for e in live:
+            generators[e] = generators[e] or BoundaryGenerator(
+                cfg.generator_sizes, activation=cfg.generator_activation, seed=(seeds[e] * 2 + 2) % 2**32
+            )
+        if live:
+            frozen = MlpClassifier.stack([classifiers[e] for e in live])
+            frozen.freeze()
+            run_phase("b", live, lambda: train_generator(
+                BoundaryGenerator.stack([generators[e] for e in live]), frozen, cfg.normals.inputs, weights,
+                schedule, seed_prefix=[(seeds[e], 1, alt) for e in live],
+            ))
+            frozen.unfreeze()
+        for e in alive():
+            size = _boundary_pool_size(cfg, pools[e]["few_shot"])
+            latents = sample_latent((seeds[e], 3, alt), size, generators[e].latent_dim)
+            pools[e]["boundary"] = OutlierPool(generators[e].forward_array(latents.values))
+        classifier_phase("c", negatives, (2, alt))
+
+    results = [
+        errors.get(e) or PipelineResult(classifiers[e], generators[e], pools[e].get("boundary"), traces[e])
+        for e in range(len(seeds))
+    ]
+    done = [r for r in results if isinstance(r, PipelineResult)]
+    return PipelineResult(
+        MlpClassifier.stack([r.classifier for r in done]) if done else None,
+        BoundaryGenerator.stack([r.generator for r in done]) if done and done[0].generator is not None else None,
+        None, {}, results,
+    )

@@ -71,7 +71,7 @@ def fail_run_seed(monkeypatch, seed: int, error: Exception) -> None:
     real = harness.run_pipeline
 
     def run_pipeline(cfg):
-        if cfg.seed == seed:
+        if any(entry_seed == seed for entry_seed, _ in cfg.entries):
             raise error
         return real(cfg)
 

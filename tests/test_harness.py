@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 
@@ -264,7 +265,7 @@ class TestSweepMechanics:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # where _run_entries imports it
         config = config_from_dict(tiny_doc)
         sweep = run_fewshot_sweep(config, counts=[4, 0], jobs=500)
         assert started == [2] and [c for c, _ in sweep.entries] == [4, 0]

@@ -194,8 +194,8 @@ def _pipeline_inputs(mode="iii", few_count=8, seed=1):
     )
     return PipelineConfig(
         normals=normals,
+        entries=[(seed, few)],
         mode=mode,
-        few_shot=few,
         outlier=outlier,
         classifier_sizes=[2, 16, 16, 3],
         classifier_activation="tanh",
@@ -203,22 +203,27 @@ def _pipeline_inputs(mode="iii", few_count=8, seed=1):
         generator_activation="tanh",
         weights=LossWeights(lam=1.0, mu=1.0, nu=0.3),
         schedule=schedule,
-        seed=seed,
         boundary_pool_size=32,
     )
+
+
+def _run_alone(cfg):
+    """The result of the one entry of ``cfg``."""
+    (result,) = run_pipeline(cfg).entries
+    return result
 
 
 class TestPipeline:
     def test_mode_i_skips_generator_phases(self):
         cfg = _pipeline_inputs(mode="i")
-        result = run_pipeline(cfg)
+        result = _run_alone(cfg)
         assert result.generator is None
         assert result.boundary_pool is None
         assert set(result.traces) == {"phase_a"}
 
     def test_mode_iii_zero_shots_trains_on_boundary_alone(self):
         cfg = _pipeline_inputs(mode="iii", few_count=0)
-        result = run_pipeline(cfg)
+        result = _run_alone(cfg)
         assert result.boundary_pool is not None
         assert len(result.boundary_pool) == 32
         assert set(result.traces) == {"phase_a", "phase_b", "phase_c"}
@@ -226,10 +231,10 @@ class TestPipeline:
     def test_boundary_pool_size_default_rule(self):
         cfg = _pipeline_inputs(mode="iii", few_count=8)
         cfg.boundary_pool_size = None
-        assert len(run_pipeline(cfg).boundary_pool) == 8  # few-shot count
+        assert len(_run_alone(cfg).boundary_pool) == 8  # few-shot count
         cfg0 = _pipeline_inputs(mode="iii", few_count=0)
         cfg0.boundary_pool_size = None
-        assert len(run_pipeline(cfg0).boundary_pool) == cfg0.schedule.batch_m
+        assert len(_run_alone(cfg0).boundary_pool) == cfg0.schedule.batch_m
 
     # Each mode's phase A and phase C negatives, in draw order (None: no phase C).
     MODE_POOLS = {
@@ -245,13 +250,14 @@ class TestPipeline:
         real = training.train_classifier
 
         def recording(*args, **kwargs):
-            calls.append((kwargs["phase"], list(args[2])))
+            (entry_pools,) = args[2]  # the run trains as a stack of one: one pool list per entry
+            calls.append((kwargs["phase"], list(entry_pools)))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(training, "train_classifier", recording)
         cfg = _pipeline_inputs(mode=mode)
-        result = run_pipeline(cfg)
-        pools = {"few_shot": cfg.few_shot, "outlier": cfg.outlier, "boundary": result.boundary_pool}
+        result = _run_alone(cfg)
+        pools = {"few_shot": cfg.entries[0][1], "outlier": cfg.outlier, "boundary": result.boundary_pool}
         phase_a, phase_c = self.MODE_POOLS[mode]
         expected = [("a", phase_a)] + ([("c", phase_c)] if phase_c else [])
         assert [phase for phase, _ in calls] == [phase for phase, _ in expected]
@@ -262,15 +268,17 @@ class TestPipeline:
     def test_mode_validation(self):
         cfg = _pipeline_inputs()
         with pytest.raises(ValueError, match="mode"):
-            PipelineConfig(normals=cfg.normals, mode="v")
+            PipelineConfig(normals=cfg.normals, entries=cfg.entries, mode="v")
         with pytest.raises(ValueError, match="few-shot"):
-            PipelineConfig(normals=cfg.normals, mode="ii", few_shot=None)
+            PipelineConfig(normals=cfg.normals, entries=[*cfg.entries, (2, None)], mode="ii")
         with pytest.raises(ValueError, match="outlier"):
-            PipelineConfig(normals=cfg.normals, mode="iv", few_shot=cfg.few_shot, outlier=None)
+            PipelineConfig(normals=cfg.normals, entries=cfg.entries, mode="iv", outlier=None)
+        with pytest.raises(ValueError, match="at least one"):
+            PipelineConfig(normals=cfg.normals, entries=[], mode="ii")
 
     def test_deterministic_given_seed(self):
-        a = run_pipeline(_pipeline_inputs(seed=11))
-        b = run_pipeline(_pipeline_inputs(seed=11))
+        a = _run_alone(_pipeline_inputs(seed=11))
+        b = _run_alone(_pipeline_inputs(seed=11))
         for x, y in zip(a.classifier.parameters(), b.classifier.parameters()):
             np.testing.assert_array_equal(x.data, y.data)
         for x, y in zip(a.generator.parameters(), b.generator.parameters()):
@@ -282,7 +290,7 @@ class TestPipeline:
         def run():
             cfg = _pipeline_inputs(seed=12)
             cfg.schedule = dataclasses.replace(cfg.schedule, alternations=2)
-            return cfg, run_pipeline(cfg)
+            return cfg, _run_alone(cfg)
 
         cfg, a = run()
         schedule = cfg.schedule
@@ -291,7 +299,7 @@ class TestPipeline:
             "phase_b": 2 * schedule.phase_b_epochs,
             "phase_c": 2 * schedule.phase_c_epochs,
         }
-        latents = sample_latent((cfg.seed, 3, 1), len(a.boundary_pool), a.generator.latent_dim)
+        latents = sample_latent((cfg.entries[0][0], 3, 1), len(a.boundary_pool), a.generator.latent_dim)
         assert a.boundary_pool.inputs.tobytes() == a.generator.forward_array(latents.values).tobytes()
         assert not a.classifier.is_frozen
         _, b = run()
@@ -308,13 +316,13 @@ class TestPipeline:
             phase_a_epochs=6, phase_b_epochs=4, phase_c_epochs=0, batch_n=32, batch_m=32, latent_n=16, proximity_q=32, master_seed=13
         )
         cfg_long = _pipeline_inputs(seed=13)
-        a = run_pipeline(cfg_short)
-        b = run_pipeline(cfg_long)
+        a = _run_alone(cfg_short)
+        b = _run_alone(cfg_long)
         for x, y in zip(a.generator.parameters(), b.generator.parameters()):
             np.testing.assert_array_equal(x.data, y.data)
 
     def test_traces_are_finite(self):
-        result = run_pipeline(_pipeline_inputs())
+        result = _run_alone(_pipeline_inputs())
         for trace in result.traces.values():
             assert np.all(np.isfinite(trace))
 
@@ -333,8 +341,8 @@ class TestPipeline:
         )
         cfg_plain = _pipeline_inputs(mode="ii", few_count=0, seed=21)
         cfg_plain.schedule = cfg_boundary.schedule
-        boundary = run_pipeline(cfg_boundary)
-        plain = run_pipeline(cfg_plain)
+        boundary = _run_alone(cfg_boundary)
+        plain = _run_alone(cfg_plain)
 
         def ring_auroc(model):
             return auroc(
