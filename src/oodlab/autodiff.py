@@ -158,7 +158,8 @@ def backward(root: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(parent.node_id)
-            grads[parent.node_id] = pg.copy() if acc is None else acc + pg
+            # kept uncopied: no gradient is written in place, so a VJP may hand one array to several parents
+            grads[parent.node_id] = pg if acc is None else acc + pg
 
 
 # --- gradient verification ---------------------------------------------------

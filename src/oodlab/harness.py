@@ -186,8 +186,9 @@ def score_test_sets(
 
 def _train(cfg: PipelineConfig) -> list:
     """Each entry's PipelineResult or the exception that stopped it. An
-    exception ``run_pipeline`` raises for a stack of several is not one
-    entry's, so each entry then trains again alone and fails alone."""
+    exception ``run_pipeline`` raises for a stack of several stops every
+    entry, whichever entry caused it, so each entry then trains again alone
+    and fails alone."""
     try:
         return run_pipeline(cfg).entries
     except Exception as e:

@@ -310,14 +310,15 @@ def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
     return _term(_proximity, generated, normal_reference)
 
 
-def _stacked_batches(stack, groups, pools, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_batches(model, groups, pools, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``(E, rows, d)`` inputs (each entry's normals, then its
     negatives when ``lam`` > 0) and ``(E, n)`` labels of a stack's
     per-entry batches, which must all have one size and all draw negatives
-    or none."""
+    or none; ``(rows, d)`` and ``(n,)`` for a model alone or a stack of
+    one, whose passes are 2-D."""
     use_negatives = pools[0] is not None and pools[0].size > 0 and lam > 0
     n, m = len(groups[0]), pools[0].size if use_negatives else 0
-    one = stack.members[0]
+    one = model.members[0] if model.members else model
     parts = []
     for batch, neg in zip(groups, pools):
         draws = neg is not None and neg.size > 0 and lam > 0
@@ -329,8 +330,9 @@ def _stacked_batches(stack, groups, pools, lam: float) -> tuple[np.ndarray, np.n
         if use_negatives:
             one._check_input(neg.inputs)
             parts.append(neg.inputs)
-    inputs = np.concatenate(parts).reshape(len(groups), n + m, stack.input_dim)
-    return inputs, np.stack([batch.labels for batch in groups])
+    lead = model.flat.data.shape[:-1]
+    inputs = np.concatenate(parts).reshape(*lead, n + m, model.input_dim)
+    return inputs, np.stack([batch.labels for batch in groups]).reshape(*lead, n)
 
 
 def classifier_loss(model, normals, negatives, weights: LossWeights) -> Tensor:
@@ -350,15 +352,7 @@ def classifier_loss(model, normals, negatives, weights: LossWeights) -> Tensor:
         raise ValueError(f"classifier_loss: {len(groups)} normal batches for {len(pools)} negative pools")
     use_negatives = pools[0] is not None and pools[0].size > 0 and weights.lam > 0
     n = len(groups[0])
-    if len(groups) == 1:
-        inputs, labels = groups[0].inputs, groups[0].labels
-        if use_negatives:
-            # checked before stacking, which would raise numpy's error instead
-            for x in (inputs, pools[0].inputs):
-                model._check_input(x)
-            inputs = np.concatenate([inputs, pools[0].inputs])
-    else:
-        inputs, labels = _stacked_batches(model, groups, pools, weights.lam)
+    inputs, labels = _stacked_batches(model, groups, pools, weights.lam)
     logits, cache = model.forward_with_cache(inputs)
     value, ce_vjp = _cross_entropy(logits[..., :n, :], labels)
     if use_negatives:

@@ -196,14 +196,12 @@ class Mlp:
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
         last = len(self.layers) - 1
-        # a stack's (E, rows, d) batch swaps each entry's axes; a 2-D batch keeps the cheaper .T
-        stacked = h.ndim == 3
         cache = []
         for i, (w, b) in enumerate(self.layers):
-            wt = np.ascontiguousarray(w.swapaxes(1, 2) if stacked else w.T)
+            wt = np.ascontiguousarray(w.swapaxes(-1, -2))
             cache.append((h, wt))
             h = h @ wt
-            h += b[:, None] if stacked else b
+            h += b[..., None, :]
             if i == last:
                 break
             if self.activation == "tanh":
@@ -221,19 +219,15 @@ class Mlp:
         derivative multiplies the fresh ``g @ wt.T`` in place; the caller's
         ``g`` and the cache are never written.
         """
-        stacked = g.ndim == 3
         for i in range(len(cache) - 1, -1, -1):
             h, wt = cache[i]
             if grad is not None:
                 w_at, shape, b_at = self._layout[i]
-                if stacked:
-                    grad[:, w_at].reshape(len(g), *shape)[...] = (h.swapaxes(1, 2) @ g).swapaxes(1, 2)
-                else:
-                    grad[w_at].reshape(shape)[...] = (h.T @ g).T
+                grad[..., w_at].reshape(*g.shape[:-2], *shape)[...] = (h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)
                 grad[..., b_at] = g.sum(axis=-2)
             if i == 0 and not inputs:
                 return None
-            g = g @ (wt.swapaxes(1, 2) if stacked else wt.T)
+            g = g @ wt.swapaxes(-1, -2)
             if i == 0:
                 break
             # h is the activation output of layer i - 1

@@ -18,7 +18,10 @@ stacked loss and one backward per batch, then one ``adam_step`` per entry
 with that entry's own Adam state. Shuffles, negative draws and latents are
 seeded per entry, so an entry's weights equal those of training it alone;
 a single model trains as a stack of one. ``run_pipeline`` trains the
-entries of ``PipelineConfig.entries`` this way, phase by phase.
+entries of ``PipelineConfig.entries`` this way, phase by phase. A stack
+fails as a whole: any entry's TrainingError stops it, and the caller that
+needs each entry's own outcome trains the entries again one by one
+(``harness._train``).
 """
 
 from __future__ import annotations
@@ -201,37 +204,21 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
 _CLASSIFIER_PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "c": ("phase_c_epochs", "lr_c", 2)}
 
 
-def _step(stack, loss, states, live: list, errors: dict, step_losses: list, where: tuple) -> None:
+def _step(stack, loss, states, step_losses: list, where: tuple) -> None:
     """Backpropagate one stacked loss node (one value per entry, a scalar
-    for a stack of one; their sum is the root) and give each live entry its
-    own ``adam_step``. An entry whose loss is not finite, or whose gradient
-    ``adam_step`` rejects, leaves ``live`` with its TrainingError in
-    ``errors``; the others never read its rows. ``where`` is the loss's
-    ``(kind, phase, epoch, batch)``, for the message."""
+    for a stack of one; their sum is the root) and give each entry its own
+    ``adam_step``. An entry whose loss is not finite raises TrainingError,
+    as does a gradient ``adam_step`` rejects; either stops the stack.
+    ``where`` is the loss's ``(kind, phase, epoch, batch)``, for the
+    message."""
     ad.backward(ad.reduce_sum(loss) if loss.data.ndim else loss)
     values, grads = loss.data.reshape(-1), stack.flat.grad.reshape(len(states), -1)
-    for e in list(live):
+    for e, state in enumerate(states):
         value = float(values[e])
-        try:
-            if not math.isfinite(value):
-                raise TrainingError("non-finite {} loss in phase {}, epoch {}, batch {}".format(*where))
-            adam_step([stack.members[e].flat], [grads[e]], states[e])
-        except TrainingError as err:
-            errors[e] = err
-            live.remove(e)
-            continue
+        if not math.isfinite(value):
+            raise TrainingError("non-finite {} loss in phase {}, epoch {}, batch {}".format(*where))
+        adam_step([stack.members[e].flat], [grads[e]], state)
         step_losses[e].append(value)
-
-
-def _outcomes(traces: list, errors: dict, alone: bool):
-    """Each entry's trace or TrainingError; a model trained alone returns
-    its trace or raises its error."""
-    outcomes = [errors.get(e, trace) for e, trace in enumerate(traces)]
-    if not alone:
-        return outcomes
-    if errors:
-        raise errors[0]
-    return outcomes[0]
 
 
 def train_classifier(
@@ -253,10 +240,10 @@ def train_classifier(
     A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
     per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
     one seed prefix per entry (every entry drawing negatives, or none), and
-    the result holds each entry's trace or the TrainingError that stopped
-    it; the others go on. Every entry keeps its own shuffles, negative
-    draws and Adam state, so its weights and trace are those of training
-    it alone, which is a stack of one.
+    the result holds each entry's trace. Every entry keeps its own
+    shuffles, negative draws and Adam state, so its weights and trace are
+    those of training it alone, which is a stack of one. A TrainingError
+    in any entry (a non-finite loss or gradient) stops the whole stack.
     """
     if phase not in _CLASSIFIER_PHASES:
         raise ValueError(f"unknown classifier phase {phase!r} (one of {tuple(_CLASSIFIER_PHASES)})")
@@ -273,7 +260,6 @@ def train_classifier(
     pools = [list(p) if p else [] for p in negatives]
     states = [AdamState.for_params([m.flat], lr=getattr(schedule, lr_field)) for m in model.members]
     traces: list = [[] for _ in states]
-    live, errors = list(range(len(states))), {}
     n = len(normals)
     for epoch in range(epochs):
         perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
@@ -288,10 +274,10 @@ def train_classifier(
                 negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
             model.zero_grad()
             loss = classifier_loss(model, batches, negs, weights)
-            _step(model, loss, states, live, errors, step_losses, ("classifier", phase, epoch, b))
-        for e in live:
-            traces[e].append(float(np.mean(step_losses[e])))
-    return _outcomes(traces, errors, alone)
+            _step(model, loss, states, step_losses, ("classifier", phase, epoch, b))
+        for trace, entry_losses in zip(traces, step_losses):
+            trace.append(float(np.mean(entry_losses)))
+    return traces[0] if alone else traces
 
 
 def train_generator(
@@ -311,8 +297,8 @@ def train_generator(
 
     A stack of generators (``Mlp.stack``) trains in lockstep against the
     stack of their frozen classifiers, entry by entry, with one seed prefix
-    per entry; the result holds each entry's trace or TrainingError, as in
-    ``train_classifier``.
+    per entry; the result holds each entry's trace, and a TrainingError in
+    any entry stops the stack, as in ``train_classifier``.
     """
     if not classifier.is_frozen:
         raise ValueError("classifier must be frozen before generator training")
@@ -330,7 +316,6 @@ def train_generator(
     before = classifier.flat.data.copy()
     states = [AdamState.for_params([m.flat], lr=schedule.lr_b) for m in generator.members]
     traces: list = [[] for _ in states]
-    live, errors = list(range(len(states))), {}
     q = min(schedule.proximity_q, n)
     for epoch in range(epochs):
         perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
@@ -343,12 +328,12 @@ def train_generator(
             ]
             generator.zero_grad()
             loss = generator_loss(generator, classifier, latents, references, weights)
-            _step(generator, loss, states, live, errors, step_losses, ("generator", "b", epoch, b))
-        for e in live:
-            traces[e].append(float(np.mean(step_losses[e])))
+            _step(generator, loss, states, step_losses, ("generator", "b", epoch, b))
+        for trace, entry_losses in zip(traces, step_losses):
+            trace.append(float(np.mean(entry_losses)))
     if not np.array_equal(before, classifier.flat.data):
         raise TrainingError("classifier parameters changed during generator training")
-    return _outcomes(traces, errors, alone)
+    return traces[0] if alone else traces
 
 
 @dataclass
@@ -388,13 +373,12 @@ class PipelineResult:
     """The trained models, boundary pool and traces of one run, or of a stack.
 
     ``run_pipeline`` returns the stack's: ``classifier`` and ``generator``
-    stack the models of the entries that finished (None when none did, and
-    ``generator`` None in a mode without the boundary), ``boundary_pool``
-    is None and ``traces`` empty, and ``entries`` holds each entry's own
-    result or the TrainingError that stopped it.
+    stack the entries' models (``generator`` None in a mode without the
+    boundary), ``boundary_pool`` is None and ``traces`` empty, and
+    ``entries`` holds each entry's own result, in entry order.
     """
 
-    classifier: MlpClassifier | None
+    classifier: MlpClassifier
     generator: BoundaryGenerator | None
     boundary_pool: OutlierPool | None
     traces: dict
@@ -418,15 +402,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     train in lockstep, phase by phase (``train_classifier``,
     ``train_generator``); entries whose phase draws no negatives while
     others do (a count of 0 in phase A) train that phase as a stack of
-    their own. An entry whose own step goes non-finite leaves the stack
-    with ``phase X failed: ...`` in its place in ``entries``, and the rest
-    go on; each entry's result equals its run alone. Anything else a phase
-    raises is not one entry's: it stops the stack, raised as ``phase X
-    failed: ...``.
+    their own. Each entry's result equals its run alone. Anything a phase
+    raises, one entry's non-finite step included, stops the stack and is
+    raised as ``phase X failed: ...``; ``harness._train`` then trains the
+    entries one by one, so each fails with the message of its run alone.
     """
     schedule, weights = cfg.schedule, cfg.weights
     negatives = NEGATIVES[cfg.mode]
     seeds = [int(seed) for seed, _ in cfg.entries]
+    everyone = range(len(seeds))
     pools = [{"few_shot": few, "outlier": cfg.outlier} for _, few in cfg.entries]
     classifiers = [
         MlpClassifier(cfg.classifier_sizes, activation=cfg.classifier_activation, seed=(seed * 2 + 1) % 2**32)
@@ -434,31 +418,21 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ]
     generators: list = [None] * len(seeds)
     traces: list = [{} for _ in seeds]
-    errors: dict = {}
 
-    def alive() -> list:
-        return [e for e in range(len(seeds)) if e not in errors]
-
-    def run_phase(phase: str, group: list, train) -> None:
-        """``train()`` trains ``group`` as one stack and returns each
-        entry's trace or TrainingError."""
+    def run_phase(phase: str, group, train) -> None:
+        """``train()`` trains ``group`` as one stack and returns each entry's trace."""
         try:
             outcomes = train()
         except Exception as err:
             raise TrainingError(f"phase {phase.upper()} failed: {err}") from err
-        for e, outcome in zip(group, outcomes):
-            if isinstance(outcome, Exception):
-                errors[e] = TrainingError(f"phase {phase.upper()} failed: {outcome}")
-                errors[e].__cause__ = outcome
-            else:
-                traces[e].setdefault(f"phase_{phase}", []).extend(outcome)
+        for e, trace in zip(group, outcomes):
+            traces[e].setdefault(f"phase_{phase}", []).extend(trace)
 
     def classifier_phase(phase: str, names, key: tuple) -> None:
         def draws(e):
             return weights.lam > 0 and any(pools[e].get(name) is not None and pools[e][name].size > 0 for name in names)
 
-        live = alive()
-        for group in ([e for e in live if draws(e)], [e for e in live if not draws(e)]):
+        for group in ([e for e in everyone if draws(e)], [e for e in everyone if not draws(e)]):
             if group:
                 run_phase(phase, group, lambda: train_classifier(
                     MlpClassifier.stack([classifiers[e] for e in group]), cfg.normals,
@@ -468,32 +442,26 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     classifier_phase("a", [name for name in negatives if name != "boundary"], (0,))
     for alt in range(schedule.alternations if "boundary" in negatives else 0):
-        live = alive()
-        for e in live:
+        for e in everyone:
             generators[e] = generators[e] or BoundaryGenerator(
                 cfg.generator_sizes, activation=cfg.generator_activation, seed=(seeds[e] * 2 + 2) % 2**32
             )
-        if live:
-            frozen = MlpClassifier.stack([classifiers[e] for e in live])
-            frozen.freeze()
-            run_phase("b", live, lambda: train_generator(
-                BoundaryGenerator.stack([generators[e] for e in live]), frozen, cfg.normals.inputs, weights,
-                schedule, seed_prefix=[(seeds[e], 1, alt) for e in live],
-            ))
-            frozen.unfreeze()
-        for e in alive():
+        frozen = MlpClassifier.stack(classifiers)
+        frozen.freeze()
+        run_phase("b", everyone, lambda: train_generator(
+            BoundaryGenerator.stack(generators), frozen, cfg.normals.inputs, weights, schedule,
+            seed_prefix=[(seed, 1, alt) for seed in seeds],
+        ))
+        frozen.unfreeze()
+        for e in everyone:
             size = _boundary_pool_size(cfg, pools[e]["few_shot"])
             latents = sample_latent((seeds[e], 3, alt), size, generators[e].latent_dim)
             pools[e]["boundary"] = OutlierPool(generators[e].forward_array(latents.values))
         classifier_phase("c", negatives, (2, alt))
 
-    results = [
-        errors.get(e) or PipelineResult(classifiers[e], generators[e], pools[e].get("boundary"), traces[e])
-        for e in range(len(seeds))
-    ]
-    done = [r for r in results if isinstance(r, PipelineResult)]
+    results = [PipelineResult(classifiers[e], generators[e], pools[e].get("boundary"), traces[e]) for e in everyone]
     return PipelineResult(
-        MlpClassifier.stack([r.classifier for r in done]) if done else None,
-        BoundaryGenerator.stack([r.generator for r in done]) if done and done[0].generator is not None else None,
+        MlpClassifier.stack(classifiers),
+        BoundaryGenerator.stack(generators) if generators[0] is not None else None,
         None, {}, results,
     )

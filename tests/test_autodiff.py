@@ -118,6 +118,22 @@ def test_shared_subexpression_grad():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
+def test_a_vjp_may_hand_one_array_to_two_parents():
+    """``backward`` keeps a parent's first gradient without copying it, so
+    neither a leaf's ``.grad`` update nor a second contribution to an
+    intermediate node may write into the array a VJP returned."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([3.0, -1.0], requires_grad=True)
+    m = ad.scalar_mul(y, 2.0)
+    k = ad.scalar_mul(m, 3.0)  # created before n, so backward visits it after n
+    shared = np.array([0.5, -4.0])
+    n = ad.node(x.data + m.data, (x, m), lambda g: (shared, shared))  # a leaf and an intermediate node
+    ad.backward(ad.reduce_sum(ad.add(n, k)))  # m: shared first, then 3 from k
+    np.testing.assert_array_equal(shared, [0.5, -4.0])
+    np.testing.assert_array_equal(x.grad, [0.5, -4.0])
+    np.testing.assert_array_equal(y.grad, [7.0, -2.0])  # 2 * (shared + 3)
+
+
 def _random_composite(rng):
     """An MLP node feeding every Tensor-level loss term."""
     model = MlpClassifier([4, 5, 3], activation="tanh", seed=int(rng.integers(0, 2**31)))

@@ -268,3 +268,61 @@ def test_a_sweep_trains_each_worker_s_counts_as_one_stack(tiny_doc, monkeypatch)
     monkeypatch.setattr(harness, "run_pipeline", recording)
     run_fewshot_sweep(config, counts=[16, 4, 0])
     assert stacks == [[config.seed, config.seed + 1, config.seed + 2]]
+
+
+def _three_runs(poisoned: int | None = None) -> training.PipelineConfig:
+    """A stack of three mode-iii runs on a short schedule; with
+    ``poisoned``, that entry's few-shot negatives hold a NaN."""
+    rng = np.random.default_rng(5)
+    normals = LabeledBatch(rng.normal(size=(96, 2)), rng.integers(0, 3, 96))
+    entries = []
+    for e in range(3):
+        few = OutlierPool(rng.uniform(-1.5, 1.5, (8, 2)))
+        if e == poisoned:
+            few.inputs[0] = np.nan
+        entries.append((20 + e, few))
+    return training.PipelineConfig(
+        normals=normals, entries=entries, mode="iii", classifier_sizes=[2, 8, 3], classifier_activation="tanh",
+        generator_sizes=[2, 8, 2], generator_activation="tanh", weights=losses.LossWeights(nu=0.3),
+        schedule=training.TrainSchedule(
+            phase_a_epochs=2, phase_b_epochs=2, phase_c_epochs=2, batch_n=32, batch_m=32, latent_n=8, proximity_q=32
+        ),
+        boundary_pool_size=16,
+    )
+
+
+@pytest.mark.parametrize(
+    "poison, message",
+    [
+        ("weights", "non-finite classifier loss in phase a, epoch 0, batch 0"),
+        # negative training clamps a NaN row's term, so only the gradient goes non-finite
+        ("negatives", "non-finite gradient"),
+    ],
+)
+def test_one_entry_going_non_finite_stops_its_stack(poison, message):
+    """A stack fails as a whole; ``harness._train`` retrains its runs one by
+    one, so each fails alone (``test_an_entry_going_non_finite_fails_alone``)."""
+    cfg = _three_runs(poisoned=1 if poison == "negatives" else None)
+    stack = MlpClassifier.stack([MlpClassifier([2, 8, 3], activation="tanh", seed=s) for s, _ in cfg.entries])
+    if poison == "weights":
+        stack.layers[-1][0][1, 0, 0] = np.nan
+    with pytest.raises(training.TrainingError, match=message):
+        training.train_classifier(
+            stack, cfg.normals, [[few] for _, few in cfg.entries], cfg.weights, cfg.schedule,
+            phase="a", seed_prefix=[(seed, 0) for seed, _ in cfg.entries],
+        )
+
+
+def test_a_stack_with_a_failing_entry_raises_its_phase():
+    with pytest.raises(training.TrainingError) as failed:
+        training.run_pipeline(_three_runs(poisoned=1))
+    assert str(failed.value).startswith("phase A failed: non-finite")
+
+
+def test_a_clean_stack_returns_every_entry_s_result():
+    result = training.run_pipeline(_three_runs())
+    assert len(result.entries) == 3
+    for e, entry in enumerate(result.entries):
+        assert isinstance(entry, training.PipelineResult)
+        for model in ("classifier", "generator"):
+            assert getattr(entry, model).flat.data.tobytes() == getattr(result, model).flat.data[e].tobytes()
