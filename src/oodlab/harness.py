@@ -10,9 +10,10 @@ Runs that share their data and differ only in few-shot count and seed train
 as one stack in lockstep (``training.run_pipeline`` with entries): a sweep
 trains the counts of each worker process as one stack, and a single run is
 a stack of one. Training a stack leaves every entry's weights, reports and
-result bytes equal to its run alone, and its failures too: an exception
-that stops a whole stack trains its runs again one by one (``_train``), so
-only the run at fault fails.
+result bytes equal to its run alone, and its failures too. One rule covers
+a stack from few-shot sampling to scoring: ``_run`` raises whatever stops
+any entry, and ``_isolated`` then runs the stack's entries again one by
+one, so only the run at fault fails.
 """
 
 from __future__ import annotations
@@ -184,60 +185,39 @@ def score_test_sets(
     }
 
 
-def _train(cfg: PipelineConfig) -> list:
-    """Each entry's PipelineResult or the exception that stopped it. An
-    exception ``run_pipeline`` raises for a stack of several stops every
-    entry, whichever entry caused it, so each entry then trains again alone
-    and fails alone."""
-    try:
-        return run_pipeline(cfg).entries
-    except Exception as e:
-        if len(cfg.entries) == 1:
-            return [e]
-        return [_train(replace(cfg, entries=[entry]))[0] for entry in cfg.entries]
-
-
-def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_models: bool = False) -> list:
+def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_models: bool = False) -> list[RunRecord]:
     """Train one stack of runs on ``data`` in lockstep and score each run on
-    every test set; returns per entry its RunRecord or the exception that
-    stopped it.
+    every test set; returns each entry's RunRecord.
 
     An entry is ``(updates, run_seed, few_shots, run_id)``: it runs
     ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
     few-shot pool (None: the config's ``few_shot_count``), layers from
     config.model and every draw seeded from ``run_seed``; ``run_id`` None is
     ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
-    everything but count and seed; the stack's settings are the first valid
-    entry's. An entry fails alone, with the message of its run alone, when
-    its config is invalid, its few-shots cannot be sampled, its training
-    fails (``_train``) or its scoring fails. Its wall seconds are the
-    stack's training time plus its own scoring time. With ``out_dir``,
-    per-sample scores go to ``scores/{run_id}_{test}.csv``.
+    everything but count and seed; the stack's settings are the first
+    entry's. Whatever stops any entry (an invalid config, few-shots that
+    cannot be sampled, a training or a scoring error) raises and stops the
+    whole stack; ``_isolated`` then runs each entry alone. An entry's wall
+    seconds are the stack's training time plus its own scoring time. With
+    ``out_dir``, per-sample scores go to ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
-    outcomes: list = [None] * len(entries)
-    runs = {}
-    for i, (updates, run_seed, few_shots, run_id) in enumerate(entries):
-        try:
-            cfg = config.with_updates(**updates) if updates else config
-            count = cfg.few_shot_count if few_shots is None else few_shots
-            few_shot = None
-            if data.few_shot_pool is not None:
-                few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5))
-        except Exception as e:  # this entry fails alone
-            outcomes[i] = e
-            continue
+    runs = []
+    for updates, run_seed, few_shots, run_id in entries:
+        cfg = config.with_updates(**updates) if updates else config
+        count = cfg.few_shot_count if few_shots is None else few_shots
+        few_shot = None
+        if data.few_shot_pool is not None:
+            few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5))
         run_id = run_id or f"{cfg.mode}-n{cfg.few_shot_count}-s{run_seed}-{cfg.fingerprint[:8]}"
-        runs[i] = (cfg, count, run_seed, run_id, few_shot)
-    if not runs:
-        return outcomes
-    first = next(iter(runs.values()))[0]
+        runs.append((cfg, count, run_seed, run_id, few_shot))
+    first = runs[0][0]
     d = data.normals.dim
     model = first.model
-    results = _train(
+    results = run_pipeline(
         PipelineConfig(
             normals=data.normals,
-            entries=[(run_seed, few_shot) for _, _, run_seed, _, few_shot in runs.values()],
+            entries=[(run_seed, few_shot) for _, _, run_seed, _, few_shot in runs],
             mode=first.mode,
             outlier=data.outlier,
             classifier_sizes=[d, *model["classifier_hidden"], data.num_classes],
@@ -248,32 +228,28 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_m
             schedule=first.schedule,
             boundary_pool_size=first.boundary_pool_size,
         )
-    )
+    ).entries
     trained = time.perf_counter() - t0
-    for (i, (cfg, count, run_seed, run_id, _)), result in zip(runs.items(), results):
-        if isinstance(result, Exception):
-            outcomes[i] = result
-            continue
+    records = []
+    for (cfg, count, run_seed, run_id, _), result in zip(runs, results):
         t1 = time.perf_counter()
         dump_stem = None if out_dir is None else Path(out_dir) / "scores" / run_id
-        try:
-            reports = score_test_sets(cfg, result.classifier, data.eval_in, data.tests, dump_stem)
-        except Exception as e:  # this entry fails alone
-            outcomes[i] = e
-            continue
-        outcomes[i] = RunRecord(
-            run_id=run_id,
-            mode=cfg.mode,
-            few_shots=count,
-            seed=run_seed,
-            fingerprint=cfg.fingerprint,
-            reports=reports,
-            traces=result.traces,
-            boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
-            result=result if keep_models else None,
-            wall_seconds=trained + time.perf_counter() - t1,
+        reports = score_test_sets(cfg, result.classifier, data.eval_in, data.tests, dump_stem)
+        records.append(
+            RunRecord(
+                run_id=run_id,
+                mode=cfg.mode,
+                few_shots=count,
+                seed=run_seed,
+                fingerprint=cfg.fingerprint,
+                reports=reports,
+                traces=result.traces,
+                boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
+                result=result if keep_models else None,
+                wall_seconds=trained + time.perf_counter() - t1,
+            )
         )
-    return outcomes
+    return records
 
 
 def run_single(
@@ -284,21 +260,28 @@ def run_single(
 
     Without ``data`` the config's data is materialized first, so data the
     config points at but cannot be read fails before any training time is
-    spent. A failure raises.
+    spent. A failure raises: the run is a stack of one ``_run``.
     """
     run_seed = config.seed if run_seed is None else run_seed
     data = RunData.materialize(config) if data is None else data
-    (outcome,) = _run(config, data, [({}, run_seed, None, None)], out_dir, keep_models)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _run(config, data, [({}, run_seed, None, None)], out_dir, keep_models)[0]
 
 
 def _isolated(task) -> list[RunRecord | str]:
-    """One stack of a multi-run command: ``_run(*task)``, with each failed
-    entry's exception turned into its message. ``task`` is one picklable
-    tuple, so a process pool can map this."""
-    return [rec if isinstance(rec, RunRecord) else f"{type(rec).__name__}: {rec}" for rec in _run(*task)]
+    """One stack of a multi-run command, ``_run(*task)``, under the one
+    failure rule: when it raises, a stack of one gives its exception as its
+    message, and a stack of several runs each entry alone through
+    ``_isolated``, so only the entry at fault fails, with the message of its
+    run alone. A rerun entry's wall seconds are its own run-alone time.
+    ``task`` is one picklable tuple ``(config, data, entries, out_dir)``, so
+    a process pool can map this."""
+    try:
+        return _run(*task)
+    except Exception as e:
+        config, data, entries, *rest = task
+        if len(entries) == 1:
+            return [f"{type(e).__name__}: {e}"]
+        return [_isolated((config, data, [entry], *rest))[0] for entry in entries]
 
 
 def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: list, jobs: int = 1) -> SweepResult:
@@ -334,7 +317,7 @@ def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: l
 def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
     """Run each requested mode with the identical seed, labelled by mode;
     the data is read once for all of them, each mode is a stack of one and
-    failures are isolated as ``_run`` does."""
+    failures are isolated by ``_isolated``."""
     data = RunData.materialize(config)
     stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
     return _run_entries("ablate", config, list(modes), stacks)
@@ -346,8 +329,8 @@ def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs:
     Counts must be strictly decreasing (they may end at 0). The data is read
     once for every count. The counts are dealt round-robin to
     ``min(jobs, len(counts))`` workers, and each worker trains its counts as
-    one stack in lockstep. Entries failing are isolated into .failures as
-    ``_run`` does; the rest of the sweep still runs.
+    one stack in lockstep. Entries failing are isolated into .failures by
+    ``_isolated``; the rest of the sweep still runs.
     """
     counts = list(config.sweep_counts if counts is None else counts)
     if not counts:
@@ -394,8 +377,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. Every
     class's data is built before any class runs. Entries are labelled by
-    class, each a stack of one; a class's failure is isolated as ``_run``
-    does.
+    class, each a stack of one; a class's failure is isolated by
+    ``_isolated``.
     """
     train = generate_dataset(config.normal)
     holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)

@@ -271,7 +271,9 @@ def negative_training_term(logits: Tensor) -> Tensor:
     """Mean of -log(1 - p*) over outlier rows, p* the max softmax probability.
 
     1 - p* is clamped at 1e-12 before the log, so a confidently classified
-    negative contributes a large but finite penalty (and zero gradient).
+    negative contributes a large but finite penalty (and zero gradient). A
+    NaN row is clamped too: its term and the loss stay finite, and only the
+    gradient goes non-finite.
     """
     return _term(_negative_training, logits)
 

@@ -20,8 +20,8 @@ seeded per entry, so an entry's weights equal those of training it alone;
 a single model trains as a stack of one. ``run_pipeline`` trains the
 entries of ``PipelineConfig.entries`` this way, phase by phase. A stack
 fails as a whole: any entry's TrainingError stops it, and the caller that
-needs each entry's own outcome trains the entries again one by one
-(``harness._train``).
+needs each entry's own outcome runs the entries again one by one
+(``harness._isolated``).
 """
 
 from __future__ import annotations
@@ -208,16 +208,19 @@ def _step(stack, loss, states, step_losses: list, where: tuple) -> None:
     """Backpropagate one stacked loss node (one value per entry, a scalar
     for a stack of one; their sum is the root) and give each entry its own
     ``adam_step``. An entry whose loss is not finite raises TrainingError,
-    as does a gradient ``adam_step`` rejects; either stops the stack.
-    ``where`` is the loss's ``(kind, phase, epoch, batch)``, for the
-    message."""
+    as does a gradient ``adam_step`` rejects (its message then gains the
+    step's phase, epoch and batch); either stops the stack. ``where`` is the
+    loss's ``(kind, phase, epoch, batch)``, for the message."""
     ad.backward(ad.reduce_sum(loss) if loss.data.ndim else loss)
     values, grads = loss.data.reshape(-1), stack.flat.grad.reshape(len(states), -1)
     for e, state in enumerate(states):
         value = float(values[e])
         if not math.isfinite(value):
             raise TrainingError("non-finite {} loss in phase {}, epoch {}, batch {}".format(*where))
-        adam_step([stack.members[e].flat], [grads[e]], state)
+        try:
+            adam_step([stack.members[e].flat], [grads[e]], state)
+        except TrainingError as error:
+            raise TrainingError("{} in phase {}, epoch {}, batch {}".format(error, *where[1:])) from error
         step_losses[e].append(value)
 
 
@@ -404,7 +407,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     others do (a count of 0 in phase A) train that phase as a stack of
     their own. Each entry's result equals its run alone. Anything a phase
     raises, one entry's non-finite step included, stops the stack and is
-    raised as ``phase X failed: ...``; ``harness._train`` then trains the
+    raised as ``phase X failed: ...``; ``harness._isolated`` then runs the
     entries one by one, so each fails with the message of its run alone.
     """
     schedule, weights = cfg.schedule, cfg.weights

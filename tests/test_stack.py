@@ -255,6 +255,31 @@ def test_an_exception_in_one_entry_fails_only_that_entry(tiny_doc, monkeypatch, 
     assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
 
 
+@pytest.mark.parametrize("site", ["sample_few_shots", "score_test_sets"])
+def test_a_failure_before_or_after_training_fails_only_its_entry(tiny_doc, monkeypatch, site):
+    """Few-shot sampling and scoring follow the one failure rule of training:
+    the stack stops, its counts run again alone, and only the count at fault
+    fails, with the message of its run alone."""
+    config = config_from_dict(tiny_doc)
+    counts = [16, 4, 0]
+    clean = run_fewshot_sweep(config, counts=counts)
+    real = getattr(harness, site)
+
+    def failing(first, *args, **kwargs):
+        # sample_few_shots(pool, count, seed=(run seed, 5)); score_test_sets(run config, ...)
+        count = args[0] if site == "sample_few_shots" else first.few_shot_count
+        if count == 4:  # seed config.seed + 1
+            raise RuntimeError("broken entry")
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(harness, site, failing)
+    with pytest.raises(RuntimeError, match="^broken entry$"):
+        run_single(config.with_updates(few_shot_count=4), run_seed=config.seed + 1)
+    sweep = run_fewshot_sweep(config, counts=counts)
+    assert sweep.failures == {4: "RuntimeError: broken entry"}
+    assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
+
+
 def test_a_sweep_trains_each_worker_s_counts_as_one_stack(tiny_doc, monkeypatch):
     """One ``run_pipeline`` call per stack, holding every count of the sweep."""
     config = config_from_dict(tiny_doc)
@@ -300,8 +325,8 @@ def _three_runs(poisoned: int | None = None) -> training.PipelineConfig:
     ],
 )
 def test_one_entry_going_non_finite_stops_its_stack(poison, message):
-    """A stack fails as a whole; ``harness._train`` retrains its runs one by
-    one, so each fails alone (``test_an_entry_going_non_finite_fails_alone``)."""
+    """A stack fails as a whole; ``harness._isolated`` runs its runs again one
+    by one, so each fails alone (``test_an_entry_going_non_finite_fails_alone``)."""
     cfg = _three_runs(poisoned=1 if poison == "negatives" else None)
     stack = MlpClassifier.stack([MlpClassifier([2, 8, 3], activation="tanh", seed=s) for s, _ in cfg.entries])
     if poison == "weights":
@@ -317,6 +342,14 @@ def test_a_stack_with_a_failing_entry_raises_its_phase():
     with pytest.raises(training.TrainingError) as failed:
         training.run_pipeline(_three_runs(poisoned=1))
     assert str(failed.value).startswith("phase A failed: non-finite")
+
+
+def test_a_non_finite_gradient_names_its_step():
+    """``adam_step`` rejects entry 1's gradient; the message gains the step's
+    phase, epoch and batch, as a non-finite loss's message has them."""
+    with pytest.raises(training.TrainingError) as failed:
+        training.run_pipeline(_three_runs(poisoned=1))
+    assert str(failed.value) == "phase A failed: non-finite gradient in parameter 0 in phase a, epoch 0, batch 0"
 
 
 def test_a_clean_stack_returns_every_entry_s_result():
