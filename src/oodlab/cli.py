@@ -49,9 +49,8 @@ def _out_dir(args) -> Path:
     return Path(root)
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    if needs_config:
-        parser.add_argument("--config", required=True, help="path to a JSON experiment config")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -106,7 +105,7 @@ def _cmd_train(args) -> int:
     config = load_config(args.config, args.overrides)
     out = _out_dir(args)
     _progress(args, f"[train] mode {config.mode}, {config.few_shot_count} few-shots, seed {config.seed}")
-    record = run_single(config, out_dir=out, keep_models=True)
+    record = run_single(config, out_dir=out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(record.result.classifier, out / f"{record.run_id}.classifier.ckpt")
     if record.result.generator is not None:

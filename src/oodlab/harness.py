@@ -50,7 +50,8 @@ SUMMARY_COLUMNS = ["run_id", "mode", "few_shots", "test_set", "auroc", "aauroc",
 
 @dataclass
 class RunRecord:
-    """One trained pipeline plus its per-test-set metric reports."""
+    """One trained pipeline (``result``, left out of comparisons like
+    ``wall_seconds``) plus its per-test-set metric reports."""
 
     run_id: str
     mode: str
@@ -60,7 +61,7 @@ class RunRecord:
     reports: dict[str, MetricReport]
     traces: dict
     boundary_pool_size: int | None = None
-    result: PipelineResult | None = field(default=None, repr=False)
+    result: PipelineResult | None = field(default=None, repr=False, compare=False)
     # timed, so it goes to the *.meta.json sidecar and never into to_dict()
     wall_seconds: float | None = field(default=None, compare=False)
 
@@ -114,28 +115,37 @@ def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> Out
     return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs)
 
 
-def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Generate every OoD test set; LFN corrupts a fresh draw of normals.
+def _checked_test_set(config: ExperimentConfig, key: str, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as an OoD test set: a set with no rows or with a row
+    outside ``budget.input_box`` raises ConfigError naming ``key``."""
+    if len(inputs) == 0:
+        raise ConfigError(f"{key}: has no rows")
+    try:
+        _check_in_box(inputs, config.budget.input_box, "budget.input_box")
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+    return inputs
 
-    A set with no rows (a header-only CSV) or with a row outside
-    ``budget.input_box`` raises ConfigError naming its key.
-    """
+
+def materialize_test_sets(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Generate every OoD test set, checked under its key by
+    ``_checked_test_set``; LFN corrupts a fresh draw of normals."""
     out = {}
     for name, spec in config.tests.items():
         base = _fresh_normal_draw(config, spec.seed + 1, spec.size) if spec.kind == "low-frequency-noise" else None
-        out[name] = _outlier_pool(config, f"data.tests.{name}", spec, base).inputs
-        if len(out[name]) == 0:
-            raise ConfigError(f"data.tests.{name}: has no rows")
-        try:
-            _check_in_box(out[name], config.budget.input_box, "budget.input_box")
-        except ValueError as e:
-            raise ConfigError(f"data.tests.{name}: {e}") from None
+        key = f"data.tests.{name}"
+        out[name] = _checked_test_set(config, key, _outlier_pool(config, key, spec, base).inputs)
     return out
 
 
+def _held_out_normals(config: ExperimentConfig) -> LabeledBatch:
+    """Held-out in-distribution samples and labels: the normal spec with a shifted seed."""
+    return _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
+
+
 def materialize_eval_in(config: ExperimentConfig) -> np.ndarray:
-    """Held-out in-distribution samples: the normal spec with a shifted seed."""
-    return _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size).inputs
+    """The inputs of ``_held_out_normals``."""
+    return _held_out_normals(config).inputs
 
 
 @dataclass
@@ -185,9 +195,9 @@ def score_test_sets(
     }
 
 
-def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_models: bool = False) -> list[RunRecord]:
+def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> list[RunRecord]:
     """Train one stack of runs on ``data`` in lockstep and score each run on
-    every test set; returns each entry's RunRecord.
+    every test set; returns each entry's RunRecord, models included.
 
     An entry is ``(updates, run_seed, few_shots, run_id)``: it runs
     ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
@@ -245,26 +255,22 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir, keep_m
                 reports=reports,
                 traces=result.traces,
                 boundary_pool_size=(len(result.boundary_pool) if result.boundary_pool is not None else None),
-                result=result if keep_models else None,
+                result=result,
                 wall_seconds=trained + time.perf_counter() - t1,
             )
         )
     return records
 
 
-def run_single(
-    config: ExperimentConfig, run_seed: int | None = None, out_dir=None, keep_models: bool = False,
-    data: RunData | None = None,
-) -> RunRecord:
+def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=None) -> RunRecord:
     """Train one pipeline and evaluate every test set against held-out normals.
 
-    Without ``data`` the config's data is materialized first, so data the
-    config points at but cannot be read fails before any training time is
-    spent. A failure raises: the run is a stack of one ``_run``.
+    The config's data is materialized first, so data the config points at
+    but cannot be read fails before any training time is spent. A failure
+    raises: the run is a stack of one ``_run``.
     """
     run_seed = config.seed if run_seed is None else run_seed
-    data = RunData.materialize(config) if data is None else data
-    return _run(config, data, [({}, run_seed, None, None)], out_dir, keep_models)[0]
+    return _run(config, RunData.materialize(config), [({}, run_seed, None, None)], out_dir)[0]
 
 
 def _isolated(task) -> list[RunRecord | str]:
@@ -323,22 +329,17 @@ def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepRe
     return _run_entries("ablate", config, list(modes), stacks)
 
 
-def run_fewshot_sweep(config: ExperimentConfig, counts=None, out_dir=None, jobs: int = 1) -> SweepResult:
-    """One pipeline + evaluation per few-shot count, seeds varied per count.
+def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> SweepResult:
+    """One pipeline + evaluation per count of ``sweep.counts`` (checked at
+    config load), seeds varied per count.
 
-    Counts must be strictly decreasing (they may end at 0). The data is read
-    once for every count. The counts are dealt round-robin to
-    ``min(jobs, len(counts))`` workers, and each worker trains its counts as
-    one stack in lockstep. Entries failing are isolated into .failures by
-    ``_isolated``; the rest of the sweep still runs.
+    The data is read once for every count, so a few-shot pool too short for
+    the largest count is a ConfigError before any training. The counts are
+    dealt round-robin to ``min(jobs, len(counts))`` workers, and each worker
+    trains its counts as one stack in lockstep. Entries failing are isolated
+    into .failures by ``_isolated``; the rest of the sweep still runs.
     """
-    counts = list(config.sweep_counts if counts is None else counts)
-    if not counts:
-        raise ValueError("sweep needs at least one count")
-    if any(counts[i] <= counts[i + 1] for i in range(len(counts) - 1)):
-        raise ValueError(f"sweep counts must be strictly decreasing, got {counts}")
-    if any(c < 0 for c in counts):
-        raise ValueError("sweep counts must be >= 0")
+    counts = config.sweep_counts
     data = RunData.materialize(config)
     workers = max(1, min(jobs, len(counts)))
     stacks = []
@@ -376,12 +377,13 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. Every
-    class's data is built before any class runs. Entries are labelled by
+    class's data is built, and its OoD set checked as a test set
+    (``_checked_test_set``), before any class runs. Entries are labelled by
     class, each a stack of one; a class's failure is isolated by
     ``_isolated``.
     """
     train = generate_dataset(config.normal)
-    holdout = _fresh_normal_draw(config, config.normal.seed + config.eval_in_seed_offset, config.eval_in_size)
+    holdout = _held_out_normals(config)
     classes = sorted(int(c) for c in np.unique(train.labels))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
@@ -391,7 +393,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
         normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
         pool = OutlierPool(train.inputs[~mask])
         outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
-        data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": holdout.inputs[~held]})
+        out_set = _checked_test_set(config, f"data.normal: the OCC out-set of class {cls}", holdout.inputs[~held])
+        data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": out_set})
         run_seed = config.seed + cls
         count = min(config.few_shot_count, pool.size)
         run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"

@@ -355,13 +355,14 @@ def evaluate_ood(
     budget: RobustnessBudget,
     fingerprint: str = "",
     dump_csv=None,
-    attack_seed: int | tuple = 0,
 ) -> MetricReport:
     """Score both sets and report AUROC, AAUROC, and GAUROC in one pass.
 
-    Only out-samples are attacked/certified; in-samples stay clean. When
-    dump_csv is given, per-sample scores are written as
-    sample_id,set,clean_score,adv_score,cert_upper at 17 significant digits.
+    Only out-samples are attacked/certified; in-samples stay clean. The PGD
+    attack runs at its default seed, 0, so a report is a pure function of
+    the model, the sets and the budget. When dump_csv is given, per-sample
+    scores are written as sample_id,set,clean_score,adv_score,cert_upper at
+    17 significant digits.
     """
     in_inputs = np.atleast_2d(np.asarray(in_inputs, dtype=np.float64))
     out_inputs = np.atleast_2d(np.asarray(out_inputs, dtype=np.float64))
@@ -373,7 +374,7 @@ def evaluate_ood(
             raise ValueError(f"{name} has a non-finite value in row {int(np.argmin(finite))}")
 
     in_clean = anomaly_scores(model, in_inputs)
-    out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget, seed=attack_seed)
+    out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget)
     lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
     out_cert = certified_max_confidence(lo, hi)
 

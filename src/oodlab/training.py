@@ -66,15 +66,16 @@ class TrainingError(RuntimeError):
     """Raised when a training step cannot proceed (non-finite loss/grad)."""
 
 
+# Adam's moment decay rates and denominator epsilon, the same for every state
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive moments, kept as one flat vector each over
-    the concatenated parameters."""
+    """Bias-corrected adaptive moments at learning rate ``lr``, kept as one
+    flat vector each over the concatenated parameters."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -83,13 +84,10 @@ class AdamState:
     scratch: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def for_params(cls, params, lr: float = 1e-3):
         sizes = tuple(p.data.size for p in params)
         total = sum(sizes)
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(total), v=np.zeros(total), sizes=sizes,
-            scratch=np.empty((3, total)),
-        )
+        return cls(lr=lr, m=np.zeros(total), v=np.zeros(total), sizes=sizes, scratch=np.empty((3, total)))
 
 
 def adam_step(params, grads, state: AdamState) -> None:
@@ -116,20 +114,20 @@ def adam_step(params, grads, state: AdamState) -> None:
         bad = next(i for i, x in enumerate(grads) if not np.all(np.isfinite(x)))
         raise TrainingError(f"non-finite gradient in parameter {bad}")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= g
     v += tmp
     np.divide(m, c1, out=update)
     update *= state.lr
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += ADAM_EPS
     update /= tmp
     start = 0
     for p in params:
@@ -231,14 +229,14 @@ def train_classifier(
     weights: LossWeights,
     schedule: TrainSchedule,
     phase: str = "a",
-    epochs: int | None = None,
     seed_prefix: tuple | None = None,
 ) -> list:
     """Mini-batch descent on classifier_loss; returns per-epoch mean loss.
 
     ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
     leaving pure cross-entropy). Batch shuffling is reseeded per epoch.
-    ``phase`` is ``"a"`` or ``"c"``.
+    ``phase`` is ``"a"`` or ``"c"``; it picks the schedule's epochs and
+    learning rate (``phase_a_epochs``/``lr_a`` or ``phase_c_epochs``/``lr_c``).
 
     A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
     per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
@@ -253,7 +251,6 @@ def train_classifier(
     if len(normals) < 1:
         raise ValueError("normal data source is empty")
     epochs_field, lr_field, index = _CLASSIFIER_PHASES[phase]
-    epochs = getattr(schedule, epochs_field) if epochs is None else epochs
     alone = model.members is None
     if alone:
         prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, index)
@@ -264,7 +261,7 @@ def train_classifier(
     states = [AdamState.for_params([m.flat], lr=getattr(schedule, lr_field)) for m in model.members]
     traces: list = [[] for _ in states]
     n = len(normals)
-    for epoch in range(epochs):
+    for epoch in range(getattr(schedule, epochs_field)):
         perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
         neg_rngs = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
         step_losses: list = [[] for _ in states]
@@ -289,10 +286,10 @@ def train_generator(
     normal_inputs: np.ndarray,
     weights: LossWeights,
     schedule: TrainSchedule,
-    epochs: int | None = None,
     seed_prefix: tuple | None = None,
 ) -> list:
-    """Descent on generator_loss against the frozen classifier.
+    """Descent on generator_loss against the frozen classifier, for the
+    schedule's ``phase_b_epochs`` at its ``lr_b``.
 
     The classifier must already be frozen; its parameters are verified
     bit-exact afterwards. Each step draws a fresh seeded latent batch and a
@@ -309,7 +306,6 @@ def train_generator(
     n = len(normal_inputs)
     if n < 1:
         raise ValueError("normal data source is empty")
-    epochs = schedule.phase_b_epochs if epochs is None else epochs
     alone = generator.members is None
     if alone:
         prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, 1)
@@ -320,7 +316,7 @@ def train_generator(
     states = [AdamState.for_params([m.flat], lr=schedule.lr_b) for m in generator.members]
     traces: list = [[] for _ in states]
     q = min(schedule.proximity_q, n)
-    for epoch in range(epochs):
+    for epoch in range(schedule.phase_b_epochs):
         perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
         step_losses: list = [[] for _ in states]
         for b, start in enumerate(range(0, n, q)):

@@ -372,6 +372,19 @@ class TestAblateOccCommands:
         doc = json.loads((out / "experiment.json").read_text())
         assert "occ_mean" in doc
 
+    def test_occ_with_an_out_set_outside_the_input_box_exits_2_before_training(
+        self, tiny_config_path, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        out = tmp_path / "occ"
+        argv = ["occ", "--config", str(tiny_config_path), "--set", "budget.input_box=[-0.5,0.5]", "--out", str(out), "-q"]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.normal: the OCC out-set of class 0: row ")
+        assert "outside budget.input_box [-0.5, 0.5]" in err
+        assert calls == [] and not (out / "experiment.json").exists()
+
     def test_occ_with_every_class_failing_exits_1_with_a_null_mean(self, tiny_config_path, tmp_path, monkeypatch):
         def diverged(cfg):
             raise RuntimeError("diverged")

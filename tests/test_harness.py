@@ -216,37 +216,42 @@ class TestConfig:
 
 class TestSweepMechanics:
     def test_counts_execute_including_zero(self, tiny_doc):
-        config = config_from_dict(tiny_doc)
-        sweep = run_fewshot_sweep(config, counts=[8, 4, 2, 1, 0])
+        config = config_from_dict(tiny_doc, overrides=["sweep.counts=8,4,2,1,0"])
+        sweep = run_fewshot_sweep(config)
         assert [c for c, _ in sweep.entries] == [8, 4, 2, 1, 0]
         assert not sweep.failures
         assert sweep.entries[-1][1].few_shots == 0
 
     def test_single_count_sweep_equals_direct_run(self, tiny_doc):
-        config = config_from_dict(tiny_doc)
-        sweep = run_fewshot_sweep(config, counts=[4])
+        config = config_from_dict(tiny_doc, overrides=["sweep.counts=[4]"])
+        sweep = run_fewshot_sweep(config)
         direct = run_single(config.with_updates(few_shot_count=4), run_seed=config.seed)
         rec = sweep.entries[0][1]
         assert rec.reports.keys() == direct.reports.keys()
         for name in rec.reports:
             assert rec.reports[name] == direct.reports[name]
 
-    def test_failures_are_isolated(self, tiny_doc):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_few_shot_csv_too_short_for_a_count_stops_the_sweep_before_training(
+        self, tiny_doc, tmp_path, monkeypatch, jobs
+    ):
+        """A count the pool cannot supply is found once, with the data,
+        not per entry while sampling."""
+        path = tmp_path / "short.csv"
+        save_csv(OutlierPool(np.random.default_rng(3).uniform(-1.2, 1.2, (10, 2))), path)
+        tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(path)}
+        tiny_doc["few_shot_count"] = 4  # only the largest sweep count, 16, exceeds the 10 rows
         config = config_from_dict(tiny_doc)
-        sweep = run_fewshot_sweep(config, counts=[100_000, 4])
-        assert 100_000 in sweep.failures
-        assert "cannot sample" in sweep.failures[100_000]
-        assert [c for c, _ in sweep.entries] == [4]
-
-    def test_not_descending_rejected(self, tiny_doc):
-        config = config_from_dict(tiny_doc)
-        with pytest.raises(ValueError, match="decreasing"):
-            run_fewshot_sweep(config, counts=[4, 8])
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        with pytest.raises(ConfigError, match="data.few_shot: has 10 rows, fewer than the 16 few-shots to sample"):
+            run_fewshot_sweep(config, jobs=jobs)
+        assert calls == []
 
     def test_parallel_jobs_match_serial(self, tiny_doc):
-        config = config_from_dict(tiny_doc)
-        serial = run_fewshot_sweep(config, counts=[4, 0])
-        parallel = run_fewshot_sweep(config, counts=[4, 0], jobs=2)
+        config = config_from_dict(tiny_doc, overrides=["sweep.counts=4,0"])
+        serial = run_fewshot_sweep(config)
+        parallel = run_fewshot_sweep(config, jobs=2)
         for (c1, r1), (c2, r2) in zip(serial.entries, parallel.entries):
             assert c1 == c2
             assert r1.reports == r2.reports
@@ -266,10 +271,9 @@ class TestSweepMechanics:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # where _run_entries imports it
-        config = config_from_dict(tiny_doc)
-        sweep = run_fewshot_sweep(config, counts=[4, 0], jobs=500)
+        sweep = run_fewshot_sweep(config_from_dict(tiny_doc, overrides=["sweep.counts=4,0"]), jobs=500)
         assert started == [2] and [c for c, _ in sweep.entries] == [4, 0]
-        run_fewshot_sweep(config, counts=[4], jobs=500)
+        run_fewshot_sweep(config_from_dict(tiny_doc, overrides=["sweep.counts=[4]"]), jobs=500)
         assert started == [2]  # one entry runs in this process
 
 
@@ -277,7 +281,7 @@ class TestRunData:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda c: run_fewshot_sweep(c, counts=[16, 4, 0]),
+            run_fewshot_sweep,
             lambda c: run_ablation(c, modes=("ii", "iii")),
             run_occ,
         ],
@@ -368,6 +372,16 @@ class TestOcc:
         mean = _written_occ_mean(result, tmp_path)
         assert mean["auroc"] == pytest.approx(np.mean([r.reports["occ"].auroc for r in others]), abs=1e-12)
 
+    def test_an_out_set_outside_the_input_box_fails_before_any_class_trains(self, tiny_doc, monkeypatch):
+        config = config_from_dict(tiny_doc, overrides=["budget.input_box=[-0.5,0.5]"])
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        with pytest.raises(
+            ConfigError, match=r"^data.normal: the OCC out-set of class 0: row \d+ .* lies outside budget.input_box"
+        ):
+            run_occ(config)
+        assert calls == []
+
     def test_single_class_rejected(self, tiny_doc):
         tiny_doc["data"]["normal"]["means"] = [[0.0, 0.0]]
         config = config_from_dict(tiny_doc)
@@ -411,8 +425,8 @@ class TestEmitReport:
             assert int(row[8]) == doc["seed"]
 
     def test_sweep_plot_data_descends_with_counts(self, tiny_doc, tmp_path):
-        config = config_from_dict(tiny_doc)
-        sweep = run_fewshot_sweep(config, counts=[4, 1, 0])
+        config = config_from_dict(tiny_doc, overrides=["sweep.counts=4,1,0"])
+        sweep = run_fewshot_sweep(config)
         emit_report(sweep, tmp_path)
         for name in config.tests:
             path = tmp_path / "plots" / f"{name}_auroc.csv"
@@ -436,7 +450,7 @@ class TestEmitReport:
 
 
     def test_each_sidecar_holds_its_own_run_time(self, tiny_doc, tmp_path):
-        sweep = run_fewshot_sweep(config_from_dict(tiny_doc), counts=[4, 0])
+        sweep = run_fewshot_sweep(config_from_dict(tiny_doc, overrides=["sweep.counts=4,0"]))
         records = [rec for _, rec in sweep.entries]
         emit_report(sweep, tmp_path / "a")
         for rec in records:

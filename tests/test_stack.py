@@ -167,30 +167,17 @@ def test_a_stack_shares_its_members_memory():
         MlpClassifier.stack([one, MlpClassifier([2, 8, 3], activation="tanh")])
 
 
-def _kept_models(monkeypatch):
-    """Make every sweep entry keep its trained models in ``RunRecord.result``
-    (a forked worker process inherits the patch)."""
-    real = harness._run
-
-    def run(config, data, entries, out_dir, keep_models=False):
-        return real(config, data, entries, out_dir, True)
-
-    monkeypatch.setattr(harness, "_run", run)
-
-
 @pytest.mark.parametrize("mode", ["ii", "iii"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_every_sweep_entry_equals_its_run_alone(tiny_doc, monkeypatch, mode, jobs):
+def test_every_sweep_entry_equals_its_run_alone(tiny_doc, mode, jobs):
     """The determinism contract: a count trained in a stack (with a count of
     0 among them, which trains phase A apart) has the weights, traces and
     reports of ``run_single`` at that count and seed."""
     config = config_from_dict(tiny_doc).with_updates(mode=mode)
-    counts = [16, 4, 0]
-    _kept_models(monkeypatch)
-    sweep = run_fewshot_sweep(config, counts=counts, jobs=jobs)
-    assert not sweep.failures and [c for c, _ in sweep.entries] == counts
+    sweep = run_fewshot_sweep(config, jobs=jobs)
+    assert not sweep.failures and [c for c, _ in sweep.entries] == config.sweep_counts == [16, 4, 0]
     for i, (count, rec) in enumerate(sweep.entries):
-        direct = run_single(config.with_updates(few_shot_count=count), run_seed=config.seed + i, keep_models=True)
+        direct = run_single(config.with_updates(few_shot_count=count), run_seed=config.seed + i)
         assert rec.to_dict() == direct.to_dict()
         for model in ("classifier", "generator"):
             got, want = getattr(rec.result, model), getattr(direct.result, model)
@@ -204,8 +191,7 @@ def test_an_entry_going_non_finite_fails_alone(tiny_doc, monkeypatch):
     fails with the message of its run alone, and the other counts equal an
     unpoisoned sweep."""
     config = config_from_dict(tiny_doc)
-    counts = [16, 4, 0]
-    clean = run_fewshot_sweep(config, counts=counts)
+    clean = run_fewshot_sweep(config)
     real = harness.sample_few_shots
 
     def poisoned(pool, n, seed):
@@ -219,7 +205,7 @@ def test_an_entry_going_non_finite_fails_alone(tiny_doc, monkeypatch):
         run_single(config.with_updates(few_shot_count=4), run_seed=config.seed + 1)
     message = f"{alone.type.__name__}: {alone.value}"
     assert message.startswith("TrainingError: phase A failed: non-finite")
-    sweep = run_fewshot_sweep(config, counts=counts)
+    sweep = run_fewshot_sweep(config)
     assert sweep.failures == {4: message}
     assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
 
@@ -237,8 +223,7 @@ def test_an_exception_in_one_entry_fails_only_that_entry(tiny_doc, monkeypatch, 
     its counts then train again alone, so only the count at fault fails,
     with the message of its run alone."""
     config = config_from_dict(tiny_doc).with_updates(mode="iii")
-    counts = [16, 4, 0]
-    clean = run_fewshot_sweep(config, counts=counts)
+    clean = run_fewshot_sweep(config)
     real = training.sample_latent
 
     def failing(seed, n, latent_dim):
@@ -250,7 +235,7 @@ def test_an_exception_in_one_entry_fails_only_that_entry(tiny_doc, monkeypatch, 
     with pytest.raises(Exception) as alone:
         run_single(config.with_updates(few_shot_count=4), run_seed=config.seed + 1)
     assert f"{alone.type.__name__}: {alone.value}" == message
-    sweep = run_fewshot_sweep(config, counts=counts)
+    sweep = run_fewshot_sweep(config)
     assert sweep.failures == {4: message}
     assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
 
@@ -261,8 +246,7 @@ def test_a_failure_before_or_after_training_fails_only_its_entry(tiny_doc, monke
     the stack stops, its counts run again alone, and only the count at fault
     fails, with the message of its run alone."""
     config = config_from_dict(tiny_doc)
-    counts = [16, 4, 0]
-    clean = run_fewshot_sweep(config, counts=counts)
+    clean = run_fewshot_sweep(config)
     real = getattr(harness, site)
 
     def failing(first, *args, **kwargs):
@@ -275,7 +259,7 @@ def test_a_failure_before_or_after_training_fails_only_its_entry(tiny_doc, monke
     monkeypatch.setattr(harness, site, failing)
     with pytest.raises(RuntimeError, match="^broken entry$"):
         run_single(config.with_updates(few_shot_count=4), run_seed=config.seed + 1)
-    sweep = run_fewshot_sweep(config, counts=counts)
+    sweep = run_fewshot_sweep(config)
     assert sweep.failures == {4: "RuntimeError: broken entry"}
     assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
 
@@ -291,7 +275,7 @@ def test_a_sweep_trains_each_worker_s_counts_as_one_stack(tiny_doc, monkeypatch)
         return real(cfg)
 
     monkeypatch.setattr(harness, "run_pipeline", recording)
-    run_fewshot_sweep(config, counts=[16, 4, 0])
+    run_fewshot_sweep(config)
     assert stacks == [[config.seed, config.seed + 1, config.seed + 2]]
 
 

@@ -102,7 +102,7 @@ class TestTrainClassifier:
         normals = _two_blobs()
         model = MlpClassifier([2, 8, 2], seed=5)
         before = [p.data.copy() for p in model.parameters()]
-        trace = train_classifier(model, normals, [], LossWeights(), TrainSchedule(), phase="a", epochs=0)
+        trace = train_classifier(model, normals, [], LossWeights(), TrainSchedule(phase_a_epochs=0), phase="a")
         assert trace == []
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
@@ -125,11 +125,11 @@ class TestTrainClassifier:
         with pytest.raises(TrainingError, match="phase a, epoch 0, batch 0"):
             train_classifier(model, normals, [], LossWeights(), TrainSchedule(phase_a_epochs=1), phase="a")
 
-    @pytest.mark.parametrize("phase, epochs", [("b", None), ("A", None), ("", None), ("b", 2)])
-    def test_unknown_phase_is_rejected_naming_it(self, phase, epochs):
+    @pytest.mark.parametrize("phase", ["b", "A", ""])
+    def test_unknown_phase_is_rejected_naming_it(self, phase):
         model = MlpClassifier([2, 8, 2], seed=5)
         with pytest.raises(ValueError, match=f"unknown classifier phase '{phase}'"):
-            train_classifier(model, _two_blobs(), [], LossWeights(), TrainSchedule(), phase=phase, epochs=epochs)
+            train_classifier(model, _two_blobs(), [], LossWeights(), TrainSchedule(), phase=phase)
 
 
 class TestTrainGenerator:
@@ -431,11 +431,11 @@ def _per_parameter_step(leaves, loss, state, step_losses):
     step_losses.append(loss.item())
 
 
-def _reference_train_classifier(model, normals, pools, weights, schedule, epochs, prefix):
+def _reference_train_classifier(model, normals, pools, weights, schedule, prefix):
     leaves = _leaves(model)
     state = AdamState.for_params(leaves, lr=schedule.lr_a)
     n, trace = len(normals), []
-    for epoch in range(epochs):
+    for epoch in range(schedule.phase_a_epochs):
         perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
         neg_rng = _epoch_rng(*prefix, epoch, 1)
         step_losses = []
@@ -454,12 +454,12 @@ def _reference_train_classifier(model, normals, pools, weights, schedule, epochs
     return trace
 
 
-def _reference_train_generator(generator, classifier, normal_inputs, weights, schedule, epochs, prefix):
+def _reference_train_generator(generator, classifier, normal_inputs, weights, schedule, prefix):
     leaves = _leaves(generator)
     state = AdamState.for_params(leaves, lr=schedule.lr_b)
     n, trace = len(normal_inputs), []
     q = min(schedule.proximity_q, n)
-    for epoch in range(epochs):
+    for epoch in range(schedule.phase_b_epochs):
         perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
         step_losses = []
         for b, start in enumerate(range(0, n, q)):
@@ -476,7 +476,10 @@ def _reference_train_generator(generator, classifier, normal_inputs, weights, sc
 class TestFlatTrainingMatchesPerParameterTape:
     """88 normals in batches of 32 leave a 24-row tail batch every epoch."""
 
-    SCHEDULE = TrainSchedule(batch_n=32, batch_m=20, latent_n=16, proximity_q=32, lr_a=3e-3, lr_b=2e-3, master_seed=3)
+    SCHEDULE = TrainSchedule(
+        phase_a_epochs=3, phase_b_epochs=3, batch_n=32, batch_m=20, latent_n=16, proximity_q=32, lr_a=3e-3, lr_b=2e-3,
+        master_seed=3,
+    )
 
     def _data(self):
         normals = _two_blobs(seed=4, size=88)
@@ -491,8 +494,8 @@ class TestFlatTrainingMatchesPerParameterTape:
         weights = LossWeights(lam=lam)
         flat = MlpClassifier([2, 12, 12, 2], activation=activation, seed=6)
         reference = MlpClassifier([2, 12, 12, 2], activation=activation, seed=6)
-        trace = train_classifier(flat, normals, pools, weights, self.SCHEDULE, phase="a", epochs=3, seed_prefix=(3, 0))
-        expected = _reference_train_classifier(reference, normals, pools, weights, self.SCHEDULE, 3, (3, 0))
+        trace = train_classifier(flat, normals, pools, weights, self.SCHEDULE, phase="a", seed_prefix=(3, 0))
+        expected = _reference_train_classifier(reference, normals, pools, weights, self.SCHEDULE, (3, 0))
         assert trace == expected
         assert flat.flat.data.tobytes() == reference.flat.data.tobytes()
         assert not np.array_equal(flat.flat.data, MlpClassifier([2, 12, 12, 2], activation=activation, seed=6).flat.data)
@@ -502,12 +505,13 @@ class TestFlatTrainingMatchesPerParameterTape:
     def test_train_generator(self, activation, mu, nu):
         normals, _ = self._data()
         classifier = MlpClassifier([2, 12, 2], activation="tanh", seed=7)
-        train_classifier(classifier, normals, [], LossWeights(), self.SCHEDULE, phase="a", epochs=2)
+        warm_up = dataclasses.replace(self.SCHEDULE, phase_a_epochs=2)
+        train_classifier(classifier, normals, [], LossWeights(), warm_up, phase="a")
         classifier.freeze()
         weights = LossWeights(mu=mu, nu=nu, delta=1e-6)
         flat = BoundaryGenerator([2, 12, 12, 2], activation=activation, seed=8)
         reference = BoundaryGenerator([2, 12, 12, 2], activation=activation, seed=8)
-        trace = train_generator(flat, classifier, normals.inputs, weights, self.SCHEDULE, epochs=3, seed_prefix=(3, 1))
-        expected = _reference_train_generator(reference, classifier, normals.inputs, weights, self.SCHEDULE, 3, (3, 1))
+        trace = train_generator(flat, classifier, normals.inputs, weights, self.SCHEDULE, seed_prefix=(3, 1))
+        expected = _reference_train_generator(reference, classifier, normals.inputs, weights, self.SCHEDULE, (3, 1))
         assert trace == expected
         assert flat.flat.data.tobytes() == reference.flat.data.tobytes()
