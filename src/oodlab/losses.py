@@ -390,27 +390,30 @@ def generator_loss(
     LatentBatch in ``latents`` and one reference chunk in
     ``normal_reference`` per entry, all of one shape, each paired by its own
     latent seed (so no ``pairing_seed``); the node holds one loss per entry.
+    A generator alone takes the same path, its latents and reference as
+    lists of one.
     """
     if not frozen_classifier.is_frozen:
         raise ValueError("classifier must be frozen (grad tracking disabled) during generator training")
-    if generator.members is not None:
-        if pairing_seed is not None:
-            raise ValueError("generator_loss: a stack pairs each entry by its own latent seed, so it takes no pairing_seed")
+    if generator.members is None:
+        latents, normal_reference = [latents], [normal_reference]
+    elif pairing_seed is not None:
+        raise ValueError("generator_loss: a stack pairs each entry by its own latent seed, so it takes no pairing_seed")
+    else:
         latents, entries = list(latents), len(generator.members)
         if len(latents) != entries or not all(isinstance(z, LatentBatch) for z in latents):
             raise ValueError(f"generator_loss: a stack of {entries} takes {entries} LatentBatches")
         if len(normal_reference) != entries:
             raise ValueError(f"generator_loss: a stack of {entries} takes {entries} reference chunks")
-        seeds = [(*np.ravel(z.seed).tolist(), 0x9E37) for z in latents]
-        lead = generator.flat.data.shape[:-1]
-        values = np.reshape([z.values for z in latents], (*lead, -1, generator.latent_dim))
-        reference = np.reshape(normal_reference, (*lead, -1, generator.data_dim)).astype(np.float64, copy=False)
-    else:
-        if weights.mu > 0 and pairing_seed is None and not isinstance(latents, LatentBatch):
-            raise ValueError("generator_loss: plain-array latents need a pairing_seed (a LatentBatch carries its own seed)")
-        seeds = [pairing_seed if pairing_seed is not None else (*np.ravel(getattr(latents, "seed", 0)).tolist(), 0x9E37)]
-        values = getattr(latents, "values", latents)
-        reference = np.asarray(normal_reference, dtype=np.float64)
+    if weights.mu > 0 and pairing_seed is None and not isinstance(latents[0], LatentBatch):
+        raise ValueError("generator_loss: plain-array latents need a pairing_seed (a LatentBatch carries its own seed)")
+    seeds = [pairing_seed if pairing_seed is not None else (*np.ravel(getattr(z, "seed", 0)).tolist(), 0x9E37) for z in latents]
+    # np.stack, not a reshape: an entry of the wrong width must reach the width checks below
+    lead = generator.flat.data.shape[:-1]
+    values = np.stack([getattr(z, "values", z) for z in latents], dtype=np.float64)
+    values = values.reshape(lead + values.shape[1:])
+    reference = np.stack(normal_reference, dtype=np.float64)
+    reference = reference.reshape(lead + reference.shape[1:])
     outputs, gen_cache = generator.forward_with_cache(values)
     value, disp_vjp = _dispersion(outputs, values, weights.delta)
     dom_vjp = prox_vjp = None

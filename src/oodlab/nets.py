@@ -23,7 +23,8 @@ All parameters of a model sit in one flat vector held by one leaf Tensor,
 ``Mlp.flat``. A training step's tape is one loss node over that leaf: its VJP
 (``Mlp.backprop``) writes one flat gradient, ``backward`` adds it to one
 ``.grad`` buffer, and Adam updates one slice. Checkpoints and interval
-bounds read the per-layer numpy views in ``Mlp.layers``.
+bounds read the per-layer numpy views in ``Mlp.layers``, which a pickled or
+copied model rebuilds from its own ``flat``.
 
 A stack (``Mlp.stack``) trains E models of one shape in lockstep: its flat
 leaf is ``(E, P)``, entry e in row e, each member model rebound to a view
@@ -144,6 +145,17 @@ class Mlp:
             m.flat.data = row
             m.layers = m._views(row)
         return stack
+
+    def __getstate__(self) -> dict:
+        """Pickle and deepcopy carry ``flat`` alone: copied separately, the
+        ``layers`` views would stop being views of it."""
+        state = self.__dict__.copy()
+        del state["layers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.layers = self._views(self.flat.data)
 
     @property
     def input_dim(self) -> int:

@@ -29,17 +29,6 @@ __all__ = ["loss_component_checks", "COMPONENT_NAMES"]
 _MARGIN = 1e-4
 _MAX_RESAMPLE = 50
 
-COMPONENT_NAMES = (
-    "cross_entropy_term",
-    "negative_training_term",
-    "confidence_dominance_term",
-    "dispersion_term",
-    "proximity_term",
-    "classifier_loss",
-    "generator_loss",
-)
-
-
 def _dims(rng):
     n = int(rng.integers(2, 6))
     d = int(rng.integers(2, 9))
@@ -185,12 +174,12 @@ _CHECKS = {
     "classifier_loss": _check_classifier_loss,
     "generator_loss": _check_generator_loss,
 }
+COMPONENT_NAMES = tuple(_CHECKS)
 
 
 def loss_component_checks(rng, instances: int, h: float = 1e-5, rel_tol: float = 1e-4):
     """Yield (component name, GradCheckReport) for ``instances`` random tiny
     instances of every objective term."""
-    for name in COMPONENT_NAMES:
-        check = _CHECKS[name]
+    for name, check in _CHECKS.items():
         for _ in range(instances):
             yield name, check(rng, h, rel_tol)

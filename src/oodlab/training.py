@@ -8,20 +8,20 @@ pool from fresh latents and retrains the classifier on all the mode's pools.
 Everything is reseeded per epoch from the master seed so a run is a pure
 function of (config, seed).
 
-A training step zeroes the model's one flat gradient buffer, builds the
-one-node loss over its flat parameter leaf (``Mlp.flat``), runs
-``ad.backward`` once and hands ``adam_step`` that leaf and its gradient, so
-Adam updates the whole model as one slice.
-
-The phase trainers train a stack of models (``Mlp.stack``) in lockstep: one
-stacked loss and one backward per batch, then one ``adam_step`` per entry
-with that entry's own Adam state. Shuffles, negative draws and latents are
-seeded per entry, so an entry's weights equal those of training it alone;
-a single model trains as a stack of one. ``run_pipeline`` trains the
-entries of ``PipelineConfig.entries`` this way, phase by phase. A stack
-fails as a whole: any entry's TrainingError stops it, and the caller that
-needs each entry's own outcome runs the entries again one by one
-(``harness._isolated``).
+Phases A, B and C share one descent loop, ``_descend``, over a stack of
+models (``Mlp.stack``) trained in lockstep; a single model trains as a
+stack of one. Per batch it zeroes the stack's one flat gradient buffer,
+takes the one-node stacked loss over its flat parameter leaf
+(``Mlp.flat``) from the phase trainer, runs ``ad.backward`` once and hands
+each entry's ``adam_step`` that entry's row of the leaf and its gradient,
+with the entry's own Adam state, so Adam updates each model as one slice.
+``train_classifier`` and ``train_generator`` supply only the loss of a
+batch from each entry's row picks. Shuffles, negative draws and latents
+are seeded per entry, so an entry's weights equal those of training it
+alone. ``run_pipeline`` trains the entries of ``PipelineConfig.entries``
+this way, phase by phase. A stack fails as a whole: any entry's
+TrainingError stops it, and the caller that needs each entry's own outcome
+runs the entries again one by one (``harness._isolated``).
 """
 
 from __future__ import annotations
@@ -80,14 +80,12 @@ class AdamState:
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sizes: tuple = ()
-    # the step's gradient, a temporary and the update, laid out like m
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, lr: float = 1e-3):
         sizes = tuple(p.data.size for p in params)
         total = sum(sizes)
-        return cls(lr=lr, m=np.zeros(total), v=np.zeros(total), sizes=sizes, scratch=np.empty((3, total)))
+        return cls(lr=lr, m=np.zeros(total), v=np.zeros(total), sizes=sizes)
 
 
 def adam_step(params, grads, state: AdamState) -> None:
@@ -99,17 +97,11 @@ def adam_step(params, grads, state: AdamState) -> None:
     per-layer views in ``model.layers`` update a model identically. The
     arithmetic is ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
     ``lr (m / c1) / (sqrt(v / c2) + eps)``, operation by operation in that
-    order, written into ``state.scratch``.
+    order.
     """
     if tuple(p.data.size for p in params) != state.sizes:
         raise ValueError("optimizer state does not match the parameter list")
-    if state.scratch.shape != (3, state.m.size):
-        state.scratch = np.empty((3, state.m.size))
-    g, tmp, update = state.scratch
-    if len(grads) == 1:
-        g = np.ravel(grads[0])  # read only: no copy needed
-    else:
-        np.concatenate([np.ravel(x) for x in grads], out=g)
+    g = np.ravel(grads[0]) if len(grads) == 1 else np.concatenate([np.ravel(x) for x in grads])
     if not np.isfinite(g).all():
         bad = next(i for i, x in enumerate(grads) if not np.all(np.isfinite(x)))
         raise TrainingError(f"non-finite gradient in parameter {bad}")
@@ -118,17 +110,10 @@ def adam_step(params, grads, state: AdamState) -> None:
     c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
     m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    m += g * (1.0 - ADAM_BETA1)
     v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-    tmp *= g
-    v += tmp
-    np.divide(m, c1, out=update)
-    update *= state.lr
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    update /= tmp
+    v += g * (1.0 - ADAM_BETA2) * g
+    update = m / c1 * state.lr / (np.sqrt(v / c2) + ADAM_EPS)
     start = 0
     for p in params:
         stop = start + p.data.size
@@ -202,24 +187,42 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
 _CLASSIFIER_PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "c": ("phase_c_epochs", "lr_c", 2)}
 
 
-def _step(stack, loss, states, step_losses: list, where: tuple) -> None:
-    """Backpropagate one stacked loss node (one value per entry, a scalar
-    for a stack of one; their sum is the root) and give each entry its own
-    ``adam_step``. An entry whose loss is not finite raises TrainingError,
-    as does a gradient ``adam_step`` rejects (its message then gains the
-    step's phase, epoch and batch); either stops the stack. ``where`` is the
-    loss's ``(kind, phase, epoch, batch)``, for the message."""
-    ad.backward(ad.reduce_sum(loss) if loss.data.ndim else loss)
-    values, grads = loss.data.reshape(-1), stack.flat.grad.reshape(len(states), -1)
-    for e, state in enumerate(states):
-        value = float(values[e])
-        if not math.isfinite(value):
-            raise TrainingError("non-finite {} loss in phase {}, epoch {}, batch {}".format(*where))
-        try:
-            adam_step([stack.members[e].flat], [grads[e]], state)
-        except TrainingError as error:
-            raise TrainingError("{} in phase {}, epoch {}, batch {}".format(error, *where[1:])) from error
-        step_losses[e].append(value)
+def _descend(stack, seed_prefix, lr: float, epochs: int, n: int, size: int, phase: str, batch_loss) -> list:
+    """The one descent loop of phases A to C: train the entries of ``stack``
+    in lockstep for ``epochs`` epochs at learning rate ``lr``; returns each
+    entry's per-epoch mean loss.
+
+    Each epoch shuffles ``range(n)`` per entry (seed ``(*prefix, epoch,
+    0)``) and cuts the shuffles into batches of ``size`` rows.
+    ``batch_loss(epoch, b, picks)`` returns the stacked loss node of batch
+    ``b`` from each entry's row picks (one value per entry, a scalar for a
+    stack of one; their sum is the root). One backward gives every entry's
+    gradient, and each entry takes its own ``adam_step`` with its own Adam
+    state. An entry whose loss is not finite raises TrainingError, as does a
+    gradient ``adam_step`` rejects (its message then gains the step's phase,
+    epoch and batch); either stops the stack.
+    """
+    states = [AdamState.for_params([m.flat], lr=lr) for m in stack.members]
+    traces: list = [[] for _ in states]
+    for epoch in range(epochs):
+        perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
+        step_losses: list = [[] for _ in states]
+        for b, start in enumerate(range(0, n, size)):
+            stack.zero_grad()
+            loss = batch_loss(epoch, b, [perm[start : start + size] for perm in perms])
+            ad.backward(ad.reduce_sum(loss) if loss.data.ndim else loss)
+            values, grads = loss.data.reshape(-1), stack.flat.grad.reshape(len(states), -1)
+            for e, state in enumerate(states):
+                if not math.isfinite(values[e]):
+                    raise TrainingError(f"non-finite {stack.kind} loss in phase {phase}, epoch {epoch}, batch {b}")
+                try:
+                    adam_step([stack.members[e].flat], [grads[e]], state)
+                except TrainingError as error:
+                    raise TrainingError(f"{error} in phase {phase}, epoch {epoch}, batch {b}") from error
+                step_losses[e].append(float(values[e]))
+        for trace, entry_losses in zip(traces, step_losses):
+            trace.append(float(np.mean(entry_losses)))
+    return traces
 
 
 def train_classifier(
@@ -234,9 +237,11 @@ def train_classifier(
     """Mini-batch descent on classifier_loss; returns per-epoch mean loss.
 
     ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
-    leaving pure cross-entropy). Batch shuffling is reseeded per epoch.
-    ``phase`` is ``"a"`` or ``"c"``; it picks the schedule's epochs and
-    learning rate (``phase_a_epochs``/``lr_a`` or ``phase_c_epochs``/``lr_c``).
+    leaving pure cross-entropy). Batch shuffling is reseeded per epoch, and
+    each epoch's negatives are drawn in batch order from the seed
+    ``(*prefix, epoch, 1)``. ``phase`` is ``"a"`` or ``"c"``; it picks the
+    schedule's epochs and learning rate (``phase_a_epochs``/``lr_a`` or
+    ``phase_c_epochs``/``lr_c``).
 
     A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
     per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
@@ -258,25 +263,22 @@ def train_classifier(
     if seed_prefix is None or not len(negatives) == len(seed_prefix) == len(model.members):
         raise ValueError("a stack needs one pool list and one seed prefix per entry")
     pools = [list(p) if p else [] for p in negatives]
-    states = [AdamState.for_params([m.flat], lr=getattr(schedule, lr_field)) for m in model.members]
-    traces: list = [[] for _ in states]
-    n = len(normals)
-    for epoch in range(getattr(schedule, epochs_field)):
-        perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
-        neg_rngs = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
-        step_losses: list = [[] for _ in states]
-        for b, start in enumerate(range(0, n, schedule.batch_n)):
-            batches, negs = [], []
-            for perm, entry_pools, rng in zip(perms, pools, neg_rngs):
-                idx = perm[start : start + schedule.batch_n]
-                batches.append(LabeledBatch(normals.inputs[idx], normals.labels[idx]))
-                neg_inputs = _draw_negatives(entry_pools, schedule.batch_m, rng) if weights.lam > 0 else None
-                negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
-            model.zero_grad()
-            loss = classifier_loss(model, batches, negs, weights)
-            _step(model, loss, states, step_losses, ("classifier", phase, epoch, b))
-        for trace, entry_losses in zip(traces, step_losses):
-            trace.append(float(np.mean(entry_losses)))
+    neg_rngs: list = []
+
+    def batch_loss(epoch, b, picks):
+        if b == 0:
+            neg_rngs[:] = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
+        batches, negs = [], []
+        for idx, entry_pools, rng in zip(picks, pools, neg_rngs):
+            batches.append(LabeledBatch(normals.inputs[idx], normals.labels[idx]))
+            neg_inputs = _draw_negatives(entry_pools, schedule.batch_m, rng) if weights.lam > 0 else None
+            negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
+        return classifier_loss(model, batches, negs, weights)
+
+    traces = _descend(
+        model, seed_prefix, getattr(schedule, lr_field), getattr(schedule, epochs_field),
+        len(normals), schedule.batch_n, phase, batch_loss,
+    )
     return traces[0] if alone else traces
 
 
@@ -292,8 +294,9 @@ def train_generator(
     schedule's ``phase_b_epochs`` at its ``lr_b``.
 
     The classifier must already be frozen; its parameters are verified
-    bit-exact afterwards. Each step draws a fresh seeded latent batch and a
-    fresh normal reference chunk of size proximity_q.
+    bit-exact afterwards. Each step draws a fresh latent batch, seeded
+    ``(*prefix, epoch, b, 2)``, and a fresh normal reference chunk of size
+    proximity_q.
 
     A stack of generators (``Mlp.stack``) trains in lockstep against the
     stack of their frozen classifiers, entry by entry, with one seed prefix
@@ -313,23 +316,18 @@ def train_generator(
     if seed_prefix is None or len(seed_prefix) != len(generator.members):
         raise ValueError("a stack needs one seed prefix per entry")
     before = classifier.flat.data.copy()
-    states = [AdamState.for_params([m.flat], lr=schedule.lr_b) for m in generator.members]
-    traces: list = [[] for _ in states]
-    q = min(schedule.proximity_q, n)
-    for epoch in range(schedule.phase_b_epochs):
-        perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
-        step_losses: list = [[] for _ in states]
-        for b, start in enumerate(range(0, n, q)):
-            references = [normal_inputs[p[start : start + q]] for p in perms]
-            latents = [
-                sample_latent((*[int(k) for k in prefix], epoch, b, 2), schedule.latent_n, generator.latent_dim)
-                for prefix in seed_prefix
-            ]
-            generator.zero_grad()
-            loss = generator_loss(generator, classifier, latents, references, weights)
-            _step(generator, loss, states, step_losses, ("generator", "b", epoch, b))
-        for trace, entry_losses in zip(traces, step_losses):
-            trace.append(float(np.mean(entry_losses)))
+
+    def batch_loss(epoch, b, picks):
+        latents = [
+            sample_latent((*[int(k) for k in prefix], epoch, b, 2), schedule.latent_n, generator.latent_dim)
+            for prefix in seed_prefix
+        ]
+        return generator_loss(generator, classifier, latents, [normal_inputs[idx] for idx in picks], weights)
+
+    traces = _descend(
+        generator, seed_prefix, schedule.lr_b, schedule.phase_b_epochs,
+        n, min(schedule.proximity_q, n), "b", batch_loss,
+    )
     if not np.array_equal(before, classifier.flat.data):
         raise TrainingError("classifier parameters changed during generator training")
     return traces[0] if alone else traces

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -247,6 +249,26 @@ def test_load_checkpoint_writes_through_to_the_flat_vector(tmp_path):
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
     _assert_layers_view_flat(loaded)
+
+
+@pytest.mark.parametrize("member", [False, True], ids=["alone", "stack-member"])
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+)
+def test_a_copied_model_keeps_its_layers_as_views_of_its_flat_vector(duplicate, member):
+    """A write to a copy's flat vector, as an Adam step makes, reaches the
+    copy's forward pass and leaves the original alone."""
+    model = MlpClassifier([2, 5, 3], seed=6)
+    if member:
+        MlpClassifier.stack([MlpClassifier([2, 5, 3], seed=7), model])
+    copied = duplicate(model)
+    assert copied.flat.data.tobytes() == model.flat.data.tobytes()
+    _assert_layers_view_flat(copied)
+    x = np.random.default_rng(2).normal(size=(4, 2))
+    before = model.forward_array(x)
+    copied.flat.data += 0.25
+    assert not np.array_equal(copied.forward_array(x), before)
+    assert np.array_equal(model.forward_array(x), before)
 
 
 def test_check_gradients_perturbs_through_the_flat_vector():

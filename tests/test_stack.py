@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodlab import autodiff as ad
 from oodlab import harness, losses, training
 from oodlab.config import config_from_dict
 from oodlab.data import LabeledBatch, LatentBatch, OutlierPool
@@ -151,6 +152,12 @@ def test_a_stack_s_losses_reject_batches_that_are_not_one_per_entry():
         losses.generator_loss(gen, clf, latents[:1], references, weights)
     with pytest.raises(ValueError, match="takes 2 reference chunks"):
         losses.generator_loss(gen, clf, latents, references[:1], weights)
+    # each entry's own width is checked, not reshaped away: (4, 3) latents are not (6, 2) ones
+    wide = [LatentBatch(rng.normal(size=(4, 3)), seed=(1, e)) for e in range(2)]
+    with pytest.raises(ad.ShapeMismatchError, match="generator-forward"):
+        losses.generator_loss(gen, clf, wide, references, weights)
+    with pytest.raises(ad.ShapeMismatchError):
+        losses.generator_loss(gen, clf, latents, [rng.normal(size=(8, 3))] * 2, weights)
 
 
 def test_a_stack_shares_its_members_memory():
@@ -184,6 +191,8 @@ def test_every_sweep_entry_equals_its_run_alone(tiny_doc, mode, jobs):
             assert (got is None) == (want is None) == (mode == "ii" and model == "generator")
             if want is not None:
                 assert got.flat.data.tobytes() == want.flat.data.tobytes()
+                # a model sent back from a worker keeps its layers as views of its flat vector
+                assert all(np.shares_memory(a, got.flat.data) for layer in got.layers for a in layer)
 
 
 def test_an_entry_going_non_finite_fails_alone(tiny_doc, monkeypatch):

@@ -56,6 +56,25 @@ class TestAdam:
             adam_step([x], [x.grad], state)
         assert abs(x.data[0]) < 1e-3
 
+    def test_fifty_steps_equal_the_docstring_arithmetic_bit_for_bit(self):
+        """Two leaves (one concatenated pass) against a transcription of
+        ``adam_step``'s docstring, one fresh array per operation."""
+        rng = np.random.default_rng(5)
+        leaves = [Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.normal(size=5), requires_grad=True)]
+        want = np.concatenate([p.data.ravel() for p in leaves])
+        state = AdamState.for_params(leaves, lr=0.02)
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        m = v = np.zeros(want.size)
+        for t in range(1, 51):
+            grads = [rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-4, 3) for p in leaves]
+            adam_step(leaves, grads, state)
+            g = np.concatenate([x.ravel() for x in grads])
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            want = want - state.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            got = np.concatenate([p.data.ravel() for p in leaves])
+            assert got.tobytes() == want.tobytes() and state.t == t
+
     def test_non_finite_gradient_aborts(self):
         p = Tensor([1.0], requires_grad=True)
         state = AdamState.for_params([p])
