@@ -329,18 +329,13 @@ def build_config(document: dict) -> ExperimentConfig:
             f"got {normal_kind!r}"
         )
     normal = _dataset_spec(doc["data"]["normal"], "data.normal")
-    few_shot = _dataset_spec(doc["data"]["few_shot"], "data.few_shot", normal.dim)
-    if few_shot is not None and few_shot.kind != "csv":
-        for key, count in (("few_shot_count", doc["few_shot_count"]), ("sweep.counts", counts[0])):
-            if count > few_shot.size:
-                raise ConfigError(f"{key}: cannot sample {count} few-shots from data.few_shot.size {few_shot.size}")
     return ExperimentConfig(
         seed=seed,
         mode=doc["mode"],
         few_shot_count=doc["few_shot_count"],
         boundary_pool_size=doc["boundary_pool_size"],
         normal=normal,
-        few_shot=few_shot,
+        few_shot=_dataset_spec(doc["data"]["few_shot"], "data.few_shot", normal.dim),
         outlier=_dataset_spec(doc["data"]["outlier"], "data.outlier", normal.dim),
         tests={name: _dataset_spec(spec, f"data.tests.{name}", normal.dim) for name, spec in tests.items()},
         model=doc["model"],

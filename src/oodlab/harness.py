@@ -163,15 +163,17 @@ class RunData:
     tests: dict[str, np.ndarray]
 
     @classmethod
-    def materialize(cls, config: ExperimentConfig) -> RunData:
-        """Read the config's data. A CSV of the wrong width, a few-shot pool
-        with fewer rows than ``few_shot_count`` or the largest sweep count,
-        and a test set with no rows each raise ConfigError naming the key."""
+    def materialize(cls, config: ExperimentConfig, key: str, need: int) -> RunData:
+        """Read the config's data for a command that samples at most
+        ``need`` few-shots, the value of config ``key`` (``few_shot_count``
+        for one run or an ablation, ``sweep.counts`` for a sweep). A CSV of
+        the wrong width, a few-shot pool, synthetic or CSV, with fewer rows
+        than ``need``, and a test set with no rows each raise ConfigError
+        naming the key."""
         normals = generate_dataset(config.normal)
         few_shot = _outlier_pool(config, "data.few_shot", config.few_shot, normals)
-        need = max(config.few_shot_count, config.sweep_counts[0])
         if few_shot is not None and few_shot.size < need:
-            raise ConfigError(f"data.few_shot: has {few_shot.size} rows, fewer than the {need} few-shots to sample")
+            raise ConfigError(f"data.few_shot: has {few_shot.size} rows, fewer than the {need} few-shots to sample for {key}")
         return cls(
             normals, len(np.unique(normals.labels)), few_shot,
             _outlier_pool(config, "data.outlier", config.outlier, normals),
@@ -270,7 +272,8 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     raises: the run is a stack of one ``_run``.
     """
     run_seed = config.seed if run_seed is None else run_seed
-    return _run(config, RunData.materialize(config), [({}, run_seed, None, None)], out_dir)[0]
+    data = RunData.materialize(config, "few_shot_count", config.few_shot_count)
+    return _run(config, data, [({}, run_seed, None, None)], out_dir)[0]
 
 
 def _isolated(task) -> list[RunRecord | str]:
@@ -324,7 +327,7 @@ def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepRe
     """Run each requested mode with the identical seed, labelled by mode;
     the data is read once for all of them, each mode is a stack of one and
     failures are isolated by ``_isolated``."""
-    data = RunData.materialize(config)
+    data = RunData.materialize(config, "few_shot_count", config.few_shot_count)
     stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
     return _run_entries("ablate", config, list(modes), stacks)
 
@@ -340,7 +343,7 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     into .failures by ``_isolated``; the rest of the sweep still runs.
     """
     counts = config.sweep_counts
-    data = RunData.materialize(config)
+    data = RunData.materialize(config, "sweep.counts", counts[0])
     workers = max(1, min(jobs, len(counts)))
     stacks = []
     for w in range(workers):

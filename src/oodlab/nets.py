@@ -23,16 +23,17 @@ All parameters of a model sit in one flat vector held by one leaf Tensor,
 ``Mlp.flat``. A training step's tape is one loss node over that leaf: its VJP
 (``Mlp.backprop``) writes one flat gradient, ``backward`` adds it to one
 ``.grad`` buffer, and Adam updates one slice. Checkpoints and interval
-bounds read the per-layer numpy views in ``Mlp.layers``, which a pickled or
-copied model rebuilds from its own ``flat``.
+bounds read the per-layer numpy views in ``Mlp.layers``, which are computed
+from ``flat`` on each access, so no copy of a model can hold stale views.
 
 A stack (``Mlp.stack``) trains E models of one shape in lockstep: its flat
 leaf is ``(E, P)``, entry e in row e, each member model rebound to a view
 of its row, and its passes take ``(E, rows, d)`` batches. numpy's stacked
 matmul makes one dgemm call per entry with that entry's 2-D operands, and
 the bias add, activation and row sums run along the trailing axes, so each
-entry gets the bits of its own 2-D pass. A stack of one is its model's own
-``(P,)`` leaf, and its passes are the model's 2-D ones.
+entry gets the bits of its own 2-D pass. A pickled or copied stack keeps
+its copied members as rows of its own leaf. A stack of one is its model's
+own ``(P,)`` leaf, and its passes are the model's 2-D ones.
 
 Models are mutable while training and need external synchronization. Scoring
 reads a model's parameters without changing them or their grad flags.
@@ -73,7 +74,7 @@ class Mlp:
     """Fully connected net whose parameters live in one flat float64 vector.
 
     ``flat`` is the model's one tape leaf: layer by layer, the weight
-    ``(fan_out, fan_in)`` in row-major order, then the bias. ``layers`` holds
+    ``(fan_out, fan_in)`` in row-major order, then the bias. ``layers`` returns
     the matching ``(W, b)`` numpy views into ``flat.data``, so writing
     through them (in place) writes the flat vector. Grad tracking is per
     model: ``freeze``/``unfreeze`` switch the flat leaf.
@@ -100,16 +101,17 @@ class Mlp:
             self._layout.append((w_at, (fan_out, fan_in), b_at))
             start = b_at.stop
         self.flat = Tensor(np.zeros(start), requires_grad=True)
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = self._views(self.flat.data)
         self.members: list[Mlp] | None = None
         rng = np.random.default_rng(self.seed)
         for (w, _), fan_in in zip(self.layers, sizes):
             bound = math.sqrt(2.0 / fan_in)
             w[...] = rng.uniform(-bound, bound, w.shape)
 
-    def _views(self, data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer ``(W, b)`` views of an array laid out like ``flat`` along
-        its last axis; a stack's leading entry axis leads every view."""
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W, b)`` views of ``flat.data``, computed on each
+        access; a stack's leading entry axis leads every view."""
+        data = self.flat.data
         lead = data.shape[:-1]
         return [(data[..., w_at].reshape(*lead, *shape), data[..., b_at]) for w_at, shape, b_at in self._layout]
 
@@ -136,26 +138,20 @@ class Mlp:
         )
         stack.members = list(models)
         if len(models) == 1:
-            stack.flat, stack.layers = first.flat, first.layers
+            stack.flat = first.flat
             return stack
-        data = np.stack([m.flat.data for m in models])
-        stack.flat = Tensor(data, requires_grad=True)
-        stack.layers = stack._views(data)
-        for m, row in zip(models, data):
+        stack.flat = Tensor(np.stack([m.flat.data for m in models]), requires_grad=True)
+        for m, row in zip(models, stack.flat.data):
             m.flat.data = row
-            m.layers = m._views(row)
         return stack
 
-    def __getstate__(self) -> dict:
-        """Pickle and deepcopy carry ``flat`` alone: copied separately, the
-        ``layers`` views would stop being views of it."""
-        state = self.__dict__.copy()
-        del state["layers"]
-        return state
-
     def __setstate__(self, state: dict) -> None:
+        """A pickled or copied stack of E > 1 rebinds its copied members to
+        the rows of its own ``flat``, as ``stack`` does."""
         self.__dict__.update(state)
-        self.layers = self._views(self.flat.data)
+        if self.flat.data.ndim > 1:
+            for m, row in zip(self.members, self.flat.data):
+                m.flat.data = row
 
     @property
     def input_dim(self) -> int:
@@ -207,7 +203,7 @@ class Mlp:
         """
         h = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         self._check_input(h)
-        last = len(self.layers) - 1
+        last = len(self._layout) - 1
         cache = []
         for i, (w, b) in enumerate(self.layers):
             wt = np.ascontiguousarray(w.swapaxes(-1, -2))
@@ -275,10 +271,6 @@ class MlpClassifier(Mlp):
     """Discriminative model producing one logit per class."""
 
     kind = "classifier"
-
-    @property
-    def num_classes(self) -> int:
-        return self.output_dim
 
     def forward_logits(self, batch) -> Tensor:
         return self.forward(batch)

@@ -30,7 +30,7 @@ ball and raises a ValueError naming the row and the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,16 +135,8 @@ class MetricReport:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "aauroc": self.aauroc,
-            "gauroc": self.gauroc,
-            "epsilon": self.epsilon,
-            "tau": self.tau,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "fingerprint": self.fingerprint,
-        }
+        """Every field by name, in declaration order."""
+        return asdict(self)
 
 
 def anomaly_scores(model, x: np.ndarray) -> np.ndarray:

@@ -357,6 +357,42 @@ class TestTrainEvalCommands:
         assert not (tmp_path / "e").exists()
 
 
+class TestFewShotPoolSize:
+    """A command checks only the few-shot counts it samples, when it reads
+    the pool: on the tiny config with an 8-row synthetic pool, whose sweep
+    counts start at 16."""
+
+    SMALL_POOL = ["--set", "data.few_shot.size=8", "--set", "few_shot_count=4"]
+
+    @pytest.mark.parametrize(
+        "command", [["train"], ["ablate", "--modes", "ii"], ["occ"], ["eval"]], ids=["train", "ablate", "occ", "eval"]
+    )
+    def test_a_command_sampling_within_the_pool_runs(self, tiny_config_path, tmp_path, command):
+        if command == ["eval"]:
+            ckpt = tmp_path / "clf.ckpt"
+            save_checkpoint(MlpClassifier([2, 16, 16, 3], activation="tanh", seed=0), ckpt)
+            command = ["eval", "--classifier", str(ckpt)]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *self.SMALL_POOL, "--out", str(out), "-q"]) == 0
+
+    def test_a_sweep_ignores_the_few_shot_count(self, tiny_config_path, tmp_path):
+        overrides = ["--set", "data.few_shot.size=8", "--set", "few_shot_count=100", "--set", "sweep.counts=4,0"]
+        out = tmp_path / "o"
+        assert dispatch(["sweep", "--config", str(tiny_config_path), *overrides, "--out", str(out), "-q"]) == 0
+        assert len(list(out.glob("*.result.json"))) == 2
+
+    def test_a_sweep_count_above_the_pool_exits_2_before_training(self, tiny_config_path, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        out = tmp_path / "o"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), *self.SMALL_POOL, "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: data.few_shot: has 8 rows, fewer than the 16 few-shots to sample for sweep.counts\n"
+        )
+        assert calls == [] and not out.exists()
+
+
 class TestAblateOccCommands:
     def test_ablate_writes_mode_reports(self, tiny_config_path, tmp_path):
         out = tmp_path / "abl"

@@ -307,8 +307,9 @@ class TestRunData:
         tiny_doc["data"]["few_shot"] = {"kind": "csv", "path": str(path)}
         tiny_doc["few_shot_count"] = few_shot_count  # the largest sweep count is 16
         config = config_from_dict(tiny_doc)
-        with pytest.raises(ConfigError, match="data.few_shot: has 10 rows, fewer than the 16 few-shots to sample"):
-            RunData.materialize(config)
+        message = "data.few_shot: has 10 rows, fewer than the 16 few-shots to sample for sweep.counts"
+        with pytest.raises(ConfigError, match=message):
+            RunData.materialize(config, "sweep.counts", config.sweep_counts[0])
 
 
 class TestAblation:
@@ -505,7 +506,7 @@ class TestCsvRoles:
             tiny_doc["data"][section] = spec
         config = config_from_dict(tiny_doc)
         with pytest.raises(ConfigError, match=f"data.{role}: has 3 columns, the normal data has dim 2"):
-            RunData.materialize(config)
+            RunData.materialize(config, "few_shot_count", config.few_shot_count)
 
     @pytest.mark.parametrize("rows, width, message", [(0, 2, "has no rows"), (40, 3, "has 3 columns")])
     def test_bad_test_set_fails_before_training(self, tiny_doc, tmp_path, monkeypatch, rows, width, message):
@@ -635,9 +636,15 @@ def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(csv_d
     except ConfigError:
         return
     dim = config.normal.dim
+    need = config.sweep_counts[0]
     try:
-        data = RunData.materialize(config)
-    except ConfigError as e:  # a CSV's width is only known once it is read
+        data = RunData.materialize(config, "sweep.counts", need)
+    except ConfigError as e:
+        if role == "few_shot" and spec["kind"] != "csv":  # a pool's size is checked where it is sampled
+            assert spec["size"] < need
+            assert str(e) == f"data.few_shot: has {spec['size']} rows, fewer than the {need} few-shots to sample for sweep.counts"
+            return
+        # a CSV's width is only known once it is read
         width = load_csv(spec["path"]).inputs.shape[1]
         assert spec["kind"] == "csv" and width != dim
         assert f"has {width} columns, the normal data has dim {dim}" in str(e)

@@ -251,22 +251,30 @@ def test_load_checkpoint_writes_through_to_the_flat_vector(tmp_path):
     _assert_layers_view_flat(loaded)
 
 
-@pytest.mark.parametrize("member", [False, True], ids=["alone", "stack-member"])
+@pytest.mark.parametrize("what", ["alone", "stack-member", "stack"])
 @pytest.mark.parametrize(
     "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
 )
-def test_a_copied_model_keeps_its_layers_as_views_of_its_flat_vector(duplicate, member):
+def test_a_copied_model_keeps_its_layers_as_views_of_its_flat_vector(duplicate, what):
     """A write to a copy's flat vector, as an Adam step makes, reaches the
-    copy's forward pass and leaves the original alone."""
+    copy's forward pass and leaves the original alone. A copied stack of
+    two keeps its copied members as the rows of its flat vector."""
     model = MlpClassifier([2, 5, 3], seed=6)
-    if member:
-        MlpClassifier.stack([MlpClassifier([2, 5, 3], seed=7), model])
-    copied = duplicate(model)
+    if what != "alone":
+        stack = MlpClassifier.stack([MlpClassifier([2, 5, 3], seed=7), model])
+    if what == "stack":
+        written = duplicate(stack)
+        assert all(np.shares_memory(a, written.flat.data) for layer in written.layers for a in layer)
+        assert [np.shares_memory(m.flat.data, row) for m, row in zip(written.members, written.flat.data)] == [True, True]
+        assert not np.shares_memory(written.members[0].flat.data, written.flat.data[1])
+        copied = written.members[1]
+    else:
+        written = copied = duplicate(model)
     assert copied.flat.data.tobytes() == model.flat.data.tobytes()
     _assert_layers_view_flat(copied)
     x = np.random.default_rng(2).normal(size=(4, 2))
     before = model.forward_array(x)
-    copied.flat.data += 0.25
+    written.flat.data += 0.25
     assert not np.array_equal(copied.forward_array(x), before)
     assert np.array_equal(model.forward_array(x), before)
 
@@ -293,13 +301,11 @@ def test_check_gradients_perturbs_through_the_flat_vector():
 
 def test_freeze_and_unfreeze_switch_the_flat_leaf():
     model = MlpClassifier([2, 4, 2], seed=0)
-    layers = model.layers
     model.freeze()
     assert model.flat.grad is None and not model.flat.requires_grad
     assert not model.forward_logits(np.zeros((1, 2))).requires_grad
     model.unfreeze()
     assert model.flat.requires_grad and model.flat.grad.shape == model.flat.shape and not model.flat.grad.any()
-    assert model.layers is layers
     _assert_layers_view_flat(model)
 
 
