@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -95,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference check of the loss gradients")
     p.add_argument("--instances", type=int, default=25, help="random tiny instances per component (default 25)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", dest="step", type=float, default=1e-5, help="finite-difference step (default 1e-5)")
-    p.add_argument("--rel-tol", type=float, default=1e-4, help="relative tolerance (default 1e-4)")
     p.add_argument("-q", "--quiet", action="store_true")
     return parser
 
@@ -197,14 +194,11 @@ def _cmd_grad_check(args) -> int:
 
     if args.instances < 1:
         raise ConfigError(f"--instances: must be >= 1, got {args.instances}")
-    for flag, value in (("--h", args.step), ("--rel-tol", args.rel_tol)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"{flag}: must be positive and finite, got {value}")
     worst_rel = 0.0
     worst_name = ""
     ok = True
     rng = np.random.default_rng(args.seed)
-    for name, report in loss_component_checks(rng, args.instances, h=args.step, rel_tol=args.rel_tol):
+    for name, report in loss_component_checks(rng, args.instances):
         if report.max_rel_diff >= worst_rel:
             worst_rel = report.max_rel_diff
             worst_name = name

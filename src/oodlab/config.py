@@ -24,7 +24,7 @@ from .data import DatasetSpec, check_spec
 from .losses import LossWeights
 from .nets import ACTIVATIONS
 from .scoring import RobustnessBudget
-from .training import MODES, NEGATIVES, PipelineConfig, TrainSchedule
+from .training import MODES, PipelineConfig, TrainSchedule
 
 __all__ = [
     "ConfigError",
@@ -294,6 +294,9 @@ def build_config(document: dict) -> ExperimentConfig:
     """Validate a fully merged document into typed objects.
 
     Every check names the dotted key it rejects and raises ConfigError.
+    A rule that only some commands need is checked where their runs read
+    the data: the pools a mode draws (``harness._require_pools``) and a
+    few-shot pool's size (``harness.RunData.materialize``).
     """
     doc = document
     seed = _int(doc["seed"], "seed", 0)
@@ -311,9 +314,6 @@ def build_config(document: dict) -> ExperimentConfig:
     tests = doc["data"]["tests"]
     if not tests:
         raise ConfigError("data.tests: at least one test set is required")
-    for pool in ("few_shot", "outlier"):
-        if pool in NEGATIVES[doc["mode"]] and doc["data"][pool] is None:
-            raise ConfigError(f"data.{pool}: required for mode ({doc['mode']})")
     counts = _int_list(doc["sweep"]["counts"], "sweep.counts", 0)
     if not counts:
         raise ConfigError("sweep.counts: must not be empty")

@@ -265,19 +265,12 @@ def sample_few_shots(pool: OutlierPool, n: int, seed: int | tuple = 0) -> Outlie
 
 def save_csv(batch, path) -> None:
     """Write a LabeledBatch or OutlierPool; 17 significant digits per value."""
-    inputs = batch.inputs
-    labels = getattr(batch, "labels", None)
-    d = inputs.shape[1]
-    header = ",".join(f"x{i}" for i in range(d))
-    if labels is not None:
-        header += ",label"
-    lines = [header]
-    for r in range(len(inputs)):
-        row = ",".join(format(v, ".17g") for v in inputs[r])
-        if labels is not None:
-            row += f",{int(labels[r])}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    d = batch.inputs.shape[1]
+    labeled = isinstance(batch, LabeledBatch)
+    rows = np.column_stack([batch.inputs, batch.labels]) if labeled else batch.inputs
+    header = ",".join([f"x{i}" for i in range(d)] + ["label"] * labeled)
+    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a path ending in .gz
+        np.savetxt(fh, rows, fmt=["%.17g"] * d + ["%d"] * labeled, delimiter=",", header=header, comments="")
 
 
 def load_csv(path):

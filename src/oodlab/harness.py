@@ -29,7 +29,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .data import LabeledBatch, OutlierPool, gen_gaussian_mixture, generate_dataset, sample_few_shots
 from .scoring import MetricReport, _check_in_box, evaluate_ood
-from .training import MODES, PipelineConfig, PipelineResult, run_pipeline
+from .training import MODES, NEGATIVES, PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
     "RunData",
@@ -113,6 +113,14 @@ def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> Out
     if width != config.normal.dim:
         raise ConfigError(f"{key}: has {width} columns, the normal data has dim {config.normal.dim}")
     return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs)
+
+
+def _require_pools(mode: str, **pools) -> None:
+    """ConfigError naming the first of ``pools`` (few-shot or outlier data,
+    by name) that mode ``mode`` draws negatives from but that is None."""
+    for name, pool in pools.items():
+        if name in NEGATIVES[mode] and pool is None:
+            raise ConfigError(f"data.{name}: required for mode ({mode})")
 
 
 def _checked_test_set(config: ExperimentConfig, key: str, inputs: np.ndarray) -> np.ndarray:
@@ -207,16 +215,18 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> lis
     config.model and every draw seeded from ``run_seed``; ``run_id`` None is
     ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
     everything but count and seed; the stack's settings are the first
-    entry's. Whatever stops any entry (an invalid config, few-shots that
-    cannot be sampled, a training or a scoring error) raises and stops the
-    whole stack; ``_isolated`` then runs each entry alone. An entry's wall
-    seconds are the stack's training time plus its own scoring time. With
-    ``out_dir``, per-sample scores go to ``scores/{run_id}_{test}.csv``.
+    entry's. Whatever stops any entry (an invalid config, a pool its mode
+    draws that ``data`` lacks, few-shots that cannot be sampled, a training
+    or a scoring error) raises and stops the whole stack; ``_isolated``
+    then runs each entry alone. An entry's wall seconds are the stack's
+    training time plus its own scoring time. With ``out_dir``, per-sample
+    scores go to ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
     runs = []
     for updates, run_seed, few_shots, run_id in entries:
         cfg = config.with_updates(**updates) if updates else config
+        _require_pools(cfg.mode, few_shot=data.few_shot_pool, outlier=data.outlier)
         count = cfg.few_shot_count if few_shots is None else few_shots
         few_shot = None
         if data.few_shot_pool is not None:
@@ -326,7 +336,8 @@ def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: l
 def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
     """Run each requested mode with the identical seed, labelled by mode;
     the data is read once for all of them, each mode is a stack of one and
-    failures are isolated by ``_isolated``."""
+    failures are isolated by ``_isolated``, so a mode whose pool the config
+    lacks fails alone."""
     data = RunData.materialize(config, "few_shot_count", config.few_shot_count)
     stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
     return _run_entries("ablate", config, list(modes), stacks)
@@ -336,13 +347,15 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     """One pipeline + evaluation per count of ``sweep.counts`` (checked at
     config load), seeds varied per count.
 
-    The data is read once for every count, so a few-shot pool too short for
-    the largest count is a ConfigError before any training. The counts are
-    dealt round-robin to ``min(jobs, len(counts))`` workers, and each worker
-    trains its counts as one stack in lockstep. Entries failing are isolated
+    A pool the mode draws that the config lacks is a ConfigError before any
+    data is read. The data is read once for every count, so a few-shot pool
+    too short for the largest count is a ConfigError before any training.
+    The counts are dealt round-robin to ``min(jobs, len(counts))`` workers,
+    and each worker trains its counts as one stack in lockstep. Entries failing are isolated
     into .failures by ``_isolated``; the rest of the sweep still runs.
     """
     counts = config.sweep_counts
+    _require_pools(config.mode, few_shot=config.few_shot, outlier=config.outlier)
     data = RunData.materialize(config, "sweep.counts", counts[0])
     workers = max(1, min(jobs, len(counts)))
     stacks = []
@@ -379,12 +392,14 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
 
     The detector head is K=2 with all normals labeled class 0 (class 1 never
     populated). Few-shot outliers come from the other classes of the training
-    draw; test-time OoD are the other classes of a held-out draw. Every
-    class's data is built, and its OoD set checked as a test set
-    (``_checked_test_set``), before any class runs. Entries are labelled by
+    draw; test-time OoD are the other classes of a held-out draw. A mode
+    that draws the outlier set without ``data.outlier`` is a ConfigError,
+    and every class's data is built and its OoD set checked as a test set
+    (``_checked_test_set``), all before any class runs. Entries are labelled by
     class, each a stack of one; a class's failure is isolated by
     ``_isolated``.
     """
+    _require_pools(config.mode, outlier=config.outlier)
     train = generate_dataset(config.normal)
     holdout = _held_out_normals(config)
     classes = sorted(int(c) for c in np.unique(train.labels))

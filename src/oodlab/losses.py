@@ -383,19 +383,20 @@ def generator_loss(
 
     The dominance reference pairs each generated row with a uniformly drawn
     row of the normal reference; the pairing is reseeded per step from the
-    latent batch's seed unless a pairing_seed is given; plain-array latents
-    need one when ``weights.mu > 0``.
+    LatentBatch's seed unless a pairing_seed is given.
 
     Stacks (``Mlp.stack``) of generators and frozen classifiers take one
     LatentBatch in ``latents`` and one reference chunk in
     ``normal_reference`` per entry, all of one shape, each paired by its own
     latent seed (so no ``pairing_seed``); the node holds one loss per entry.
-    A generator alone takes the same path, its latents and reference as
-    lists of one.
+    A generator alone takes one LatentBatch and one reference chunk, and
+    the same path as lists of one.
     """
     if not frozen_classifier.is_frozen:
         raise ValueError("classifier must be frozen (grad tracking disabled) during generator training")
     if generator.members is None:
+        if not isinstance(latents, LatentBatch):
+            raise ValueError("generator_loss: a generator alone takes a LatentBatch")
         latents, normal_reference = [latents], [normal_reference]
     elif pairing_seed is not None:
         raise ValueError("generator_loss: a stack pairs each entry by its own latent seed, so it takes no pairing_seed")
@@ -405,12 +406,10 @@ def generator_loss(
             raise ValueError(f"generator_loss: a stack of {entries} takes {entries} LatentBatches")
         if len(normal_reference) != entries:
             raise ValueError(f"generator_loss: a stack of {entries} takes {entries} reference chunks")
-    if weights.mu > 0 and pairing_seed is None and not isinstance(latents[0], LatentBatch):
-        raise ValueError("generator_loss: plain-array latents need a pairing_seed (a LatentBatch carries its own seed)")
-    seeds = [pairing_seed if pairing_seed is not None else (*np.ravel(getattr(z, "seed", 0)).tolist(), 0x9E37) for z in latents]
+    seeds = [pairing_seed if pairing_seed is not None else (*np.ravel(z.seed).tolist(), 0x9E37) for z in latents]
     # np.stack, not a reshape: an entry of the wrong width must reach the width checks below
     lead = generator.flat.data.shape[:-1]
-    values = np.stack([getattr(z, "values", z) for z in latents], dtype=np.float64)
+    values = np.stack([z.values for z in latents], dtype=np.float64)
     values = values.reshape(lead + values.shape[1:])
     reference = np.stack(normal_reference, dtype=np.float64)
     reference = reference.reshape(lead + reference.shape[1:])

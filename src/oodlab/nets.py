@@ -285,10 +285,6 @@ class BoundaryGenerator(Mlp):
     def latent_dim(self) -> int:
         return self.input_dim
 
-    @property
-    def data_dim(self) -> int:
-        return self.output_dim
-
     def generate(self, latents) -> Tensor:
         values = getattr(latents, "values", latents)
         return self.forward(values)

@@ -38,9 +38,8 @@ def _dims(rng):
 
 
 def _rowmax_gap_ok(mat: np.ndarray) -> bool:
-    """True when each row's top two entries are separated (no max ties)."""
-    if mat.shape[1] < 2:
-        return True
+    """True when each row's top two entries are separated (no max ties);
+    ``mat`` has at least two columns (every instance has K >= 2)."""
     part = np.sort(mat, axis=1)
     return bool(np.min(part[:, -1] - part[:, -2]) > _MARGIN)
 

@@ -166,10 +166,11 @@ def _epoch_rng(*key) -> np.random.Generator:
 
 
 def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
-    """Evenly split negative mini-batch over the nonempty pools (with
-    replacement), remainder to the earliest pools."""
+    """Evenly split negative mini-batch of ``m_total`` >= 1 rows
+    (``TrainSchedule.batch_m``) over the nonempty pools (with replacement),
+    remainder to the earliest pools; None when every pool is empty."""
     pools = [p for p in pools if p is not None and p.size > 0]
-    if not pools or m_total < 1:
+    if not pools:
         return None
     base, extra = divmod(m_total, len(pools))
     parts = []
@@ -177,8 +178,6 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
         take = base + (1 if i < extra else 0)
         if take:
             parts.append(pool.inputs[rng.integers(0, pool.size, take)])
-    if not parts:
-        return None
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -339,19 +338,21 @@ class PipelineConfig:
 
     ``entries`` lists each run's ``(seed, few_shot)``: its seed and its
     few-shot pool (None when the mode draws none). The runs share
-    everything else.
+    everything else. The layer sizes, activations, weights and schedule
+    have no defaults here: a config's come from ``config.DEFAULTS``. A mode
+    without the pools it draws is a ValueError.
     """
 
     normals: LabeledBatch
     entries: list
+    classifier_sizes: list
+    classifier_activation: str
+    generator_sizes: list
+    generator_activation: str
+    weights: LossWeights
+    schedule: TrainSchedule
     mode: str = "iii"
     outlier: OutlierPool | None = None
-    classifier_sizes: list = field(default_factory=lambda: [2, 64, 64, 3])
-    classifier_activation: str = "relu"
-    generator_sizes: list = field(default_factory=lambda: [2, 64, 64, 2])
-    generator_activation: str = "relu"
-    weights: LossWeights = field(default_factory=LossWeights)
-    schedule: TrainSchedule = field(default_factory=TrainSchedule)
     boundary_pool_size: int | None = None
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ import pytest
 from oodlab import harness
 from oodlab.cli import dispatch
 from oodlab.data import OutlierPool, load_csv, save_csv
-from oodlab.nets import MlpClassifier, save_checkpoint
+from oodlab.nets import BoundaryGenerator, MlpClassifier, load_checkpoint, save_checkpoint
 
 from conftest import REFERENCE_CONFIG, REPO, fail_run_seed
 
@@ -88,14 +88,6 @@ class TestGradCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "--instances" in captured.err
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--h", "nan"), ("--h", "inf"), ("--h", "0"), ("--rel-tol", "-1"), ("--rel-tol", "nan")]
-    )
-    def test_bad_tolerance_exits_2(self, capsys, flag, value):
-        assert dispatch(["grad-check", "--instances", "1", flag, value, "-q"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"config error: {flag}:")
-
 
 class TestConfigErrors:
     def test_unknown_override_key_exits_2_naming_it(self, tiny_config_path, tmp_path, capsys):
@@ -120,6 +112,8 @@ class TestConfigErrors:
             ('eval.in_size="x"', "eval.in_size"),
             ('boundary_pool_size="x"', "boundary_pool_size"),
             ('sweep.break_floor="x"', "sweep.break_floor"),
+            ("sweep.break_floor=0.5", "sweep.break_floor"),
+            ("sweep.break_floor=1", "sweep.break_floor"),
             ('model.classifier_hidden="x"', "model.classifier_hidden"),
             ("model.latent_dim=0", "model.latent_dim"),
             ('model.classifier_activation="softplus"', "model.classifier_activation"),
@@ -238,8 +232,30 @@ class TestConfigErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert dispatch(["train", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"), "-q"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"data": {"bogus": {}}}', "unknown config key 'data.bogus'"),
+            ("[1, 2]", "config root must be a JSON object"),
+            ('{"seed": ', "invalid JSON"),
+        ],
+        ids=["unknown-data-key", "non-object-root", "invalid-json"],
+    )
+    def test_a_malformed_config_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert dispatch(["train", "--config", str(path), "--out", str(out), "-q"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
+    def test_no_subcommand_exits_2(self, capsys):
+        assert dispatch([]) == 2
+        assert "usage: oodlab" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_jobs_below_one_exits_2(self, tiny_config_path, tmp_path, capsys, jobs):
         out = tmp_path / "o"
@@ -356,6 +372,43 @@ class TestTrainEvalCommands:
         assert capsys.readouterr().err == f"config error: --classifier: '{ckpt}' takes 3 inputs, the config's data has 2\n"
         assert not (tmp_path / "e").exists()
 
+    def test_eval_of_a_generator_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "gen.ckpt"
+        save_checkpoint(BoundaryGenerator([2, 8, 2], seed=0), ckpt)
+        code = dispatch(
+            ["eval", "--config", str(REFERENCE_CONFIG), "--classifier", str(ckpt), "--out", str(tmp_path / "e"), "-q"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: --classifier: '{ckpt}' is not a classifier checkpoint\n"
+        assert not (tmp_path / "e").exists()
+
+    # line edits of a [2, 4, 3] classifier checkpoint: header, kind,
+    # activation, layer_sizes, then W0, b0, W1 and b1
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ls: [ls[0], "kind widget", *ls[2:]], "unknown model kind 'widget'"),
+            (lambda ls: [*ls[:3], "layer_sizes 2 four 3", *ls[4:]], "invalid literal for int()"),
+            (lambda ls: ls[:-1], "truncated checkpoint"),
+            (lambda ls: [*ls[:5], "c0" + ls[5][2:], *ls[6:]], "expected array 'b0', found 'c0'"),
+            (lambda ls: [*ls[:5], ls[5] + " 0.5", *ls[6:]], "array 'b0' has 5 values, expected 4"),
+        ],
+        ids=["kind", "layer-sizes", "too-few-lines", "misnamed-array", "value-count"],
+    )
+    def test_eval_of_a_malformed_checkpoint_exits_1_naming_the_file(self, tmp_path, capsys, edit, message):
+        ckpt = tmp_path / "clf.ckpt"
+        save_checkpoint(MlpClassifier([2, 4, 3], activation="tanh", seed=0), ckpt)
+        ckpt.write_text("\n".join(edit(ckpt.read_text(encoding="utf-8").splitlines())) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            load_checkpoint(ckpt)
+        assert str(raised.value).startswith(f"{ckpt}: ") and message in str(raised.value)
+        code = dispatch(
+            ["eval", "--config", str(REFERENCE_CONFIG), "--classifier", str(ckpt), "--out", str(tmp_path / "e"), "-q"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert not (tmp_path / "e").exists()
+
 
 class TestFewShotPoolSize:
     """A command checks only the few-shot counts it samples, when it reads
@@ -391,6 +444,52 @@ class TestFewShotPoolSize:
             "config error: data.few_shot: has 8 rows, fewer than the 16 few-shots to sample for sweep.counts\n"
         )
         assert calls == [] and not out.exists()
+
+
+class TestModePools:
+    """A mode's pools are required by the commands whose runs draw them, as
+    they read them: ``train``, ``sweep`` and ``occ`` exit 2 before any
+    training, ``ablate`` fails only the mode that lacks one (see
+    ``test_a_failing_entry_exits_1_naming_it``), and ``eval`` never asks."""
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            (["eval"], ["data.few_shot=null"]),
+            (["occ"], ["data.few_shot=null"]),
+            (["ablate", "--modes", "ii,iii"], ["mode=iv", "data.outlier=null"]),
+        ],
+        ids=["eval", "occ", "ablate"],
+    )
+    def test_a_command_that_does_not_draw_the_pool_runs_without_it(self, tiny_config_path, tmp_path, command, overrides):
+        if command == ["eval"]:
+            ckpt = tmp_path / "clf.ckpt"
+            save_checkpoint(MlpClassifier([2, 16, 16, 3], activation="tanh", seed=0), ckpt)
+            command = ["eval", "--classifier", str(ckpt)]
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == 0
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            (["train"], ["data.few_shot=null"], "data.few_shot: required for mode (iii)"),
+            (["sweep", "--jobs", "1"], ["data.few_shot=null"], "data.few_shot: required for mode (iii)"),
+            (["sweep", "--jobs", "2"], ["data.few_shot=null"], "data.few_shot: required for mode (iii)"),
+            (["occ"], ["mode=iv", "data.outlier=null"], "data.outlier: required for mode (iv)"),
+        ],
+        ids=["train", "sweep-jobs-1", "sweep-jobs-2", "occ"],
+    )
+    def test_a_command_whose_runs_draw_a_missing_pool_exits_2_before_training(
+        self, tiny_config_path, tmp_path, capsys, monkeypatch, command, overrides, message
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == [] and not list(out.glob("**/*.json"))
 
 
 class TestAblateOccCommands:

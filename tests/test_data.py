@@ -254,6 +254,28 @@ class TestCsv:
         if labeled:
             np.testing.assert_array_equal(loaded.labels, batch.labels)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300, -1e-300]),
+        ),
+        st.none() | st.lists(st.integers(-(2**31), 2**31), min_size=6, max_size=6),
+    )
+    def test_bytes_equal_a_per_value_formatter(self, inputs, labels):
+        """save_csv writes what formatting each value alone writes: 17
+        significant digits per float, a label as its integer."""
+        n, d = inputs.shape
+        batch = OutlierPool(inputs) if labels is None else LabeledBatch(inputs, labels[:n])
+        lines = [",".join([f"x{i}" for i in range(d)] + ([] if labels is None else ["label"]))]
+        for r in range(n):
+            lines.append(",".join([format(v, ".17g") for v in inputs[r]] + ([] if labels is None else [str(labels[r])])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_csv(batch, path)
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "void.csv"
         path.write_text("", encoding="utf-8")

@@ -16,7 +16,7 @@ from oodlab.config import (
     parse_override,
 )
 from oodlab import harness
-from oodlab.data import LabeledBatch, OutlierPool, load_csv, save_csv
+from oodlab.data import DatasetSpec, LabeledBatch, OutlierPool, load_csv, save_csv
 from oodlab.harness import (
     SUMMARY_COLUMNS,
     RunData,
@@ -126,17 +126,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sweep.count"):
             config_from_dict(tiny_doc, overrides=["sweep.count=3"])
 
-    def test_mode_requirements_enforced(self, tiny_doc):
-        tiny_doc["data"]["few_shot"] = None
-        with pytest.raises(ConfigError, match="few_shot"):
-            config_from_dict(tiny_doc)
-        tiny_doc2 = json.loads(json.dumps(tiny_doc))
-        tiny_doc2["data"]["few_shot"] = {"kind": "ring", "dim": 2, "size": 8}
-        tiny_doc2["mode"] = "iv"
-        tiny_doc2["data"]["outlier"] = None
-        with pytest.raises(ConfigError, match="outlier"):
-            config_from_dict(tiny_doc2)
-
     def test_counts_must_strictly_decrease(self, tiny_doc):
         tiny_doc["sweep"]["counts"] = [4, 4, 0]
         with pytest.raises(ConfigError, match="decreasing"):
@@ -197,6 +186,10 @@ class TestConfig:
         assert config.model["classifier_hidden"] == [64, 64]
         assert config.outlier is None
         assert config.tests["ring"].seed == 0 and config.tests["ring"].r_outer == 1.2
+
+    def test_a_key_under_a_null_dataset_spec_fills_in_its_defaults(self, tiny_doc):
+        config = config_from_dict(tiny_doc, overrides=["data.outlier=null", "data.outlier.kind=ring"])
+        assert config.outlier == DatasetSpec(kind="ring")
 
     def test_fingerprints_are_pinned(self, reference_config):
         # the fingerprint is stamped on every result file; it hashes the merged

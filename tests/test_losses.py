@@ -303,17 +303,12 @@ class TestGeneratorLoss:
         c = generator_loss(generator, classifier, other, reference, weights).item()
         assert a != c  # different seed draws a different dominance pairing
 
-    def test_plain_array_latents_need_a_pairing_seed(self):
+    @pytest.mark.parametrize("pairing_seed", [None, (1, 2)])
+    def test_plain_array_latents_are_rejected(self, pairing_seed):
         generator, classifier, latents, reference = self._setup()
         weights = LossWeights(mu=1.0, nu=0.3, delta=1e-3)
-        with pytest.raises(ValueError, match="pairing_seed"):
-            generator_loss(generator, classifier, latents.values, reference, weights)
-        # with a pairing_seed, or without the dominance term, an array is a LatentBatch's values
-        seeded = generator_loss(generator, classifier, latents.values, reference, weights, pairing_seed=(1, 2))
-        assert seeded.item() == generator_loss(generator, classifier, latents, reference, weights, pairing_seed=(1, 2)).item()
-        no_dominance = LossWeights(mu=0.0, nu=0.3, delta=1e-3)
-        plain = generator_loss(generator, classifier, latents.values, reference, no_dominance)
-        assert plain.item() == generator_loss(generator, classifier, latents, reference, no_dominance).item()
+        with pytest.raises(ValueError, match="takes a LatentBatch"):
+            generator_loss(generator, classifier, latents.values, reference, weights, pairing_seed=pairing_seed)
 
 
 def test_loss_weights_validation():

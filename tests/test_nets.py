@@ -104,7 +104,7 @@ def test_generate_shape_contract():
     gen = BoundaryGenerator([3, 16, 2], seed=4)
     out = gen.generate(np.zeros((5, 3)))
     assert out.shape == (5, 2)
-    assert gen.latent_dim == 3 and gen.data_dim == 2
+    assert gen.latent_dim == 3
 
 
 def test_dimension_mismatch_is_loud():

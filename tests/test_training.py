@@ -287,13 +287,13 @@ class TestPipeline:
     def test_mode_validation(self):
         cfg = _pipeline_inputs()
         with pytest.raises(ValueError, match="mode"):
-            PipelineConfig(normals=cfg.normals, entries=cfg.entries, mode="v")
+            dataclasses.replace(cfg, mode="v")
         with pytest.raises(ValueError, match="few-shot"):
-            PipelineConfig(normals=cfg.normals, entries=[*cfg.entries, (2, None)], mode="ii")
+            dataclasses.replace(cfg, entries=[*cfg.entries, (2, None)], mode="ii")
         with pytest.raises(ValueError, match="outlier"):
-            PipelineConfig(normals=cfg.normals, entries=cfg.entries, mode="iv", outlier=None)
+            dataclasses.replace(cfg, mode="iv", outlier=None)
         with pytest.raises(ValueError, match="at least one"):
-            PipelineConfig(normals=cfg.normals, entries=[], mode="ii")
+            dataclasses.replace(cfg, entries=[], mode="ii")
 
     def test_deterministic_given_seed(self):
         a = _run_alone(_pipeline_inputs(seed=11))
