@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .data import DatasetSpec, check_spec, generate_dataset, load_csv, save_csv
+from .config import ConfigError, dataset_spec, load_config
+from .data import generate_dataset, load_csv, save_csv
 from .harness import (
     _write_json,
     detect_break_point,
@@ -177,10 +177,10 @@ def _cmd_occ(args) -> int:
 def _cmd_gen_data(args) -> int:
     normals = None if args.base_csv is None else load_csv(args.base_csv)
     try:
-        spec = DatasetSpec(**json.loads(args.spec_json))
-        check_spec(spec, None if normals is None else normals.inputs.shape[1])
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+        doc = json.loads(args.spec_json)
+    except json.JSONDecodeError as e:
         raise ConfigError(f"--spec-json: {e}") from e
+    spec = dataset_spec(doc, "--spec-json", None if normals is None else normals.inputs.shape[1])
     if spec.kind == "low-frequency-noise" and normals is None:
         raise ConfigError("--base-csv is required for low-frequency-noise")
     data = generate_dataset(spec, normals=normals)

@@ -31,6 +31,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "config_from_dict",
+    "dataset_spec",
     "parse_override",
     "DEFAULTS",
 ]
@@ -281,6 +282,13 @@ def _dataset_spec(doc, path, data_dim: int | None = None) -> DatasetSpec | None:
     return spec
 
 
+def dataset_spec(doc, key: str, data_dim: int | None) -> DatasetSpec:
+    """A dataset spec written outside a config (``gen-data --spec-json``):
+    the dataset defaults merged into ``doc``, then checked by
+    ``_dataset_spec`` under ``key`` as a config's data spec would be."""
+    return _dataset_spec(_merge(_DATASET_DEFAULTS, doc, key), key, data_dim)
+
+
 def _check_model(model: dict) -> None:
     for part in ("classifier", "generator"):
         _int_list(model[f"{part}_hidden"], f"model.{part}_hidden", 1)
@@ -314,6 +322,10 @@ def build_config(document: dict) -> ExperimentConfig:
     tests = doc["data"]["tests"]
     if not tests:
         raise ConfigError("data.tests: at least one test set is required")
+    for name in tests:
+        # a test set's name becomes part of the file names of its scores and plots
+        if not name or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"data.tests.{name}: a test-set name must be nonempty and hold no path separator or NUL")
     counts = _int_list(doc["sweep"]["counts"], "sweep.counts", 0)
     if not counts:
         raise ConfigError("sweep.counts: must not be empty")

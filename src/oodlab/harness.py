@@ -160,8 +160,8 @@ def materialize_eval_in(config: ExperimentConfig) -> np.ndarray:
 class RunData:
     """Every dataset the entries of one command read, materialized once: the
     training normals and their class count, the few-shot and outlier pools
-    (None when the config has none), the held-out normals and the OoD test
-    sets."""
+    (None when the config has none or no mode of the command draws them),
+    the held-out normals and the OoD test sets."""
 
     normals: LabeledBatch
     num_classes: int
@@ -171,20 +171,23 @@ class RunData:
     tests: dict[str, np.ndarray]
 
     @classmethod
-    def materialize(cls, config: ExperimentConfig, key: str, need: int) -> RunData:
-        """Read the config's data for a command that samples at most
-        ``need`` few-shots, the value of config ``key`` (``few_shot_count``
-        for one run or an ablation, ``sweep.counts`` for a sweep). A CSV of
-        the wrong width, a few-shot pool, synthetic or CSV, with fewer rows
-        than ``need``, and a test set with no rows each raise ConfigError
-        naming the key."""
+    def materialize(cls, config: ExperimentConfig, modes, key: str, need: int) -> RunData:
+        """Read the config's data for a command that runs ``modes`` and
+        samples at most ``need`` few-shots, the value of config ``key``
+        (``few_shot_count`` for one run or an ablation, ``sweep.counts`` for
+        a sweep). A few-shot or outlier pool is read only when one of
+        ``modes`` draws it (``NEGATIVES``); otherwise it is None, whatever
+        the config holds. A CSV of the wrong width, a few-shot pool that was
+        read, synthetic or CSV, with fewer rows than ``need``, and a test set
+        with no rows each raise ConfigError naming the key."""
         normals = generate_dataset(config.normal)
-        few_shot = _outlier_pool(config, "data.few_shot", config.few_shot, normals)
+        drawn = {name for mode in modes for name in NEGATIVES[mode]}
+        few_shot = _outlier_pool(config, "data.few_shot", config.few_shot if "few_shot" in drawn else None, normals)
         if few_shot is not None and few_shot.size < need:
             raise ConfigError(f"data.few_shot: has {few_shot.size} rows, fewer than the {need} few-shots to sample for {key}")
         return cls(
             normals, len(np.unique(normals.labels)), few_shot,
-            _outlier_pool(config, "data.outlier", config.outlier, normals),
+            _outlier_pool(config, "data.outlier", config.outlier if "outlier" in drawn else None, normals),
             materialize_eval_in(config), materialize_test_sets(config),
         )
 
@@ -211,9 +214,10 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> lis
 
     An entry is ``(updates, run_seed, few_shots, run_id)``: it runs
     ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
-    few-shot pool (None: the config's ``few_shot_count``), layers from
-    config.model and every draw seeded from ``run_seed``; ``run_id`` None is
-    ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
+    few-shot pool when its mode draws one (None: the config's
+    ``few_shot_count``; a mode that draws none samples nothing), layers
+    from config.model and every draw seeded from ``run_seed``; ``run_id``
+    None is ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
     everything but count and seed; the stack's settings are the first
     entry's. Whatever stops any entry (an invalid config, a pool its mode
     draws that ``data`` lacks, few-shots that cannot be sampled, a training
@@ -228,9 +232,8 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> lis
         cfg = config.with_updates(**updates) if updates else config
         _require_pools(cfg.mode, few_shot=data.few_shot_pool, outlier=data.outlier)
         count = cfg.few_shot_count if few_shots is None else few_shots
-        few_shot = None
-        if data.few_shot_pool is not None:
-            few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5))
+        drawn = "few_shot" in NEGATIVES[cfg.mode]
+        few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5)) if drawn else None
         run_id = run_id or f"{cfg.mode}-n{cfg.few_shot_count}-s{run_seed}-{cfg.fingerprint[:8]}"
         runs.append((cfg, count, run_seed, run_id, few_shot))
     first = runs[0][0]
@@ -282,7 +285,7 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     raises: the run is a stack of one ``_run``.
     """
     run_seed = config.seed if run_seed is None else run_seed
-    data = RunData.materialize(config, "few_shot_count", config.few_shot_count)
+    data = RunData.materialize(config, [config.mode], "few_shot_count", config.few_shot_count)
     return _run(config, data, [({}, run_seed, None, None)], out_dir)[0]
 
 
@@ -338,7 +341,7 @@ def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepRe
     the data is read once for all of them, each mode is a stack of one and
     failures are isolated by ``_isolated``, so a mode whose pool the config
     lacks fails alone."""
-    data = RunData.materialize(config, "few_shot_count", config.few_shot_count)
+    data = RunData.materialize(config, modes, "few_shot_count", config.few_shot_count)
     stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
     return _run_entries("ablate", config, list(modes), stacks)
 
@@ -356,7 +359,7 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     """
     counts = config.sweep_counts
     _require_pools(config.mode, few_shot=config.few_shot, outlier=config.outlier)
-    data = RunData.materialize(config, "sweep.counts", counts[0])
+    data = RunData.materialize(config, [config.mode], "sweep.counts", counts[0])
     workers = max(1, min(jobs, len(counts)))
     stacks = []
     for w in range(workers):
@@ -394,7 +397,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. A mode
     that draws the outlier set without ``data.outlier`` is a ConfigError,
-    and every class's data is built and its OoD set checked as a test set
+    and ``data.outlier`` is read only for a mode that draws it. Every
+    class's data is built and its OoD set checked as a test set
     (``_checked_test_set``), all before any class runs. Entries are labelled by
     class, each a stack of one; a class's failure is isolated by
     ``_isolated``.
@@ -410,7 +414,8 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
         mask, held = train.labels == cls, holdout.labels == cls
         normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
         pool = OutlierPool(train.inputs[~mask])
-        outlier = _outlier_pool(config, "data.outlier", config.outlier, normals)
+        drawn = "outlier" in NEGATIVES[config.mode]
+        outlier = _outlier_pool(config, "data.outlier", config.outlier if drawn else None, normals)
         out_set = _checked_test_set(config, f"data.normal: the OCC out-set of class {cls}", holdout.inputs[~held])
         data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": out_set})
         run_seed = config.seed + cls

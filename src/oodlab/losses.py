@@ -352,9 +352,9 @@ def classifier_loss(model, normals, negatives, weights: LossWeights) -> Tensor:
     groups, pools = (normals, negatives) if model.members is not None else ((normals,), (negatives,))
     if len(groups) != len(pools):
         raise ValueError(f"classifier_loss: {len(groups)} normal batches for {len(pools)} negative pools")
-    use_negatives = pools[0] is not None and pools[0].size > 0 and weights.lam > 0
-    n = len(groups[0])
     inputs, labels = _stacked_batches(model, groups, pools, weights.lam)
+    n = labels.shape[-1]
+    use_negatives = inputs.shape[-2] > n
     logits, cache = model.forward_with_cache(inputs)
     value, ce_vjp = _cross_entropy(logits[..., :n, :], labels)
     if use_negatives:

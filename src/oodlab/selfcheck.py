@@ -44,6 +44,14 @@ def _rowmax_gap_ok(mat: np.ndarray) -> bool:
     return bool(np.min(part[:, -1] - part[:, -2]) > _MARGIN)
 
 
+def _nearest_ok(points: np.ndarray, reference: np.ndarray) -> bool:
+    """True when every point's nearest reference row is farther than the
+    margin and, with two or more reference rows, nearer than the
+    second-nearest by more than the margin (no nearest-neighbor ties)."""
+    dists = np.sort(np.linalg.norm(points[:, None, :] - reference[None, :, :], axis=2), axis=1)
+    return bool(dists[:, 0].min() > _MARGIN and (len(reference) == 1 or np.min(dists[:, 1] - dists[:, 0]) > _MARGIN))
+
+
 def _net_margins_ok(model, x: np.ndarray) -> bool:
     """True when no hidden preactivation sits within the margin of a relu kink."""
     if model.activation != "relu":
@@ -98,10 +106,7 @@ def _check_proximity(rng, h, rel_tol):
         q = int(rng.integers(1, 6))
         generated = rng.normal(0.0, 1.0, (n, d))
         reference = rng.normal(0.0, 1.0, (q, d))
-        dists = np.linalg.norm(generated[:, None, :] - reference[None, :, :], axis=2)
-        sorted_d = np.sort(dists, axis=1)
-        gap_ok = q == 1 or np.min(sorted_d[:, 1] - sorted_d[:, 0]) > _MARGIN
-        if gap_ok and sorted_d[:, 0].min() > _MARGIN:
+        if _nearest_ok(generated, reference):
             return grad_check(lambda t: proximity_term(t, reference), Tensor(generated), h, rel_tol)
     raise RuntimeError("could not sample a tie-free proximity instance")
 
@@ -140,21 +145,14 @@ def _check_generator_loss(rng, h, rel_tol):
         weights = LossWeights(mu=float(rng.uniform(0.2, 2.0)), nu=float(rng.uniform(0.2, 2.0)), delta=1e-3)
 
         outputs = generator.forward_array(latents.values)
-        dists = np.linalg.norm(outputs[:, None, :] - reference[None, :, :], axis=2)
-        sorted_d = np.sort(dists, axis=1)
-        prox_ok = dists.shape[1] == 1 or np.min(sorted_d[:, 1] - sorted_d[:, 0]) > _MARGIN
-        pair_ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(outputs[i] - outputs[j]) <= _MARGIN:
-                    pair_ok = False
+        i, j = np.triu_indices(n, 1)
+        pair_ok = np.linalg.norm(outputs[i] - outputs[j], axis=1).min() > _MARGIN
         gen_logits = classifier.forward_array(outputs)
         ref_all = classifier.forward_array(reference)
         seed_pair = (0, int(rng.integers(0, 2**31)))
         pairing = np.random.default_rng(seed_pair).integers(0, len(reference), n)
         dom_ok = _rowmax_gap_ok(gen_logits - ref_all[pairing])
-        margins_ok = _net_margins_ok(generator, latents.values) and sorted_d[:, 0].min() > _MARGIN
-        if prox_ok and pair_ok and dom_ok and margins_ok:
+        if _nearest_ok(outputs, reference) and pair_ok and dom_ok and _net_margins_ok(generator, latents.values):
             return check_gradients(
                 lambda: generator_loss(generator, classifier, latents, reference, weights, pairing_seed=seed_pair),
                 generator.parameters(),

@@ -8,7 +8,8 @@ pool from fresh latents and retrains the classifier on all the mode's pools.
 Everything is reseeded per epoch from the master seed so a run is a pure
 function of (config, seed).
 
-Phases A, B and C share one descent loop, ``_descend``, over a stack of
+Phases A, B and C share one table, ``PHASES``, of the schedule fields and
+seed index each reads, and one descent loop, ``_descend``, over a stack of
 models (``Mlp.stack``) trained in lockstep; a single model trains as a
 stack of one. Per batch it zeroes the stack's one flat gradient buffer,
 takes the one-node stacked loss over its flat parameter leaf
@@ -49,6 +50,7 @@ __all__ = [
     "run_pipeline",
     "MODES",
     "NEGATIVES",
+    "PHASES",
 ]
 
 # The negative pools each ablation mode trains against, in draw order:
@@ -181,15 +183,16 @@ def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-# Per classifier phase: its TrainSchedule epochs and learning-rate fields and
-# its seed index.
-_CLASSIFIER_PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "c": ("phase_c_epochs", "lr_c", 2)}
+# Per phase: its TrainSchedule epochs and learning-rate fields and its seed
+# index, the key after the master (or run) seed of every draw the phase makes.
+PHASES = {"a": ("phase_a_epochs", "lr_a", 0), "b": ("phase_b_epochs", "lr_b", 1), "c": ("phase_c_epochs", "lr_c", 2)}
 
 
-def _descend(stack, seed_prefix, lr: float, epochs: int, n: int, size: int, phase: str, batch_loss) -> list:
+def _descend(stack, seed_prefix, schedule: TrainSchedule, phase: str, n: int, size: int, batch_loss) -> list:
     """The one descent loop of phases A to C: train the entries of ``stack``
-    in lockstep for ``epochs`` epochs at learning rate ``lr``; returns each
-    entry's per-epoch mean loss.
+    in lockstep for the epochs and at the learning rate that ``PHASES``
+    names for ``phase`` in ``schedule``; returns each entry's per-epoch mean
+    loss.
 
     Each epoch shuffles ``range(n)`` per entry (seed ``(*prefix, epoch,
     0)``) and cuts the shuffles into batches of ``size`` rows.
@@ -201,9 +204,10 @@ def _descend(stack, seed_prefix, lr: float, epochs: int, n: int, size: int, phas
     gradient ``adam_step`` rejects (its message then gains the step's phase,
     epoch and batch); either stops the stack.
     """
-    states = [AdamState.for_params([m.flat], lr=lr) for m in stack.members]
+    epochs_field, lr_field, _ = PHASES[phase]
+    states = [AdamState.for_params([m.flat], lr=getattr(schedule, lr_field)) for m in stack.members]
     traces: list = [[] for _ in states]
-    for epoch in range(epochs):
+    for epoch in range(getattr(schedule, epochs_field)):
         perms = [_epoch_rng(*prefix, epoch, 0).permutation(n) for prefix in seed_prefix]
         step_losses: list = [[] for _ in states]
         for b, start in enumerate(range(0, n, size)):
@@ -238,9 +242,9 @@ def train_classifier(
     ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
     leaving pure cross-entropy). Batch shuffling is reseeded per epoch, and
     each epoch's negatives are drawn in batch order from the seed
-    ``(*prefix, epoch, 1)``. ``phase`` is ``"a"`` or ``"c"``; it picks the
-    schedule's epochs and learning rate (``phase_a_epochs``/``lr_a`` or
-    ``phase_c_epochs``/``lr_c``).
+    ``(*prefix, epoch, 1)``. ``phase`` is ``"a"`` or ``"c"``; its row of
+    ``PHASES`` picks the schedule's epochs and learning rate, and the
+    default prefix of a model trained alone, ``(master_seed, index)``.
 
     A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
     per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
@@ -250,14 +254,13 @@ def train_classifier(
     those of training it alone, which is a stack of one. A TrainingError
     in any entry (a non-finite loss or gradient) stops the whole stack.
     """
-    if phase not in _CLASSIFIER_PHASES:
-        raise ValueError(f"unknown classifier phase {phase!r} (one of {tuple(_CLASSIFIER_PHASES)})")
+    if phase not in ("a", "c"):
+        raise ValueError(f"unknown classifier phase {phase!r} (one of ('a', 'c'))")
     if len(normals) < 1:
         raise ValueError("normal data source is empty")
-    epochs_field, lr_field, index = _CLASSIFIER_PHASES[phase]
     alone = model.members is None
     if alone:
-        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, index)
+        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, PHASES[phase][2])
         model, negatives, seed_prefix = type(model).stack([model]), [negatives], [prefix]
     if seed_prefix is None or not len(negatives) == len(seed_prefix) == len(model.members):
         raise ValueError("a stack needs one pool list and one seed prefix per entry")
@@ -274,10 +277,7 @@ def train_classifier(
             negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
         return classifier_loss(model, batches, negs, weights)
 
-    traces = _descend(
-        model, seed_prefix, getattr(schedule, lr_field), getattr(schedule, epochs_field),
-        len(normals), schedule.batch_n, phase, batch_loss,
-    )
+    traces = _descend(model, seed_prefix, schedule, phase, len(normals), schedule.batch_n, batch_loss)
     return traces[0] if alone else traces
 
 
@@ -289,8 +289,10 @@ def train_generator(
     schedule: TrainSchedule,
     seed_prefix: tuple | None = None,
 ) -> list:
-    """Descent on generator_loss against the frozen classifier, for the
-    schedule's ``phase_b_epochs`` at its ``lr_b``.
+    """Descent on generator_loss against the frozen classifier: phase B,
+    whose row of ``PHASES`` picks the schedule's epochs and learning rate,
+    and the default prefix of a generator trained alone, ``(master_seed,
+    index)``.
 
     The classifier must already be frozen; its parameters are verified
     bit-exact afterwards. Each step draws a fresh latent batch, seeded
@@ -310,7 +312,7 @@ def train_generator(
         raise ValueError("normal data source is empty")
     alone = generator.members is None
     if alone:
-        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, 1)
+        prefix = seed_prefix if seed_prefix is not None else (schedule.master_seed, PHASES["b"][2])
         generator, classifier, seed_prefix = type(generator).stack([generator]), type(classifier).stack([classifier]), [prefix]
     if seed_prefix is None or len(seed_prefix) != len(generator.members):
         raise ValueError("a stack needs one seed prefix per entry")
@@ -323,10 +325,7 @@ def train_generator(
         ]
         return generator_loss(generator, classifier, latents, [normal_inputs[idx] for idx in picks], weights)
 
-    traces = _descend(
-        generator, seed_prefix, schedule.lr_b, schedule.phase_b_epochs,
-        n, min(schedule.proximity_q, n), "b", batch_loss,
-    )
+    traces = _descend(generator, seed_prefix, schedule, "b", n, min(schedule.proximity_q, n), batch_loss)
     if not np.array_equal(before, classifier.flat.data):
         raise TrainingError("classifier parameters changed during generator training")
     return traces[0] if alone else traces
@@ -426,7 +425,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         for e, trace in zip(group, outcomes):
             traces[e].setdefault(f"phase_{phase}", []).extend(trace)
 
-    def classifier_phase(phase: str, names, key: tuple) -> None:
+    def classifier_phase(phase: str, names, *alt) -> None:
         def draws(e):
             return weights.lam > 0 and any(pools[e].get(name) is not None and pools[e][name].size > 0 for name in names)
 
@@ -435,10 +434,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                 run_phase(phase, group, lambda: train_classifier(
                     MlpClassifier.stack([classifiers[e] for e in group]), cfg.normals,
                     [[pools[e].get(name) for name in names] for e in group], weights, schedule,
-                    phase=phase, seed_prefix=[(seeds[e], *key) for e in group],
+                    phase=phase, seed_prefix=[(seeds[e], PHASES[phase][2], *alt) for e in group],
                 ))
 
-    classifier_phase("a", [name for name in negatives if name != "boundary"], (0,))
+    classifier_phase("a", [name for name in negatives if name != "boundary"])
     for alt in range(schedule.alternations if "boundary" in negatives else 0):
         for e in everyone:
             generators[e] = generators[e] or BoundaryGenerator(
@@ -448,14 +447,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         frozen.freeze()
         run_phase("b", everyone, lambda: train_generator(
             BoundaryGenerator.stack(generators), frozen, cfg.normals.inputs, weights, schedule,
-            seed_prefix=[(seed, 1, alt) for seed in seeds],
+            seed_prefix=[(seed, PHASES["b"][2], alt) for seed in seeds],
         ))
         frozen.unfreeze()
         for e in everyone:
             size = _boundary_pool_size(cfg, pools[e]["few_shot"])
             latents = sample_latent((seeds[e], 3, alt), size, generators[e].latent_dim)
             pools[e]["boundary"] = OutlierPool(generators[e].forward_array(latents.values))
-        classifier_phase("c", negatives, (2, alt))
+        classifier_phase("c", negatives, alt)
 
     results = [PipelineResult(classifiers[e], generators[e], pools[e].get("boundary"), traces[e]) for e in everyone]
     return PipelineResult(

@@ -72,7 +72,21 @@ class TestGenData:
         out = tmp_path / "x.csv"
         code = dispatch(["gen-data", "--spec-json", spec, "--base-csv", str(base), "--out", str(out), "-q"])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"config error: --spec-json: {field}:")
+        assert capsys.readouterr().err.startswith(f"config error: --spec-json.{field}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"kind":"ring","size":2.5}', "--spec-json.size: must be an integer, got 2.5"),
+            ('{"kind":"ring","dim":true}', "--spec-json.dim: must be an integer, got True"),
+            ('{"kind":"ring","seed":1.5}', "--spec-json.seed: must be an integer, got 1.5"),
+        ],
+    )
+    def test_mistyped_spec_field_exits_2_naming_it(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "x.csv"
+        assert dispatch(["gen-data", "--spec-json", spec, "--out", str(out), "-q"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
 
@@ -186,7 +200,7 @@ class TestConfigErrors:
             (["sweep", "--jobs", "1"], "few_shot"),
             (["sweep", "--jobs", "2"], "few_shot"),
             (["ablate", "--modes", "ii,iii"], "few_shot"),
-            (["occ"], "outlier"),
+            (["occ", "--set", "mode=iv"], "outlier"),
         ],
     )
     def test_bad_csv_stops_a_multi_run_command_once_with_exit_2(self, tiny_doc, tmp_path, capsys, command, key):
@@ -490,6 +504,58 @@ class TestModePools:
         assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert calls == [] and not list(out.glob("**/*.json"))
+
+
+    # data.outlier set to a CSV that does not exist
+    MISSING = 'data.outlier={"kind":"csv","path":"MISSING"}'
+    FEW = "config error: data.few_shot: has 8 rows, fewer than the 16 few-shots to sample for few_shot_count\n"
+    NO_FILE = "error: [Errno 2] No such file or directory: 'MISSING'\n"
+
+    @pytest.mark.parametrize(
+        "command, overrides, code, message",
+        [
+            (["train"], ["mode=i", "data.few_shot.size=8", "few_shot_count=16"], 0, ""),
+            (["ablate", "--modes", "i"], ["data.few_shot.size=8", "few_shot_count=16"], 0, ""),
+            (["sweep"], ["mode=i", "data.few_shot.size=8", "sweep.counts=16,0"], 0, ""),
+            (["train"], [MISSING], 0, ""),
+            (["sweep"], ["mode=ii", MISSING], 0, ""),
+            (["occ"], [MISSING], 0, ""),
+            (["train"], ["mode=iv", MISSING], 1, NO_FILE),
+            (["occ"], ["mode=iv", MISSING], 1, NO_FILE),
+            (["ablate", "--modes", "ii,iii"], ["data.few_shot.size=8", "few_shot_count=16"], 2, FEW),
+            (
+                ["ablate", "--modes", "i,ii"], ["data.outlier=null"], 1,
+                "[ablate] i failed: ConfigError: data.outlier: required for mode (i)\n",
+            ),
+            (["train"], ["data.few_shot=null"], 2, "config error: data.few_shot: required for mode (iii)\n"),
+            (
+                ["train"], ['data.tests={"a/b":{"kind":"ring","size":48}}'], 2,
+                "config error: data.tests.a/b: a test-set name must be nonempty and hold no path separator or NUL\n",
+            ),
+        ],
+        ids=[
+            "train-i-small-pool", "ablate-i-small-pool", "sweep-i-small-pool", "train-iii-no-outlier-file",
+            "sweep-ii-no-outlier-file", "occ-iii-no-outlier-file", "train-iv-no-outlier-file", "occ-iv-no-outlier-file",
+            "ablate-ii-iii-small-pool", "ablate-i-ii-no-outlier", "train-iii-no-few-shot", "train-test-name-with-slash",
+        ],
+    )
+    def test_a_command_opens_only_the_pools_its_modes_draw(
+        self, tiny_config_path, tmp_path, capsys, monkeypatch, command, overrides, code, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        real, calls = harness.run_pipeline, []
+
+        def run_pipeline(cfg):
+            calls.append(cfg.mode)
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_pipeline", run_pipeline)
+        sets = [arg for override in overrides for arg in ("--set", override.replace("MISSING", missing))]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == code
+        assert capsys.readouterr().err == message.replace("MISSING", missing)
+        if code == 2:
+            assert calls == [] and not out.exists()
 
 
 class TestAblateOccCommands:

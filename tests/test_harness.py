@@ -30,6 +30,7 @@ from oodlab.harness import (
     run_single,
 )
 from oodlab.scoring import MetricReport
+from oodlab.training import MODES
 
 from conftest import TINY_DOC, fail_run_seed
 
@@ -302,7 +303,15 @@ class TestRunData:
         config = config_from_dict(tiny_doc)
         message = "data.few_shot: has 10 rows, fewer than the 16 few-shots to sample for sweep.counts"
         with pytest.raises(ConfigError, match=message):
-            RunData.materialize(config, "sweep.counts", config.sweep_counts[0])
+            RunData.materialize(config, MODES, "sweep.counts", config.sweep_counts[0])
+
+    def test_only_the_pools_the_modes_draw_are_read(self, tiny_doc):
+        tiny_doc["data"]["few_shot"]["size"] = 8  # fewer than the 16 few-shots to sample
+        config = config_from_dict(tiny_doc)
+        data = RunData.materialize(config, ["iii"], "few_shot_count", 8)
+        assert data.outlier is None and data.few_shot_pool.size == 8
+        data = RunData.materialize(config, ["i"], "few_shot_count", config.few_shot_count)
+        assert data.few_shot_pool is None and data.outlier.size == 128
 
 
 class TestAblation:
@@ -499,7 +508,7 @@ class TestCsvRoles:
             tiny_doc["data"][section] = spec
         config = config_from_dict(tiny_doc)
         with pytest.raises(ConfigError, match=f"data.{role}: has 3 columns, the normal data has dim 2"):
-            RunData.materialize(config, "few_shot_count", config.few_shot_count)
+            RunData.materialize(config, MODES, "few_shot_count", config.few_shot_count)
 
     @pytest.mark.parametrize("rows, width, message", [(0, 2, "has no rows"), (40, 3, "has 3 columns")])
     def test_bad_test_set_fails_before_training(self, tiny_doc, tmp_path, monkeypatch, rows, width, message):
@@ -631,7 +640,7 @@ def test_a_dataset_spec_either_loads_and_materializes_or_is_a_config_error(csv_d
     dim = config.normal.dim
     need = config.sweep_counts[0]
     try:
-        data = RunData.materialize(config, "sweep.counts", need)
+        data = RunData.materialize(config, MODES, "sweep.counts", need)
     except ConfigError as e:
         if role == "few_shot" and spec["kind"] != "csv":  # a pool's size is checked where it is sampled
             assert spec["size"] < need
