@@ -186,7 +186,7 @@ class RunData:
         if few_shot is not None and few_shot.size < need:
             raise ConfigError(f"data.few_shot: has {few_shot.size} rows, fewer than the {need} few-shots to sample for {key}")
         return cls(
-            normals, len(np.unique(normals.labels)), few_shot,
+            normals, len(set(normals.labels.tolist())), few_shot,
             _outlier_pool(config, "data.outlier", config.outlier if "outlier" in drawn else None, normals),
             materialize_eval_in(config), materialize_test_sets(config),
         )
@@ -397,7 +397,9 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     populated). Few-shot outliers come from the other classes of the training
     draw; test-time OoD are the other classes of a held-out draw. A mode
     that draws the outlier set without ``data.outlier`` is a ConfigError,
-    and ``data.outlier`` is read only for a mode that draws it. Every
+    and ``data.outlier`` is read only for a mode that draws it, once for
+    every class (a low-frequency-noise set once per class, from that
+    class's normals). Every
     class's data is built and its OoD set checked as a test set
     (``_checked_test_set``), all before any class runs. Entries are labelled by
     class, each a stack of one; a class's failure is isolated by
@@ -406,16 +408,19 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     _require_pools(config.mode, outlier=config.outlier)
     train = generate_dataset(config.normal)
     holdout = _held_out_normals(config)
-    classes = sorted(int(c) for c in np.unique(train.labels))
+    classes = sorted(set(train.labels.tolist()))
     if len(classes) < 2:
         raise ValueError("one-class evaluation needs at least two classes to rotate through")
+    spec = config.outlier if "outlier" in NEGATIVES[config.mode] else None
+    # a low-frequency-noise set corrupts each class's own normals; any other is read once for every class
+    per_class = spec is not None and spec.kind == "low-frequency-noise"
+    shared = None if per_class else _outlier_pool(config, "data.outlier", spec)
     stacks = []
     for i, cls in enumerate(classes):
         mask, held = train.labels == cls, holdout.labels == cls
         normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
         pool = OutlierPool(train.inputs[~mask])
-        drawn = "outlier" in NEGATIVES[config.mode]
-        outlier = _outlier_pool(config, "data.outlier", config.outlier if drawn else None, normals)
+        outlier = _outlier_pool(config, "data.outlier", spec, normals) if per_class else shared
         out_set = _checked_test_set(config, f"data.normal: the OCC out-set of class {cls}", holdout.inputs[~held])
         data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": out_set})
         run_seed = config.seed + cls

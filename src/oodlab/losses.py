@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import LabeledBatch, LatentBatch, OutlierPool
+from .data import LatentBatch
 
 __all__ = [
     "LossWeights",
@@ -64,7 +64,10 @@ class LossWeights:
 # A core takes a stack's arrays with a leading entry axis as well: every
 # reduction runs along the trailing axes, row by row as for one entry, so a
 # stacked value and VJP hold each entry's own bits. The VJP then takes one
-# output gradient per entry.
+# output gradient per entry. The fused losses take a stack's batch the same
+# way, as one array with the entry axis first: classifier_loss each entry's
+# normals with its negatives below them, generator_loss each entry's
+# reference rows.
 
 def _over_rows(g, axes: int):
     """An upstream gradient with ``axes`` unit axes appended when it holds
@@ -312,48 +315,24 @@ def proximity_term(generated: Tensor, normal_reference: np.ndarray) -> Tensor:
     return _term(_proximity, generated, normal_reference)
 
 
-def _stacked_batches(model, groups, pools, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(E, rows, d)`` inputs (each entry's normals, then its
-    negatives when ``lam`` > 0) and ``(E, n)`` labels of a stack's
-    per-entry batches, which must all have one size and all draw negatives
-    or none; ``(rows, d)`` and ``(n,)`` for a model alone or a stack of
-    one, whose passes are 2-D."""
-    use_negatives = pools[0] is not None and pools[0].size > 0 and lam > 0
-    n, m = len(groups[0]), pools[0].size if use_negatives else 0
-    one = model.members[0] if model.members else model
-    parts = []
-    for batch, neg in zip(groups, pools):
-        draws = neg is not None and neg.size > 0 and lam > 0
-        if len(batch) != n or draws != use_negatives or (draws and neg.size != m):
-            raise ValueError("classifier_loss: every entry of a stack takes batches of one size, with negatives in all or none")
-        # each group is checked before stacking, which would raise numpy's error instead
-        one._check_input(batch.inputs)
-        parts.append(batch.inputs)
-        if use_negatives:
-            one._check_input(neg.inputs)
-            parts.append(neg.inputs)
-    lead = model.flat.data.shape[:-1]
-    inputs = np.concatenate(parts).reshape(*lead, n + m, model.input_dim)
-    return inputs, np.stack([batch.labels for batch in groups]).reshape(*lead, n)
+def classifier_loss(model, inputs: np.ndarray, labels, weights: LossWeights) -> Tensor:
+    """Cross-entropy over the first ``n = labels.shape[-1]`` rows of
+    ``inputs`` plus lam * negative training over the rows after them; pure
+    cross-entropy when there are none or lam is zero, which drops them. One
+    tape node over the model's flat parameter leaf: the negatives sit below
+    the normals for one forward and one backprop, so the gradient equals the
+    sum of the two terms' gradients up to the order of the weight-gradient
+    row sums.
 
-
-def classifier_loss(model, normals, negatives, weights: LossWeights) -> Tensor:
-    """Cross-entropy plus lam * negative training; pure cross-entropy when the
-    negative pool is empty or lam is zero. One tape node over the model's
-    flat parameter leaf: the negatives are stacked below the normals for one
-    forward and one backprop, so the gradient equals the sum of the two
-    terms' gradients up to the order of the weight-gradient row sums.
-
-    A stack (``Mlp.stack``) takes one LabeledBatch in ``normals`` and one
-    OutlierPool or None in ``negatives`` per entry, all of one shape; its
-    node holds one loss per entry (a scalar for a stack of one), each with
-    the bits of that entry's own loss.
+    ``inputs`` and ``labels`` carry the model's leading axes: ``(rows, d)``
+    and ``(n,)`` for a model alone or a stack of one, ``(E, rows, d)`` and
+    ``(E, n)`` for a stack (``Mlp.stack``) of E, whose node holds one loss
+    per entry, each with the bits of that entry's own loss.
     """
-    groups, pools = (normals, negatives) if model.members is not None else ((normals,), (negatives,))
-    if len(groups) != len(pools):
-        raise ValueError(f"classifier_loss: {len(groups)} normal batches for {len(pools)} negative pools")
-    inputs, labels = _stacked_batches(model, groups, pools, weights.lam)
+    labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[-1]
+    if weights.lam == 0:
+        inputs = inputs[..., :n, :]
     use_negatives = inputs.shape[-2] > n
     logits, cache = model.forward_with_cache(inputs)
     value, ce_vjp = _cross_entropy(logits[..., :n, :], labels)
@@ -385,34 +364,30 @@ def generator_loss(
     row of the normal reference; the pairing is reseeded per step from the
     LatentBatch's seed unless a pairing_seed is given.
 
-    Stacks (``Mlp.stack``) of generators and frozen classifiers take one
-    LatentBatch in ``latents`` and one reference chunk in
-    ``normal_reference`` per entry, all of one shape, each paired by its own
-    latent seed (so no ``pairing_seed``); the node holds one loss per entry.
-    A generator alone takes one LatentBatch and one reference chunk, and
-    the same path as lists of one.
+    A generator alone takes one LatentBatch and its reference rows as one
+    ``(q, d)`` array. A stack (``Mlp.stack``) of generators and frozen
+    classifiers takes one LatentBatch per entry, all of one shape, each
+    paired by its own latent seed (so no ``pairing_seed``), and the
+    reference with the stack's leading axes, ``(E, q, d)`` (``(q, d)`` for
+    a stack of one); the node holds one loss per entry.
     """
     if not frozen_classifier.is_frozen:
         raise ValueError("classifier must be frozen (grad tracking disabled) during generator training")
     if generator.members is None:
         if not isinstance(latents, LatentBatch):
             raise ValueError("generator_loss: a generator alone takes a LatentBatch")
-        latents, normal_reference = [latents], [normal_reference]
+        latents = [latents]
     elif pairing_seed is not None:
         raise ValueError("generator_loss: a stack pairs each entry by its own latent seed, so it takes no pairing_seed")
     else:
         latents, entries = list(latents), len(generator.members)
         if len(latents) != entries or not all(isinstance(z, LatentBatch) for z in latents):
             raise ValueError(f"generator_loss: a stack of {entries} takes {entries} LatentBatches")
-        if len(normal_reference) != entries:
-            raise ValueError(f"generator_loss: a stack of {entries} takes {entries} reference chunks")
     seeds = [pairing_seed if pairing_seed is not None else (*np.ravel(z.seed).tolist(), 0x9E37) for z in latents]
     # np.stack, not a reshape: an entry of the wrong width must reach the width checks below
-    lead = generator.flat.data.shape[:-1]
     values = np.stack([z.values for z in latents], dtype=np.float64)
-    values = values.reshape(lead + values.shape[1:])
-    reference = np.stack(normal_reference, dtype=np.float64)
-    reference = reference.reshape(lead + reference.shape[1:])
+    values = values.reshape(generator.flat.data.shape[:-1] + values.shape[1:])
+    reference = np.asarray(normal_reference, dtype=np.float64)
     outputs, gen_cache = generator.forward_with_cache(values)
     value, disp_vjp = _dispersion(outputs, values, weights.delta)
     dom_vjp = prox_vjp = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, check_gradients, grad_check
-from .data import LabeledBatch, LatentBatch, OutlierPool
+from .data import LatentBatch
 from .losses import (
     LossWeights,
     classifier_loss,
@@ -116,15 +116,14 @@ def _check_classifier_loss(rng, h, rel_tol):
         n, d, k, hidden = _dims(rng)
         activation = "relu" if rng.integers(0, 2) else "tanh"
         model = MlpClassifier([d, hidden, k], activation=activation, seed=int(rng.integers(0, 2**31)))
-        normals = LabeledBatch(rng.normal(0.0, 1.0, (n, d)), rng.integers(0, k, n))
+        normals, labels = rng.normal(0.0, 1.0, (n, d)), rng.integers(0, k, n)
         m = int(rng.integers(1, 5))
-        negatives = OutlierPool(rng.normal(0.0, 1.5, (m, d)))
-        stacked = np.concatenate([normals.inputs, negatives.inputs])
-        logits = model.forward_array(negatives.inputs)
-        if _net_margins_ok(model, stacked) and _rowmax_gap_ok(logits):
+        negatives = rng.normal(0.0, 1.5, (m, d))
+        inputs = np.concatenate([normals, negatives])
+        if _net_margins_ok(model, inputs) and _rowmax_gap_ok(model.forward_array(negatives)):
             weights = LossWeights(lam=float(rng.uniform(0.2, 2.0)))
             return check_gradients(
-                lambda: classifier_loss(model, normals, negatives, weights),
+                lambda: classifier_loss(model, inputs, labels, weights),
                 model.parameters(),
                 h,
                 rel_tol,

@@ -167,13 +167,17 @@ def _epoch_rng(*key) -> np.random.Generator:
     return np.random.default_rng(tuple(int(k) for k in key))
 
 
-def _draw_negatives(pools, m_total: int, rng) -> np.ndarray | None:
+def _drawn_pools(pools, lam: float) -> list:
+    """The pools among ``pools`` (OutlierPool or None) that an entry draws
+    negatives from: the nonempty ones, and none when ``lam`` is 0."""
+    return [p for p in pools if p is not None and p.size > 0] if lam > 0 else []
+
+
+def _draw_negatives(pools, m_total: int, rng) -> np.ndarray:
     """Evenly split negative mini-batch of ``m_total`` >= 1 rows
-    (``TrainSchedule.batch_m``) over the nonempty pools (with replacement),
-    remainder to the earliest pools; None when every pool is empty."""
-    pools = [p for p in pools if p is not None and p.size > 0]
-    if not pools:
-        return None
+    (``TrainSchedule.batch_m``) over ``pools``, one or more nonempty pools
+    (``_drawn_pools``), with replacement; the remainder goes to the earliest
+    pools."""
     base, extra = divmod(m_total, len(pools))
     parts = []
     for i, pool in enumerate(pools):
@@ -239,20 +243,23 @@ def train_classifier(
 ) -> list:
     """Mini-batch descent on classifier_loss; returns per-epoch mean loss.
 
-    ``negatives`` is a sequence of OutlierPool (empty/None pools are ignored,
-    leaving pure cross-entropy). Batch shuffling is reseeded per epoch, and
-    each epoch's negatives are drawn in batch order from the seed
-    ``(*prefix, epoch, 1)``. ``phase`` is ``"a"`` or ``"c"``; its row of
-    ``PHASES`` picks the schedule's epochs and learning rate, and the
-    default prefix of a model trained alone, ``(master_seed, index)``.
+    ``negatives`` is a sequence of OutlierPool; the step draws from the ones
+    ``_drawn_pools`` returns (none: pure cross-entropy). Batch shuffling is
+    reseeded per epoch, and each epoch's negatives are drawn in batch order
+    from the seed ``(*prefix, epoch, 1)``. ``phase`` is ``"a"`` or ``"c"``;
+    its row of ``PHASES`` picks the schedule's epochs and learning rate, and
+    the default prefix of a model trained alone, ``(master_seed, index)``.
 
     A stack (``Mlp.stack``) trains its entries in lockstep, one stacked step
     per batch. ``negatives`` and ``seed_prefix`` then hold one pool list and
-    one seed prefix per entry (every entry drawing negatives, or none), and
-    the result holds each entry's trace. Every entry keeps its own
-    shuffles, negative draws and Adam state, so its weights and trace are
-    those of training it alone, which is a stack of one. A TrainingError
-    in any entry (a non-finite loss or gradient) stops the whole stack.
+    one seed prefix per entry, and the result holds each entry's trace. A
+    stack whose entries do not all draw negatives, or all draw none, is a
+    ValueError before any step. Each step gathers the stack's normals and
+    labels with one index and stacks each entry's draw below its normals,
+    one array for ``classifier_loss``. Every entry keeps its own shuffles,
+    negative draws and Adam state, so its weights and trace are those of
+    training it alone, which is a stack of one. A TrainingError in any
+    entry (a non-finite loss or gradient) stops the whole stack.
     """
     if phase not in ("a", "c"):
         raise ValueError(f"unknown classifier phase {phase!r} (one of ('a', 'c'))")
@@ -264,18 +271,23 @@ def train_classifier(
         model, negatives, seed_prefix = type(model).stack([model]), [negatives], [prefix]
     if seed_prefix is None or not len(negatives) == len(seed_prefix) == len(model.members):
         raise ValueError("a stack needs one pool list and one seed prefix per entry")
-    pools = [list(p) if p else [] for p in negatives]
+    pools = [_drawn_pools(p or (), weights.lam) for p in negatives]
+    if any(pools) and not all(pools):
+        raise ValueError("every entry of a stack draws negatives, or none does")
+    lead = model.flat.data.shape[:-1]
     neg_rngs: list = []
 
     def batch_loss(epoch, b, picks):
-        if b == 0:
-            neg_rngs[:] = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
-        batches, negs = [], []
-        for idx, entry_pools, rng in zip(picks, pools, neg_rngs):
-            batches.append(LabeledBatch(normals.inputs[idx], normals.labels[idx]))
-            neg_inputs = _draw_negatives(entry_pools, schedule.batch_m, rng) if weights.lam > 0 else None
-            negs.append(OutlierPool(neg_inputs) if neg_inputs is not None else None)
-        return classifier_loss(model, batches, negs, weights)
+        idx = np.stack(picks)
+        inputs = normals.inputs[idx]
+        if pools[0]:
+            if b == 0:
+                neg_rngs[:] = [_epoch_rng(*prefix, epoch, 1) for prefix in seed_prefix]
+            draws = np.stack([_draw_negatives(p, schedule.batch_m, rng) for p, rng in zip(pools, neg_rngs)])
+            inputs = np.concatenate([inputs, draws], axis=1)
+        return classifier_loss(
+            model, inputs.reshape(*lead, -1, inputs.shape[-1]), normals.labels[idx].reshape(*lead, -1), weights
+        )
 
     traces = _descend(model, seed_prefix, schedule, phase, len(normals), schedule.batch_n, batch_loss)
     return traces[0] if alone else traces
@@ -323,7 +335,8 @@ def train_generator(
             sample_latent((*[int(k) for k in prefix], epoch, b, 2), schedule.latent_n, generator.latent_dim)
             for prefix in seed_prefix
         ]
-        return generator_loss(generator, classifier, latents, [normal_inputs[idx] for idx in picks], weights)
+        reference = normal_inputs[np.stack(picks)].reshape(*generator.flat.data.shape[:-1], -1, normal_inputs.shape[1])
+        return generator_loss(generator, classifier, latents, reference, weights)
 
     traces = _descend(generator, seed_prefix, schedule, "b", n, min(schedule.proximity_q, n), batch_loss)
     if not np.array_equal(before, classifier.flat.data):
@@ -426,14 +439,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             traces[e].setdefault(f"phase_{phase}", []).extend(trace)
 
     def classifier_phase(phase: str, names, *alt) -> None:
-        def draws(e):
-            return weights.lam > 0 and any(pools[e].get(name) is not None and pools[e][name].size > 0 for name in names)
-
-        for group in ([e for e in everyone if draws(e)], [e for e in everyone if not draws(e)]):
+        drawn = [_drawn_pools([pools[e].get(name) for name in names], weights.lam) for e in everyone]
+        for group in ([e for e in everyone if drawn[e]], [e for e in everyone if not drawn[e]]):
             if group:
                 run_phase(phase, group, lambda: train_classifier(
                     MlpClassifier.stack([classifiers[e] for e in group]), cfg.normals,
-                    [[pools[e].get(name) for name in names] for e in group], weights, schedule,
+                    [drawn[e] for e in group], weights, schedule,
                     phase=phase, seed_prefix=[(seeds[e], PHASES[phase][2], *alt) for e in group],
                 ))
 

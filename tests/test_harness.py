@@ -1,6 +1,10 @@
 import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,49 @@ class TestRunData:
         result = run(config)
         assert len(result.entries) > 1 and not result.failures
         assert sum(reads) == 1
+
+    @pytest.mark.parametrize(
+        "outlier, reads",
+        [
+            (None, 1),
+            # a low-frequency-noise set corrupts each class's own normals
+            ({"kind": "low-frequency-noise", "dim": 2, "size": 48, "seed": 17, "amplitude": 1.5, "window": 2}, 3),
+        ],
+        ids=["uniform-noise", "low-frequency-noise"],
+    )
+    def test_occ_reads_the_outlier_set_once(self, tiny_doc, monkeypatch, outlier, reads):
+        if outlier is not None:
+            tiny_doc["data"]["outlier"] = outlier
+        config = config_from_dict(tiny_doc, overrides=["mode=iv"])
+        real, built = harness.generate_dataset, []
+
+        def generate_dataset(spec, normals=None):
+            built.append(spec == config.outlier)
+            return real(spec, normals=normals)
+
+        monkeypatch.setattr(harness, "generate_dataset", generate_dataset)
+        result = run_occ(config)
+        assert len(result.entries) == 3 and not result.failures
+        assert sum(built) == reads
+
+    def test_a_sweep_leaves_numpy_ma_unimported(self, tiny_config_path):
+        """Counting classes with ``np.unique`` would import numpy.ma (12 ms
+        and 1.2 MiB in every process); a fresh interpreter shows it, as the
+        test process may hold numpy.ma already."""
+        package_root = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+        def loads_numpy_ma(code: str) -> bool:
+            probe = f"import sys\n{code}\nprint('numpy.ma' in sys.modules)"
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+            return out.stdout.split()[-1] == "True"
+
+        if loads_numpy_ma("import numpy"):
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert not loads_numpy_ma(
+            "from oodlab.config import load_config\nfrom oodlab.harness import run_fewshot_sweep\n"
+            f"assert not run_fewshot_sweep(load_config({str(tiny_config_path)!r})).failures"
+        )
 
     @pytest.mark.parametrize("few_shot_count", [16, 4])
     def test_a_few_shot_csv_shorter_than_any_count_to_sample_is_a_config_error(self, tiny_doc, tmp_path, few_shot_count):

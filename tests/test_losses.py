@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oodlab import autodiff as ad
 from oodlab.autodiff import Tensor
-from oodlab.data import LabeledBatch, LatentBatch, OutlierPool
+from oodlab.data import LabeledBatch, LatentBatch
 from oodlab.losses import (
     LossWeights,
     classifier_loss,
@@ -106,22 +106,23 @@ class TestNegativeTraining:
 
 class TestClassifierLoss:
     def _setup(self, lam=1.0):
+        """A model, 5 labelled normals, and the normals with 4 negatives below them."""
         rng = np.random.default_rng(5)
         model = MlpClassifier([2, 6, 2], activation="tanh", seed=3)
         normals = LabeledBatch(rng.normal(size=(5, 2)), rng.integers(0, 2, 5))
-        negatives = OutlierPool(rng.normal(size=(4, 2)))
-        return model, normals, negatives, LossWeights(lam=lam)
+        inputs = np.concatenate([normals.inputs, rng.normal(size=(4, 2))])
+        return model, normals, inputs, LossWeights(lam=lam)
 
     def test_lambda_zero_equals_pure_cross_entropy(self):
-        model, normals, negatives, _ = self._setup()
-        with_neg = classifier_loss(model, normals, negatives, LossWeights(lam=0.0)).item()
+        model, normals, inputs, _ = self._setup()
+        with_neg = classifier_loss(model, inputs, normals.labels, LossWeights(lam=0.0)).item()
         ce = cross_entropy_term(model.forward_logits(normals.inputs), normals.labels).item()
         assert with_neg == ce
 
     def test_empty_pool_equals_pure_cross_entropy(self):
+        """An empty pool draws no negatives: the batch is the normals alone."""
         model, normals, _, weights = self._setup()
-        empty = OutlierPool(np.zeros((0, 2)))
-        loss = classifier_loss(model, normals, empty, weights).item()
+        loss = classifier_loss(model, normals.inputs, normals.labels, weights).item()
         ce = cross_entropy_term(model.forward_logits(normals.inputs), normals.labels).item()
         assert loss == ce
 
@@ -129,15 +130,13 @@ class TestClassifierLoss:
         model = MlpClassifier([2, 2], seed=0)
         for p in model.parameters():
             p.data[...] = 0.0
-        normals = LabeledBatch(np.zeros((1, 2)), [0])
-        negatives = OutlierPool(np.zeros((1, 2)))
-        loss = classifier_loss(model, normals, negatives, LossWeights(lam=1.0)).item()
+        loss = classifier_loss(model, np.zeros((2, 2)), [0], LossWeights(lam=1.0)).item()
         assert loss == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        model, normals, negatives, weights = self._setup(lam=0.7)
+        model, normals, inputs, weights = self._setup(lam=0.7)
         report = ad.check_gradients(
-            lambda: classifier_loss(model, normals, negatives, weights),
+            lambda: classifier_loss(model, inputs, normals.labels, weights),
             model.parameters(),
         )
         assert report.passed, str(report)
@@ -334,8 +333,12 @@ class TestOneNodeLosses:
         rng = np.random.default_rng(21)
         model = MlpClassifier([2, 16, 16, 3], activation=activation, seed=8)
         normals = LabeledBatch(rng.normal(size=(rows, 2)), rng.integers(0, 3, rows))
-        negatives = OutlierPool(rng.uniform(-1.5, 1.5, (rows, 2)))
+        negatives = rng.uniform(-1.5, 1.5, (rows, 2))
         return model, normals, negatives, LossWeights(lam=0.7)
+
+    @staticmethod
+    def _loss(model, normals, negatives, weights):
+        return classifier_loss(model, np.concatenate([normals.inputs, negatives]), normals.labels, weights)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("rows", [64, 24])
@@ -343,13 +346,13 @@ class TestOneNodeLosses:
         """The stacked pass sums the weight gradients over both groups' rows
         at once, so they match the two-forward composition up to rounding."""
         model, normals, negatives, weights = self._classifier(activation, rows)
-        fused = classifier_loss(model, normals, negatives, weights)
+        fused = self._loss(model, normals, negatives, weights)
         ad.backward(fused)
         fused_grads = [p.grad.copy() for p in model.parameters()]
         model.zero_grad()
         composed = ad.add(
             cross_entropy_term(model.forward_logits(normals.inputs), normals.labels),
-            ad.scalar_mul(negative_training_term(model.forward_logits(negatives.inputs)), weights.lam),
+            ad.scalar_mul(negative_training_term(model.forward_logits(negatives)), weights.lam),
         )
         ad.backward(composed)
         np.testing.assert_allclose(fused.data, composed.data, rtol=1e-12, atol=1e-15)
@@ -371,18 +374,17 @@ class TestOneNodeLosses:
 
         for name in ("forward_with_cache", "backprop"):
             monkeypatch.setattr(model, name, counted(name))
-        ad.backward(classifier_loss(model, normals, negatives, weights))
+        ad.backward(self._loss(model, normals, negatives, weights))
         assert calls == ["forward_with_cache", "backprop"]
 
     @pytest.mark.parametrize("wide", ["normals", "negatives"])
     def test_classifier_loss_rejects_a_group_of_another_width(self, wide):
-        model, normals, negatives, weights = self._classifier("relu", 8)
-        if wide == "normals":
-            normals = LabeledBatch(np.zeros((8, 3)), normals.labels)
-        else:
-            negatives = OutlierPool(np.zeros((5, 3)))
+        """One batch array of the wrong width, the normals alone or with 5
+        negatives below them."""
+        model, normals, _, weights = self._classifier("relu", 8)
+        rows = 8 if wide == "normals" else 13
         with pytest.raises(ad.ShapeMismatchError, match="classifier-forward"):
-            classifier_loss(model, normals, negatives, weights)
+            classifier_loss(model, np.zeros((rows, 3)), normals.labels, weights)
 
     def test_generator_loss_matches_composed_terms(self):
         rng = np.random.default_rng(22)
@@ -412,7 +414,7 @@ class TestOneNodeLosses:
 
     def test_one_step_makes_at_most_two_tape_tensors(self):
         model, normals, negatives, weights = self._classifier("tanh", 64)
-        assert _tape_tensors_made(lambda: ad.backward(classifier_loss(model, normals, negatives, weights))) <= 2
+        assert _tape_tensors_made(lambda: ad.backward(self._loss(model, normals, negatives, weights))) <= 2
         generator = BoundaryGenerator([2, 8, 2], seed=1)
         model.freeze()
         latents = LatentBatch(np.random.default_rng(2).normal(size=(8, 2)), seed=2)

@@ -110,18 +110,19 @@ def test_stacked_losses_equal_each_entry_alone(entries):
     clf, clf_alone = _stack_of(MlpClassifier, entries, [2, 16, 16, 3], "tanh")
     gen, gen_alone = _stack_of(BoundaryGenerator, entries, [2, 16, 16, 2], "tanh")
     weights = losses.LossWeights(lam=0.7, mu=1.0, nu=0.3)
-    normals = [LabeledBatch(rng.normal(size=(24, 2)), rng.integers(0, 3, 24)) for _ in range(entries)]
-    negatives = [OutlierPool(rng.uniform(-1.5, 1.5, (64, 2))) for _ in range(entries)]
+    # each entry's 24 labelled normals with its 64 negatives below them
+    inputs = np.concatenate([rng.normal(size=(entries, 24, 2)), rng.uniform(-1.5, 1.5, (entries, 64, 2))], axis=1)
+    labels = rng.integers(0, 3, (entries, 24))
     latents = [LatentBatch(rng.normal(size=(16, 2)), seed=(4, e)) for e in range(entries)]
-    references = [rng.normal(size=(32, 2)) for _ in range(entries)]
-    clf_loss = losses.classifier_loss(clf, normals, negatives, weights)
+    references = rng.normal(size=(entries, 32, 2))
+    clf_loss = losses.classifier_loss(clf, _as_stacked(clf, inputs), _as_stacked(clf, labels), weights)
     (clf_grad,) = clf_loss.vjp(np.ones(clf_loss.shape))
     clf.freeze()
-    gen_loss = losses.generator_loss(gen, clf, latents, references, weights)
+    gen_loss = losses.generator_loss(gen, clf, latents, _as_stacked(gen, references), weights)
     (gen_grad,) = gen_loss.vjp(np.ones(gen_loss.shape))
     clf_loss, clf_grad, gen_loss, gen_grad = (_per_entry(entries, a) for a in (clf_loss.data, clf_grad, gen_loss.data, gen_grad))
     for e in range(entries):
-        one = losses.classifier_loss(clf_alone[e], normals[e], negatives[e], weights)
+        one = losses.classifier_loss(clf_alone[e], inputs[e], labels[e], weights)
         assert _bits(clf_loss[e], clf_grad[e]) == _bits(one.data, one.vjp(np.ones(()))[0])
         clf_alone[e].freeze()
         one = losses.generator_loss(gen_alone[e], clf_alone[e], latents[e], references[e], weights)
@@ -133,31 +134,33 @@ def test_a_stack_s_losses_reject_batches_that_are_not_one_per_entry():
     clf, _ = _stack_of(MlpClassifier, 2, [2, 8, 3], "tanh")
     gen, _ = _stack_of(BoundaryGenerator, 2, [2, 8, 2], "tanh")
     weights = losses.LossWeights()
-    normals = [LabeledBatch(rng.normal(size=(n, 2)), np.zeros(n, dtype=np.int64)) for n in (8, 6)]
-    with pytest.raises(ValueError, match="batches of one size"):
-        losses.classifier_loss(clf, normals, [None, None], weights)
-    normals = [normals[0], normals[0]]
-    with pytest.raises(ValueError, match="negatives in all or none"):
-        losses.classifier_loss(clf, normals, [OutlierPool(rng.normal(size=(4, 2))), None], weights)
-    with pytest.raises(ValueError, match="batches of one size"):
-        losses.classifier_loss(clf, normals, [OutlierPool(rng.normal(size=(n, 2))) for n in (4, 5)], weights)
+    inputs, labels = rng.normal(size=(2, 12, 2)), np.zeros((2, 8), dtype=np.int64)
+    with pytest.raises(ad.ShapeMismatchError, match="classifier-forward"):
+        losses.classifier_loss(clf, inputs[:1], labels[:1], weights)
+    with pytest.raises(ad.ShapeMismatchError, match="classifier-forward"):
+        losses.classifier_loss(clf, inputs[0], labels[0], weights)
+    with pytest.raises(ad.ShapeMismatchError, match="classifier-forward"):
+        losses.classifier_loss(clf, rng.normal(size=(2, 12, 3)), labels, weights)
+    with pytest.raises(ad.ShapeMismatchError, match="cross_entropy_term"):
+        losses.classifier_loss(clf, inputs, labels[:1], weights)
     clf.freeze()
     latents = [LatentBatch(rng.normal(size=(8, 2)), seed=(1, e)) for e in range(2)]
-    references = [rng.normal(size=(8, 2))] * 2
+    references = rng.normal(size=(2, 8, 2))
     with pytest.raises(ValueError, match="no pairing_seed"):
         losses.generator_loss(gen, clf, latents, references, weights, pairing_seed=3)
     with pytest.raises(ValueError, match="takes 2 LatentBatches"):
         losses.generator_loss(gen, clf, [z.values for z in latents], references, weights)
     with pytest.raises(ValueError, match="takes 2 LatentBatches"):
         losses.generator_loss(gen, clf, latents[:1], references, weights)
-    with pytest.raises(ValueError, match="takes 2 reference chunks"):
-        losses.generator_loss(gen, clf, latents, references[:1], weights)
+    for mu in (1.0, 0.0):  # with and without the dominance pass over the reference
+        with pytest.raises(ad.ShapeMismatchError):
+            losses.generator_loss(gen, clf, latents, references[:1], losses.LossWeights(mu=mu))
     # each entry's own width is checked, not reshaped away: (4, 3) latents are not (6, 2) ones
     wide = [LatentBatch(rng.normal(size=(4, 3)), seed=(1, e)) for e in range(2)]
     with pytest.raises(ad.ShapeMismatchError, match="generator-forward"):
         losses.generator_loss(gen, clf, wide, references, weights)
     with pytest.raises(ad.ShapeMismatchError):
-        losses.generator_loss(gen, clf, latents, [rng.normal(size=(8, 3))] * 2, weights)
+        losses.generator_loss(gen, clf, latents, rng.normal(size=(2, 8, 3)), weights)
 
 
 def test_a_stack_shares_its_members_memory():
@@ -329,6 +332,43 @@ def test_one_entry_going_non_finite_stops_its_stack(poison, message):
             stack, cfg.normals, [[few] for _, few in cfg.entries], cfg.weights, cfg.schedule,
             phase="a", seed_prefix=[(seed, 0) for seed, _ in cfg.entries],
         )
+
+
+def test_a_stack_step_is_one_classifier_loss_over_one_array(monkeypatch):
+    """Each lockstep step gathers the stack's normals and stacks every
+    entry's negative draw below them: one call, one ``(E, n + m, d)`` batch
+    and ``(E, n)`` labels."""
+    cfg = _three_runs()
+    stack = MlpClassifier.stack([MlpClassifier([2, 8, 3], activation="tanh", seed=s) for s, _ in cfg.entries])
+    calls = []
+    real = training.classifier_loss
+
+    def recording(model, inputs, labels, weights):
+        calls.append((type(inputs), inputs.shape, labels.shape))
+        return real(model, inputs, labels, weights)
+
+    monkeypatch.setattr(training, "classifier_loss", recording)
+    training.train_classifier(
+        stack, cfg.normals, [[few] for _, few in cfg.entries], cfg.weights, cfg.schedule,
+        phase="a", seed_prefix=[(seed, 0) for seed, _ in cfg.entries],
+    )
+    n, m = cfg.schedule.batch_n, cfg.schedule.batch_m
+    steps = cfg.schedule.phase_a_epochs * -(-len(cfg.normals) // n)
+    assert calls == [(np.ndarray, (3, n + m, 2), (3, n))] * steps
+
+
+def test_a_stack_mixing_drawing_and_non_drawing_entries_is_rejected_before_any_step(monkeypatch):
+    cfg = _three_runs()
+    stack = MlpClassifier.stack([MlpClassifier([2, 8, 3], activation="tanh", seed=s) for s, _ in cfg.entries[:2]])
+    calls = []
+    monkeypatch.setattr(training, "classifier_loss", lambda *args: calls.append(args))
+    empty = OutlierPool(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="draws negatives, or none does"):
+        training.train_classifier(
+            stack, cfg.normals, [[cfg.entries[0][1]], [empty]], cfg.weights, cfg.schedule,
+            phase="a", seed_prefix=[(seed, 0) for seed, _ in cfg.entries[:2]],
+        )
+    assert calls == []
 
 
 def test_a_stack_with_a_failing_entry_raises_its_phase():

@@ -16,6 +16,7 @@ from oodlab.training import (
     TrainSchedule,
     TrainingError,
     _draw_negatives,
+    _drawn_pools,
     _epoch_rng,
     adam_step,
     run_pipeline,
@@ -454,13 +455,14 @@ def _reference_train_classifier(model, normals, pools, weights, schedule, prefix
     leaves = _leaves(model)
     state = AdamState.for_params(leaves, lr=schedule.lr_a)
     n, trace = len(normals), []
+    drawn = _drawn_pools(pools, weights.lam)
     for epoch in range(schedule.phase_a_epochs):
         perm = _epoch_rng(*prefix, epoch, 0).permutation(n)
         neg_rng = _epoch_rng(*prefix, epoch, 1)
         step_losses = []
         for start in range(0, n, schedule.batch_n):
             idx = perm[start : start + schedule.batch_n]
-            negatives = _draw_negatives(pools, schedule.batch_m, neg_rng) if weights.lam > 0 else None
+            negatives = _draw_negatives(drawn, schedule.batch_m, neg_rng) if drawn else None
             for p in leaves:
                 p.zero_grad()
             if negatives is None:
