@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="few-shot robustness sweep over sweep.counts")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep entries (default 1, deterministic order)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, each training its counts as one stack (default 1)")
 
     p = sub.add_parser("ablate", help="run ablation modes with one shared seed")
     _add_common(p)

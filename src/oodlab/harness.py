@@ -6,9 +6,13 @@ i uses seed = master seed + i, so each count reproduces in isolation. Result
 files contain only deterministic content; wall-clock metadata goes to a
 ``*.meta.json`` sidecar.
 
-Runs that share their data and differ only in few-shot count and seed train
-as one stack in lockstep (``training.run_pipeline`` with entries): a sweep
-trains the counts of each worker process as one stack, and a single run is
+Every multi-run command is a list of runs: ``run_fewshot_sweep`` lists one
+run per count, ``run_ablation`` one per mode and ``run_occ`` one per class.
+One planner, ``_run_entries``, turns a run list into lockstep stacks
+(``training.run_pipeline`` with entries): runs on the same RunData whose
+config overrides differ at most in ``few_shot_count`` share a stack, dealt
+round-robin to the worker processes, so a sweep trains the counts of each
+worker as one stack, while modes and classes train apart; a single run is
 a stack of one. Training a stack leaves every entry's weights, reports and
 result bytes equal to its run alone, and its failures too. One rule covers
 a stack from few-shot sampling to scoring: ``_run`` raises whatever stops
@@ -104,14 +108,18 @@ def _fresh_normal_draw(config: ExperimentConfig, seed: int, size: int) -> Labele
 def _outlier_pool(config: ExperimentConfig, key: str, spec, normals=None) -> OutlierPool | None:
     """The data of the spec at config ``key`` as an OutlierPool, None when
     the spec is; ``normals`` is a low-frequency-noise spec's base. A CSV
-    whose width is not the normal data's dim raises ConfigError naming the
-    key."""
+    whose width is not the normal data's dim, and a set other than the
+    few-shot pool with no rows (an empty outlier set would silently turn
+    mode i into plain cross-entropy and mode iv into mode iii), raise
+    ConfigError naming the key."""
     if spec is None:
         return None
     data = generate_dataset(spec, normals=normals)
     width = data.inputs.shape[1]
     if width != config.normal.dim:
         raise ConfigError(f"{key}: has {width} columns, the normal data has dim {config.normal.dim}")
+    if not len(data.inputs) and key != "data.few_shot":  # zero few-shots is the zero-shot setting
+        raise ConfigError(f"{key}: has no rows")
     return data if isinstance(data, OutlierPool) else OutlierPool(data.inputs)
 
 
@@ -212,29 +220,30 @@ def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> lis
     """Train one stack of runs on ``data`` in lockstep and score each run on
     every test set; returns each entry's RunRecord, models included.
 
-    An entry is ``(updates, run_seed, few_shots, run_id)``: it runs
+    An entry is ``(updates, run_seed, few_shots, name)``: it runs
     ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
-    few-shot pool when its mode draws one (None: the config's
-    ``few_shot_count``; a mode that draws none samples nothing), layers
-    from config.model and every draw seeded from ``run_seed``; ``run_id``
-    None is ``{mode}-n{count}-s{seed}-{fingerprint[:8]}``. The entries must share
-    everything but count and seed; the stack's settings are the first
-    entry's. Whatever stops any entry (an invalid config, a pool its mode
-    draws that ``data`` lacks, few-shots that cannot be sampled, a training
-    or a scoring error) raises and stops the whole stack; ``_isolated``
-    then runs each entry alone. An entry's wall seconds are the stack's
-    training time plus its own scoring time. With ``out_dir``, per-sample
-    scores go to ``scores/{run_id}_{test}.csv``.
+    few-shot pool when its mode draws one (a mode that draws none samples
+    nothing), layers from config.model and every draw seeded from
+    ``run_seed``. Its run id is ``{name}-n{few_shots}-s{run_seed}-{fingerprint[:8]}``,
+    the name None being the mode. The stack trains with its first entry's
+    mode, weights, schedule and boundary pool size; ``_run_entries`` stacks
+    only runs whose updates differ at most in ``few_shot_count``, which none
+    of those read, and ``run_single`` runs a stack of one. Whatever stops
+    any entry (an invalid config, a pool its mode draws that ``data`` lacks,
+    few-shots that cannot be sampled, a training or a scoring error) raises
+    and stops the whole stack; ``_isolated`` then runs each entry alone. An
+    entry's wall seconds are the stack's training time plus its own scoring
+    time. With ``out_dir``, per-sample scores go to
+    ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
     runs = []
-    for updates, run_seed, few_shots, run_id in entries:
+    for updates, run_seed, count, name in entries:
         cfg = config.with_updates(**updates) if updates else config
         _require_pools(cfg.mode, few_shot=data.few_shot_pool, outlier=data.outlier)
-        count = cfg.few_shot_count if few_shots is None else few_shots
         drawn = "few_shot" in NEGATIVES[cfg.mode]
         few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5)) if drawn else None
-        run_id = run_id or f"{cfg.mode}-n{cfg.few_shot_count}-s{run_seed}-{cfg.fingerprint[:8]}"
+        run_id = f"{name or cfg.mode}-n{count}-s{run_seed}-{cfg.fingerprint[:8]}"
         runs.append((cfg, count, run_seed, run_id, few_shot))
     first = runs[0][0]
     d = data.normals.dim
@@ -286,7 +295,7 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     """
     run_seed = config.seed if run_seed is None else run_seed
     data = RunData.materialize(config, [config.mode], "few_shot_count", config.few_shot_count)
-    return _run(config, data, [({}, run_seed, None, None)], out_dir)[0]
+    return _run(config, data, [({}, run_seed, config.few_shot_count, None)], out_dir)[0]
 
 
 def _isolated(task) -> list[RunRecord | str]:
@@ -306,13 +315,27 @@ def _isolated(task) -> list[RunRecord | str]:
         return [_isolated((config, data, [entry], *rest))[0] for entry in entries]
 
 
-def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: list, jobs: int = 1) -> SweepResult:
-    """Run the entries labelled ``labels`` into one record, in label order.
-    Each of ``stacks`` is ``(positions in labels, task)``, run through
-    ``_isolated`` serially or over ``jobs`` processes, never more processes
-    than stacks. An interrupt cancels the stacks not yet started."""
-    workers = min(jobs, len(stacks))
-    tasks = [task for _, task in stacks]
+def _run_entries(command: str, config: ExperimentConfig, runs: list, out_dir, jobs: int = 1) -> SweepResult:
+    """The planner of every multi-run command: train and score ``runs`` of
+    ``config`` into one record, in run order.
+
+    A run is ``(label, data, updates, run_seed, few_shots, name)``: a
+    ``_run`` entry on the RunData ``data``, labelled by its count, mode or
+    class. Runs on the same ``data`` whose ``updates`` differ at most in
+    ``few_shot_count`` can share a lockstep stack; seeds and counts may
+    differ. Each such group is dealt round-robin to at most ``jobs``
+    stacks, so a worker trains its runs of a group as one stack. The stacks
+    run through ``_isolated`` serially or over ``jobs`` processes, never
+    more processes than stacks. An interrupt cancels the stacks not yet
+    started."""
+    groups: dict = {}
+    for i, (_, data, updates, *_) in enumerate(runs):
+        shared = sorted((key, value) for key, value in updates.items() if key != "few_shot_count")
+        groups.setdefault((id(data), repr(shared)), []).append(i)  # repr: an override may be a list or a dict
+    jobs = max(1, jobs)
+    stacks = [group[w::jobs] for group in groups.values() for w in range(min(jobs, len(group)))]
+    tasks = [(config, runs[stack[0]][1], [runs[i][2:] for i in stack], out_dir) for stack in stacks]
+    workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -324,13 +347,13 @@ def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: l
             pool.shutdown(cancel_futures=True)
     else:
         outcomes = [_isolated(task) for task in tasks]
-    done: list = [None] * len(labels)
-    for (positions, _), recs in zip(stacks, outcomes):
-        for i, rec in zip(positions, recs):
-            done[i] = rec
+    done = {}
+    for stack, recs in zip(stacks, outcomes):
+        done.update(zip(stack, recs))
+    labelled = [(run[0], done[i]) for i, run in enumerate(runs)]
     return SweepResult(
-        entries=[(label, rec) for label, rec in zip(labels, done) if isinstance(rec, RunRecord)],
-        failures={label: rec for label, rec in zip(labels, done) if isinstance(rec, str)},
+        entries=[(label, rec) for label, rec in labelled if isinstance(rec, RunRecord)],
+        failures={label: rec for label, rec in labelled if isinstance(rec, str)},
         fingerprint=config.fingerprint,
         command=command,
     )
@@ -338,12 +361,12 @@ def _run_entries(command: str, config: ExperimentConfig, labels: list, stacks: l
 
 def run_ablation(config: ExperimentConfig, modes=MODES, out_dir=None) -> SweepResult:
     """Run each requested mode with the identical seed, labelled by mode;
-    the data is read once for all of them, each mode is a stack of one and
-    failures are isolated by ``_isolated``, so a mode whose pool the config
-    lacks fails alone."""
+    the data is read once for all of them. Runs of different modes never
+    share a stack, and a mode whose pool the config lacks fails alone
+    (``_isolated``)."""
     data = RunData.materialize(config, modes, "few_shot_count", config.few_shot_count)
-    stacks = [([i], (config, data, [({"mode": mode}, config.seed, None, None)], out_dir)) for i, mode in enumerate(modes)]
-    return _run_entries("ablate", config, list(modes), stacks)
+    runs = [(mode, data, {"mode": mode}, config.seed, config.few_shot_count, None) for mode in modes]
+    return _run_entries("ablate", config, runs, out_dir)
 
 
 def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> SweepResult:
@@ -353,20 +376,17 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     A pool the mode draws that the config lacks is a ConfigError before any
     data is read. The data is read once for every count, so a few-shot pool
     too short for the largest count is a ConfigError before any training.
-    The counts are dealt round-robin to ``min(jobs, len(counts))`` workers,
-    and each worker trains its counts as one stack in lockstep. Entries failing are isolated
-    into .failures by ``_isolated``; the rest of the sweep still runs.
+    The counts differ only in ``few_shot_count`` and seed, so
+    ``_run_entries`` deals them round-robin to ``min(jobs, len(counts))``
+    workers, each training its counts as one stack in lockstep. Entries
+    failing are isolated into .failures by ``_isolated``; the rest of the
+    sweep still runs.
     """
     counts = config.sweep_counts
     _require_pools(config.mode, few_shot=config.few_shot, outlier=config.outlier)
     data = RunData.materialize(config, [config.mode], "sweep.counts", counts[0])
-    workers = max(1, min(jobs, len(counts)))
-    stacks = []
-    for w in range(workers):
-        positions = list(range(w, len(counts), workers))
-        entries = [({"few_shot_count": counts[i]}, config.seed + i, None, None) for i in positions]
-        stacks.append((positions, (config, data, entries, out_dir)))
-    return _run_entries("sweep", config, counts, stacks, jobs)
+    runs = [(c, data, {"few_shot_count": c}, config.seed + i, c, None) for i, c in enumerate(counts)]
+    return _run_entries("sweep", config, runs, out_dir, jobs)
 
 
 def detect_break_point(sweep: SweepResult, floor: float = 0.55) -> dict[str, int | None]:
@@ -401,9 +421,9 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     every class (a low-frequency-noise set once per class, from that
     class's normals). Every
     class's data is built and its OoD set checked as a test set
-    (``_checked_test_set``), all before any class runs. Entries are labelled by
-    class, each a stack of one; a class's failure is isolated by
-    ``_isolated``.
+    (``_checked_test_set``), all before any class runs. Runs are labelled by
+    class; each has its own RunData, so each is a stack of one, and a
+    class's failure is isolated by ``_isolated``.
     """
     _require_pools(config.mode, outlier=config.outlier)
     train = generate_dataset(config.normal)
@@ -415,19 +435,16 @@ def run_occ(config: ExperimentConfig, out_dir=None) -> SweepResult:
     # a low-frequency-noise set corrupts each class's own normals; any other is read once for every class
     per_class = spec is not None and spec.kind == "low-frequency-noise"
     shared = None if per_class else _outlier_pool(config, "data.outlier", spec)
-    stacks = []
-    for i, cls in enumerate(classes):
+    runs = []
+    for cls in classes:
         mask, held = train.labels == cls, holdout.labels == cls
         normals = LabeledBatch(train.inputs[mask], np.zeros(int(mask.sum()), dtype=np.int64))
         pool = OutlierPool(train.inputs[~mask])
         outlier = _outlier_pool(config, "data.outlier", spec, normals) if per_class else shared
         out_set = _checked_test_set(config, f"data.normal: the OCC out-set of class {cls}", holdout.inputs[~held])
         data = RunData(normals, 2, pool, outlier, holdout.inputs[held], {"occ": out_set})
-        run_seed = config.seed + cls
-        count = min(config.few_shot_count, pool.size)
-        run_id = f"occ{cls}-n{count}-s{run_seed}-{config.fingerprint[:8]}"
-        stacks.append(([i], (config, data, [({}, run_seed, count, run_id)], out_dir)))
-    return _run_entries("occ", config, classes, stacks)
+        runs.append((cls, data, {}, config.seed + cls, min(config.few_shot_count, pool.size), f"occ{cls}"))
+    return _run_entries("occ", config, runs, out_dir)
 
 
 # --- report emission ---------------------------------------------------------

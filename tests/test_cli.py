@@ -505,6 +505,36 @@ class TestModePools:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert calls == [] and not list(out.glob("**/*.json"))
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [(["train"], ["mode=i"]), (["ablate", "--modes", "i,iv"], []), (["occ"], ["mode=iv"])],
+        ids=["train-i", "ablate-i-iv", "occ-iv"],
+    )
+    def test_an_outlier_set_with_no_rows_exits_2_before_training(
+        self, tiny_config_path, tmp_path, capsys, monkeypatch, command, overrides
+    ):
+        """An empty outlier set would turn mode i into plain cross-entropy
+        and mode iv into mode iii; a command whose modes draw it stops."""
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x0,x1\n", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(harness, "run_pipeline", calls.append)
+        outlier = json.dumps({"kind": "csv", "path": str(empty)})
+        sets = [arg for override in [*overrides, f"data.outlier={outlier}"] for arg in ("--set", override)]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == 2
+        assert capsys.readouterr().err == "config error: data.outlier: has no rows\n"
+        assert calls == [] and not list(out.glob("**/*.json"))
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep"]])
+    def test_a_few_shot_pool_with_no_rows_is_the_zero_shot_setting(self, tiny_config_path, tmp_path, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x0,x1\n", encoding="utf-8")
+        few_shot = json.dumps({"kind": "csv", "path": str(empty)})
+        sets = ["--set", f"data.few_shot={few_shot}", "--set", "few_shot_count=0", "--set", "sweep.counts=[0]"]
+        out = tmp_path / "o"
+        assert dispatch([*command, "--config", str(tiny_config_path), *sets, "--out", str(out), "-q"]) == 0
+
 
     # data.outlier set to a CSV that does not exist
     MISSING = 'data.outlier={"kind":"csv","path":"MISSING"}'

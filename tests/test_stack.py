@@ -7,6 +7,7 @@ so a stacked pass, loss term or training step must equal the per-entry one
 bit for bit, under any OpenBLAS kernel.
 """
 
+import concurrent.futures
 import copy
 
 import numpy as np
@@ -18,7 +19,7 @@ from oodlab import autodiff as ad
 from oodlab import harness, losses, training
 from oodlab.config import config_from_dict
 from oodlab.data import LabeledBatch, LatentBatch, OutlierPool
-from oodlab.harness import run_fewshot_sweep, run_single
+from oodlab.harness import run_ablation, run_fewshot_sweep, run_occ, run_single
 from oodlab.nets import BoundaryGenerator, MlpClassifier
 
 
@@ -276,19 +277,110 @@ def test_a_failure_before_or_after_training_fails_only_its_entry(tiny_doc, monke
     assert [(c, rec.to_dict()) for c, rec in sweep.entries] == [(c, rec.to_dict()) for c, rec in clean.entries if c != 4]
 
 
-def test_a_sweep_trains_each_worker_s_counts_as_one_stack(tiny_doc, monkeypatch):
-    """One ``run_pipeline`` call per stack, holding every count of the sweep."""
+@pytest.mark.parametrize("command", ["ablate", "occ"])
+def test_every_ablate_mode_and_occ_class_equals_its_run_alone(tiny_doc, monkeypatch, command):
+    """The planner keeps runs of different modes or data apart: each mode of
+    an ablation has the record and classifier bytes of ``run_single`` in
+    that mode, and each OCC class those of its run trained alone by
+    ``_run``, outside the planner."""
     config = config_from_dict(tiny_doc)
-    stacks = []
-    real = harness.run_pipeline
+    if command == "ablate":
+        result = run_ablation(config)
+        alone = {mode: run_single(config.with_updates(mode=mode)) for mode in training.MODES}
+    else:
+        planned, real = [], harness._run_entries
+
+        def recording(command, config, runs, *rest):
+            planned.extend(runs)
+            return real(command, config, runs, *rest)
+
+        monkeypatch.setattr(harness, "_run_entries", recording)
+        result = run_occ(config)
+        alone = {run[0]: harness._run(config, run[1], [run[2:]], None)[0] for run in planned}
+    assert not result.failures and [label for label, _ in result.entries] == list(alone)
+    for label, rec in result.entries:
+        assert rec.to_dict() == alone[label].to_dict()
+        assert rec.result.classifier.flat.data.tobytes() == alone[label].result.classifier.flat.data.tobytes()
+
+
+def _recorded_stacks(monkeypatch) -> tuple[list, list]:
+    """Wrap ``harness.run_pipeline``, and run the process pool in this
+    process so that every worker's stacks are seen. Returns the list that
+    gets each stack's ``(mode, entry seeds)`` as it trains, and the list
+    that gets each pool's size."""
+    stacks, started, real = [], [], harness.run_pipeline
 
     def recording(cfg):
-        stacks.append([seed for seed, _ in cfg.entries])
+        stacks.append((cfg.mode, [seed for seed, _ in cfg.entries]))
         return real(cfg)
 
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(harness, "run_pipeline", recording)
-    run_fewshot_sweep(config)
-    assert stacks == [[config.seed, config.seed + 1, config.seed + 2]]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # where _run_entries imports it
+    return stacks, started
+
+
+@pytest.mark.parametrize(
+    "jobs, dealt, pool",
+    [(1, [[0, 1, 2]], []), (2, [[0, 2], [1]], [2]), (5, [[0], [1], [2]], [3])],
+    ids=["jobs-1", "jobs-2", "jobs-5"],
+)
+def test_a_sweep_trains_each_worker_s_counts_as_one_stack(tiny_doc, monkeypatch, jobs, dealt, pool):
+    """One ``run_pipeline`` call per stack: counts differ only in
+    ``few_shot_count`` and seed, so they are dealt round-robin and each
+    worker trains its share as one stack, at one job, at two and at more
+    jobs than counts; the records stay in count order."""
+    config = config_from_dict(tiny_doc)
+    stacks, started = _recorded_stacks(monkeypatch)
+    sweep = run_fewshot_sweep(config, jobs=jobs)
+    assert stacks == [("iii", [config.seed + i for i in stack]) for stack in dealt]
+    assert started == pool
+    assert [c for c, _ in sweep.entries] == config.sweep_counts
+
+
+@pytest.mark.parametrize("command", ["ablate", "occ"])
+def test_runs_of_different_modes_or_data_never_share_a_stack(tiny_doc, monkeypatch, command):
+    config = config_from_dict(tiny_doc)
+    stacks, _ = _recorded_stacks(monkeypatch)
+    if command == "ablate":
+        run_ablation(config)
+        assert stacks == [(mode, [config.seed]) for mode in training.MODES]
+    else:
+        run_occ(config)
+        assert stacks == [("iii", [config.seed + cls]) for cls in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 9])
+def test_the_planner_stacks_runs_by_data_and_updates_but_for_the_count(tiny_doc, monkeypatch, jobs):
+    """One plan mixing what may share a stack with what may not: runs on
+    one RunData whose updates differ only in ``few_shot_count`` (seeds 0, 2
+    and 4) share one stack per worker; a run in another mode (seed 1) and
+    a run on another RunData (seed 3) each train apart."""
+    config = config_from_dict(tiny_doc)
+    data = harness.RunData.materialize(config, training.MODES, "sweep.counts", 16)
+    other = harness.RunData.materialize(config, training.MODES, "sweep.counts", 16)
+    runs = [
+        ("a", data, {"few_shot_count": 16}, 0, 16, None),
+        ("b", data, {"few_shot_count": 16, "mode": "ii"}, 1, 16, None),
+        ("c", data, {"few_shot_count": 4}, 2, 4, None),
+        ("d", other, {"few_shot_count": 4}, 3, 4, None),
+        ("e", data, {"few_shot_count": 0}, 4, 0, None),
+    ]
+    stacks, _ = _recorded_stacks(monkeypatch)
+    result = harness._run_entries("sweep", config, runs, None, jobs)
+    shared = {1: [[0, 2, 4]], 2: [[0, 4], [2]], 9: [[0], [2], [4]]}[jobs]
+    assert stacks == [("iii", stack) for stack in shared] + [("ii", [1]), ("iii", [3])]
+    assert not result.failures and [label for label, _ in result.entries] == list("abcde")
+    assert [rec.seed for _, rec in result.entries] == [0, 1, 2, 3, 4]
 
 
 def _three_runs(poisoned: int | None = None) -> training.PipelineConfig:
