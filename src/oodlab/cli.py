@@ -56,7 +56,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="dotted-key config override (repeatable), e.g. --set sweep.counts=8,4,0",
+        help="dotted-key config override (repeatable), e.g. --set sweep.counts=8,4,0; "
+        "a one-item list is written in JSON: --set 'sweep.counts=[8]'",
     )
     parser.add_argument("--out", default=None, help=f"output directory (default ${_OUT_ENV} or ./runs)")
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress progress lines on stderr")

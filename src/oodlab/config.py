@@ -112,10 +112,10 @@ def _merge_document(raw: dict) -> dict:
     if not isinstance(tests, dict):
         raise ConfigError("data.tests: must be an object")
     merged["data"] = {
-        "normal": _merge(_DATASET_DEFAULTS, data.get("normal") or {}, "data.normal"),
+        "normal": _merge(_DATASET_DEFAULTS, data.get("normal", {}), "data.normal"),
         "few_shot": None if data.get("few_shot") is None else _merge(_DATASET_DEFAULTS, data["few_shot"], "data.few_shot"),
         "outlier": None if data.get("outlier") is None else _merge(_DATASET_DEFAULTS, data["outlier"], "data.outlier"),
-        "tests": {name: _merge(_DATASET_DEFAULTS, spec or {}, f"data.tests.{name}") for name, spec in tests.items()},
+        "tests": {name: _merge(_DATASET_DEFAULTS, spec, f"data.tests.{name}") for name, spec in tests.items()},
     }
     return merged
 

@@ -51,6 +51,7 @@ __all__ = [
     "ibp_logit_bounds",
     "certified_max_confidence",
     "evaluate_ood",
+    "report_scores",
 ]
 
 
@@ -145,18 +146,19 @@ def anomaly_scores(model, x: np.ndarray) -> np.ndarray:
 
 
 def _rank_auroc(in_scores: np.ndarray, out_scores: np.ndarray) -> float:
-    """Mann-Whitney AUROC by fractional-rank summation, ties counted 1/2."""
+    """Mann-Whitney AUROC, ties counted 1/2, by counting where each
+    out-score falls among the sorted in-scores (which may come unsorted).
+
+    ``left`` in-scores lie below an out-score and ``right`` at or below it,
+    so it contributes n - (left + right) / 2 to U = n m - (sum left + sum
+    right) / 2. Every term is a whole or half integer, so U is exact: the
+    same float the rank-sum statistic gives.
+    """
     n, m = in_scores.size, out_scores.size
-    combined = np.concatenate([in_scores, out_scores])
-    order = np.argsort(combined, kind="mergesort")
-    sorted_vals = combined[order]
-    # each run of equal scores [i, j] in sorted order shares the rank 0.5 * (i + j) + 1
-    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
-    ends = np.append(starts[1:], n + m) - 1
-    ranks = np.empty(n + m, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    u = ranks[:n].sum() - n * (n + 1) / 2.0
-    return float(u / (n * m))
+    ranked = np.sort(in_scores)
+    left = np.searchsorted(ranked, out_scores, side="left")
+    right = np.searchsorted(ranked, out_scores, side="right")
+    return float((n * m - (left.sum() + right.sum()) / 2.0) / (n * m))
 
 
 def auroc(scores: ScoreSet) -> float:
@@ -348,13 +350,13 @@ def evaluate_ood(
     fingerprint: str = "",
     dump_csv=None,
 ) -> MetricReport:
-    """Score both sets and report AUROC, AAUROC, and GAUROC in one pass.
+    """Score both sets with the model and report AUROC, AAUROC, and GAUROC.
 
-    Only out-samples are attacked/certified; in-samples stay clean. The PGD
-    attack runs at its default seed, 0, so a report is a pure function of
-    the model, the sets and the budget. When dump_csv is given, per-sample
-    scores are written as sample_id,set,clean_score,adv_score,cert_upper at
-    17 significant digits.
+    Only out-samples are attacked/certified; in-samples stay clean, and are
+    scored before the attack runs. The PGD attack runs at its default seed,
+    0, so a report is a pure function of the model, the sets and the budget.
+    ``report_scores`` ranks the four score arrays and, when dump_csv is
+    given, writes the per-sample dump.
     """
     in_inputs = np.atleast_2d(np.asarray(in_inputs, dtype=np.float64))
     out_inputs = np.atleast_2d(np.asarray(out_inputs, dtype=np.float64))
@@ -369,25 +371,33 @@ def evaluate_ood(
     out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget)
     lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
     out_cert = certified_max_confidence(lo, hi)
+    return report_scores(in_clean, out_clean, out_adv, out_cert, budget, fingerprint=fingerprint, dump_csv=dump_csv)
 
-    clean = ScoreSet(in_clean, out_clean)
-    adversarial = ScoreSet(in_clean, out_adv)
-    certified = ScoreSet(in_clean, out_cert)
+
+def report_scores(
+    in_scores, out_clean, out_adv, out_cert, budget: RobustnessBudget, *, fingerprint: str, dump_csv
+) -> MetricReport:
+    """The report of any detector's scores: ``in_scores`` on the in-set and,
+    row for row on the out-set, its clean, adversarial and certified scores.
+
+    Each out-array is checked against the in-scores as a ``ScoreSet`` and
+    ranked by ``auroc``. When dump_csv is given, per-sample scores are
+    written as sample_id,set,clean_score,adv_score,cert_upper at 17
+    significant digits; an in-sample's three columns repeat its one score.
+    """
+    clean, adversarial, certified = (ScoreSet(in_scores, out) for out in (out_clean, out_adv, out_cert))
+    sizes = [clean.out_scores.size, adversarial.out_scores.size, certified.out_scores.size]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"out-score arrays differ in length (clean, adversarial, certified): {sizes}")
     report = MetricReport(
-        auroc=auroc(clean),
-        aauroc=auroc(adversarial),
-        gauroc=auroc(certified),
-        epsilon=budget.epsilon,
-        tau=budget.tau,
-        n_in=len(in_inputs),
-        n_out=len(out_inputs),
-        fingerprint=fingerprint,
+        auroc=auroc(clean), aauroc=auroc(adversarial), gauroc=auroc(certified), epsilon=budget.epsilon, tau=budget.tau,
+        n_in=clean.in_scores.size, n_out=sizes[0], fingerprint=fingerprint,
     )
     if dump_csv is not None:
         # each in-score is formatted once; one %-template covers all out-rows
         # (its %d prints the float row index as an integer)
-        ins = "".join(f"in-{i},in,{v},{v},{v}\n" for i, v in enumerate("%.17g" % s for s in in_clean.tolist()))
-        rows = np.column_stack([np.arange(len(out_clean)), out_clean, out_adv, certified.out_scores])
+        ins = "".join(f"in-{i},in,{v},{v},{v}\n" for i, v in enumerate("%.17g" % s for s in clean.in_scores.tolist()))
+        rows = np.column_stack([np.arange(report.n_out), clean.out_scores, adversarial.out_scores, certified.out_scores])
         outs = ("out-%d,out,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
         Path(dump_csv).write_text("sample_id,set,clean_score,adv_score,cert_upper\n" + ins + outs, encoding="utf-8")
     return report

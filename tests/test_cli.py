@@ -168,6 +168,23 @@ class TestConfigErrors:
         assert err.startswith("config error:") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("data.tests.ring=null", "data.tests.ring: must be an object, got None"),
+            ("data.tests.ring=0", "data.tests.ring: must be an object, got 0"),
+            ("data.normal=null", "data.normal: must be an object, got None"),
+            ("data.normal=0", "data.normal: must be an object, got 0"),
+        ],
+    )
+    def test_a_falsy_dataset_spec_exits_2_naming_its_own_key(self, tiny_config_path, tmp_path, capsys, override, message):
+        # a null spec is not the default mixture, whose missing means a user never wrote
+        out = tmp_path / "o"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), "--set", override, "--out", str(out), "-q"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_train_with_a_csv_of_the_wrong_width_exits_2_naming_the_key(self, tiny_doc, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         save_csv(OutlierPool(np.random.default_rng(0).uniform(-1, 1, (40, 3))), wide)
@@ -300,6 +317,12 @@ class TestSweepCommand:
         assert (out / "break_points.json").exists()
         assert sorted(p.name for p in (out / "plots").glob("*.csv"))
         assert not (out / "experiment.json").exists()  # sweep writes it only when an entry failed
+
+    def test_one_count_is_a_one_item_json_list(self, tiny_config_path, tmp_path):
+        out = tmp_path / "runs"
+        code = dispatch(["sweep", "--config", str(tiny_config_path), "--set", "sweep.counts=[8]", "--out", str(out), "-q"])
+        assert code == 0
+        assert len(list(out.glob("*.result.json"))) == 1
 
     def test_repeat_invocation_is_byte_identical(self, tiny_config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

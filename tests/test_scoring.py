@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodlab import nets
@@ -15,6 +15,7 @@ from oodlab.scoring import (
     evaluate_ood,
     ibp_logit_bounds,
     pgd_max_confidence_batch,
+    report_scores,
 )
 from oodlab.losses import _max_softmax
 from oodlab.scoring import _ball, _rank_auroc
@@ -527,6 +528,29 @@ class TestEvaluate:
         ]
         assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
+    def test_report_and_dump_are_report_scores_of_the_public_pieces(self, tmp_path):
+        model, in_set, out_set = self._sets(seed=3)
+        budget = RobustnessBudget(epsilon=0.05, pgd_steps=5, input_box=(-2.0, 4.0))
+        got = evaluate_ood(model, in_set, out_set, budget, fingerprint="fp", dump_csv=tmp_path / "a.csv")
+        out_clean, out_adv = pgd_max_confidence_batch(model, out_set, budget)
+        out_cert = certified_max_confidence(*ibp_logit_bounds(model, out_set, budget.epsilon, input_box=budget.input_box))
+        want = report_scores(
+            anomaly_scores(model, in_set), out_clean, out_adv, out_cert, budget, fingerprint="fp", dump_csv=tmp_path / "b.csv"
+        )
+        assert got == want
+        assert (want.n_in, want.n_out, want.epsilon, want.tau) == (20, 20, 0.05, 0.5)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_report_scores_checks_each_array(self):
+        budget = RobustnessBudget(epsilon=0.05)
+        ins, outs = np.array([0.9, 0.8]), np.array([0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match=r"differ in length \(clean, adversarial, certified\): \[3, 3, 2\]"):
+            report_scores(ins, outs, outs, outs[:2], budget, fingerprint="", dump_csv=None)
+        with pytest.raises(ValueError, match="out_scores has a non-finite value at index 1"):
+            report_scores(ins, outs, np.array([0.2, np.nan, 0.4]), outs, budget, fingerprint="", dump_csv=None)
+        with pytest.raises(ValueError, match="ordering"):
+            report_scores(ins, outs, np.ones(3), outs, budget, fingerprint="", dump_csv=None)
+
     def test_rows_outside_the_input_box_rejected_naming_the_row(self):
         model, in_set, out_set = self._sets()
         budget = RobustnessBudget(epsilon=0.05, input_box=(-1.0, 3.0))
@@ -625,11 +649,21 @@ def _loop_rank_auroc(in_scores, out_scores):
     return float((ranks[:n].sum() - n * (n + 1) / 2.0) / (n * m))
 
 
-_TIED_SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.9, 1.0]), min_size=1, max_size=60)
+_TIED_SCORES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.9, 1.0]),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=400,
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_TIED_SCORES, _TIED_SCORES)
+@example([0.5], [0.5])
+@example([0.25], [0.1, 0.9, 0.25])
+@example([0.1, 0.9, 0.25, -0.0], [0.0])
 def test_rank_auroc_equals_the_tie_loop(in_scores, out_scores):
     a, b = np.array(in_scores), np.array(out_scores)
     assert _rank_auroc(a, b) == _loop_rank_auroc(a, b)
