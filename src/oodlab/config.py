@@ -102,15 +102,15 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 def _merge_document(raw: dict) -> dict:
     top = {k: v for k, v in raw.items() if k != "data"}
     merged = _merge(DEFAULTS, top)
-    data = raw.get("data") or {}
+    data = raw.get("data", {})
     if not isinstance(data, dict):
-        raise ConfigError("data: must be an object")
+        raise ConfigError(f"data: must be an object, got {data!r}")
     for key in data:
         if key not in _DATA_ROLES:
             raise ConfigError(f"unknown config key 'data.{key}'")
-    tests = data.get("tests") or {}
+    tests = data.get("tests", {})
     if not isinstance(tests, dict):
-        raise ConfigError("data.tests: must be an object")
+        raise ConfigError(f"data.tests: must be an object, got {tests!r}")
     merged["data"] = {
         "normal": _merge(_DATASET_DEFAULTS, data.get("normal", {}), "data.normal"),
         "few_shot": None if data.get("few_shot") is None else _merge(_DATASET_DEFAULTS, data["few_shot"], "data.few_shot"),

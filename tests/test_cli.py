@@ -175,6 +175,10 @@ class TestConfigErrors:
             ("data.tests.ring=0", "data.tests.ring: must be an object, got 0"),
             ("data.normal=null", "data.normal: must be an object, got None"),
             ("data.normal=0", "data.normal: must be an object, got 0"),
+            ("data=null", "data: must be an object, got None"),
+            ("data=0", "data: must be an object, got 0"),
+            ("data.tests=null", "data.tests: must be an object, got None"),
+            ("data.tests=0", "data.tests: must be an object, got 0"),
         ],
     )
     def test_a_falsy_dataset_spec_exits_2_naming_its_own_key(self, tiny_config_path, tmp_path, capsys, override, message):

@@ -1,7 +1,12 @@
 import copy
+import ctypes
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oodlab import autodiff as ad
+from oodlab import nets
 from oodlab.data import LatentBatch
 from oodlab.losses import cross_entropy_term
 from oodlab.nets import BoundaryGenerator, MlpClassifier, load_checkpoint, save_checkpoint
@@ -330,3 +336,65 @@ def test_backprop_leaves_the_output_gradient_and_cache_unchanged(activation, inp
     model.backprop(cache, g, np.empty_like(model.flat.data), inputs=inputs)
     assert g.tobytes() == g_before
     assert [(h.tobytes(), wt.tobytes()) for h, wt in cache] == cache_before
+
+
+_HAS_MALLOPT = os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from oodlab.nets import Mlp, MlpClassifier
+from oodlab.scoring import RobustnessBudget, pgd_max_confidence_batch
+{setup}
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range({repeats}):
+    run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _minor_faults(setup: str, repeats: int) -> int:
+    """Minor page faults of ``repeats`` calls of the ``run`` that ``setup``
+    defines, after one warm-up call, in a fresh interpreter: the heap policy
+    is set at import, and this process's heap history (earlier tests) moves
+    glibc's default thresholds."""
+    package_root = str(Path(nets.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    probe = _FAULT_PROBE.format(setup=textwrap.dedent(setup), repeats=repeats)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return int(out.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not _HAS_MALLOPT, reason="glibc's mallopt is not available")
+def test_stacked_passes_reuse_their_heap_pages():
+    # a sweep's six-entry classifier stack on a 128-row batch: each pass frees
+    # 295 KiB activations, which glibc's default thresholds unmap or trim and
+    # fault back in on the next pass (about 280 faults per pass)
+    setup = """
+        stack = Mlp.stack([MlpClassifier([2, 48, 48, 3], activation="tanh", seed=s) for s in range(6)])
+        rng = np.random.default_rng(0)
+        x, g = rng.normal(size=(6, 128, 2)), rng.normal(size=(6, 128, 3))
+        grad = np.empty_like(stack.flat.data)
+
+        def run():
+            _, cache = stack.forward_with_cache(x)
+            stack.backprop(cache, g, grad)
+    """
+    assert _minor_faults(setup, 50) < 50
+
+
+@pytest.mark.skipif(not _HAS_MALLOPT, reason="glibc's mallopt is not available")
+def test_a_large_pgd_attack_reuses_its_heap_pages():
+    setup = """
+        model = MlpClassifier([2, 48, 48, 3], activation="tanh", seed=1)
+        xs = np.random.default_rng(2).uniform(-1, 1, (4096, 2))
+        budget = RobustnessBudget(epsilon=0.05, pgd_steps=40)
+
+        def run():
+            pgd_max_confidence_batch(model, xs, budget)
+    """
+    assert _minor_faults(setup, 1) < 50
+
+
+def test_keep_heap_leaves_a_library_without_mallopt_alone():
+    nets._keep_heap(object())  # returns without calling or raising
