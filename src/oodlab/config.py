@@ -152,7 +152,7 @@ def _apply_override(doc: dict, key: str, value) -> None:
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config key '{key}'")
-    node[leaf] = value
+    node[leaf] = copy.deepcopy(value)  # a later override may write into it
 
 
 @dataclass
@@ -182,14 +182,11 @@ class ExperimentConfig:
         canonical = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def with_updates(self, **top_level) -> "ExperimentConfig":
-        """New config with top-level document keys replaced and re-validated."""
-        doc = copy.deepcopy(self.document)
-        for key, value in top_level.items():
-            if key not in doc:
-                raise ConfigError(f"unknown config key '{key}'")
-            doc[key] = value
-        return build_config(doc)
+    def with_updates(self, **overrides) -> "ExperimentConfig":
+        """This config with ``overrides`` applied as ``--set`` applies them:
+        dotted keys, a replaced section taking its defaults, the same
+        fingerprint. ``with_updates(**{"weights.nu": 1.0})`` is ``--set weights.nu=1.0``."""
+        return config_from_dict(self.document, list(overrides.items()))
 
 
 def _int(value, key: str, lo: int | None = None) -> int:

@@ -8,16 +8,17 @@ files contain only deterministic content; wall-clock metadata goes to a
 
 Every multi-run command is a list of runs: ``run_fewshot_sweep`` lists one
 run per count, ``run_ablation`` one per mode and ``run_occ`` one per class.
-One planner, ``_run_entries``, turns a run list into lockstep stacks
-(``training.run_pipeline`` with entries): runs on the same RunData whose
-config overrides differ at most in ``few_shot_count`` share a stack, dealt
-round-robin to the worker processes, so a sweep trains the counts of each
-worker as one stack, while modes and classes train apart; a single run is
-a stack of one. Training a stack leaves every entry's weights, reports and
-result bytes equal to its run alone, and its failures too. One rule covers
-a stack from few-shot sampling to scoring: ``_run`` raises whatever stops
-any entry, and ``_isolated`` then runs the stack's entries again one by
-one, so only the run at fault fails.
+One planner, ``_run_entries``, resolves each run's config once and turns
+the run list into lockstep stacks (``training.run_pipeline`` with entries):
+runs on the same RunData whose resolved configs differ at most in
+``few_shot_count`` share a stack, dealt round-robin to the worker
+processes, so a sweep trains the counts of each worker as one stack, while
+modes and classes train apart; a single run is a stack of one. Training a
+stack leaves every entry's weights, reports and result bytes equal to its
+run alone, and its failures too. One rule covers a stack from few-shot
+sampling to scoring: ``_run`` raises whatever stops any entry, and
+``_isolated`` then runs the stack's entries again one by one, so only the
+run at fault fails.
 """
 
 from __future__ import annotations
@@ -216,36 +217,35 @@ def score_test_sets(
     }
 
 
-def _run(config: ExperimentConfig, data: RunData, entries: list, out_dir) -> list[RunRecord]:
+def _run(data: RunData, entries: list, out_dir) -> list[RunRecord]:
     """Train one stack of runs on ``data`` in lockstep and score each run on
     every test set; returns each entry's RunRecord, models included.
 
-    An entry is ``(updates, run_seed, few_shots, name)``: it runs
-    ``config.with_updates(**updates)`` with ``few_shots`` sampled from the
-    few-shot pool when its mode draws one (a mode that draws none samples
-    nothing), layers from config.model and every draw seeded from
-    ``run_seed``. Its run id is ``{name}-n{few_shots}-s{run_seed}-{fingerprint[:8]}``,
-    the name None being the mode. The stack trains with its first entry's
-    mode, weights, schedule and boundary pool size; ``_run_entries`` stacks
-    only runs whose updates differ at most in ``few_shot_count``, which none
-    of those read, and ``run_single`` runs a stack of one. Whatever stops
-    any entry (an invalid config, a pool its mode draws that ``data`` lacks,
-    few-shots that cannot be sampled, a training or a scoring error) raises
-    and stops the whole stack; ``_isolated`` then runs each entry alone. An
-    entry's wall seconds are the stack's training time plus its own scoring
-    time. With ``out_dir``, per-sample scores go to
-    ``scores/{run_id}_{test}.csv``.
+    An entry is ``(config, run_seed, few_shots, name)``, its config already
+    resolved: it samples ``few_shots`` from the few-shot pool when its mode
+    draws one and records the count it drew, so a mode that draws none
+    samples nothing and records 0. Layers come from config.model and every
+    draw is seeded from ``run_seed``. Its run id is
+    ``{name}-n{drawn}-s{run_seed}-{fingerprint[:8]}``, the name None being
+    the mode. The stack trains with its first entry's mode, model, weights,
+    schedule and boundary pool size; ``_run_entries`` stacks only runs
+    whose configs differ at most in ``few_shot_count``, which none of those
+    read, and ``run_single`` runs a stack of one. Whatever stops any entry
+    (a pool its mode draws that ``data`` lacks, few-shots that cannot be
+    sampled, a training or a scoring error) raises and stops the whole
+    stack; ``_isolated`` then runs each entry alone. An entry's wall
+    seconds are the stack's training time plus its own scoring time. With
+    ``out_dir``, per-sample scores go to ``scores/{run_id}_{test}.csv``.
     """
     t0 = time.perf_counter()
+    first = entries[0][0]
+    _require_pools(first.mode, few_shot=data.few_shot_pool, outlier=data.outlier)
+    drawn = "few_shot" in NEGATIVES[first.mode]
     runs = []
-    for updates, run_seed, count, name in entries:
-        cfg = config.with_updates(**updates) if updates else config
-        _require_pools(cfg.mode, few_shot=data.few_shot_pool, outlier=data.outlier)
-        drawn = "few_shot" in NEGATIVES[cfg.mode]
+    for cfg, run_seed, count, name in entries:
+        count = count if drawn else 0
         few_shot = sample_few_shots(data.few_shot_pool, count, seed=(run_seed, 5)) if drawn else None
-        run_id = f"{name or cfg.mode}-n{count}-s{run_seed}-{cfg.fingerprint[:8]}"
-        runs.append((cfg, count, run_seed, run_id, few_shot))
-    first = runs[0][0]
+        runs.append((cfg, count, run_seed, f"{name or cfg.mode}-n{count}-s{run_seed}-{cfg.fingerprint[:8]}", few_shot))
     d = data.normals.dim
     model = first.model
     results = run_pipeline(
@@ -295,7 +295,7 @@ def run_single(config: ExperimentConfig, run_seed: int | None = None, out_dir=No
     """
     run_seed = config.seed if run_seed is None else run_seed
     data = RunData.materialize(config, [config.mode], "few_shot_count", config.few_shot_count)
-    return _run(config, data, [({}, run_seed, config.few_shot_count, None)], out_dir)[0]
+    return _run(data, [(config, run_seed, config.few_shot_count, None)], out_dir)[0]
 
 
 def _isolated(task) -> list[RunRecord | str]:
@@ -304,37 +304,43 @@ def _isolated(task) -> list[RunRecord | str]:
     message, and a stack of several runs each entry alone through
     ``_isolated``, so only the entry at fault fails, with the message of its
     run alone. A rerun entry's wall seconds are its own run-alone time.
-    ``task`` is one picklable tuple ``(config, data, entries, out_dir)``, so
-    a process pool can map this."""
+    ``task`` is one picklable tuple ``(data, entries, out_dir)`` of resolved
+    entries, so a process pool can map this."""
     try:
         return _run(*task)
     except Exception as e:
-        config, data, entries, *rest = task
+        data, entries, out_dir = task
         if len(entries) == 1:
             return [f"{type(e).__name__}: {e}"]
-        return [_isolated((config, data, [entry], *rest))[0] for entry in entries]
+        return [_isolated((data, [entry], out_dir))[0] for entry in entries]
 
 
 def _run_entries(command: str, config: ExperimentConfig, runs: list, out_dir, jobs: int = 1) -> SweepResult:
     """The planner of every multi-run command: train and score ``runs`` of
     ``config`` into one record, in run order.
 
-    A run is ``(label, data, updates, run_seed, few_shots, name)``: a
-    ``_run`` entry on the RunData ``data``, labelled by its count, mode or
-    class. Runs on the same ``data`` whose ``updates`` differ at most in
-    ``few_shot_count`` can share a lockstep stack; seeds and counts may
-    differ. Each such group is dealt round-robin to at most ``jobs``
-    stacks, so a worker trains its runs of a group as one stack. The stacks
-    run through ``_isolated`` serially or over ``jobs`` processes, never
-    more processes than stacks. An interrupt cancels the stacks not yet
-    started."""
+    A run is ``(label, data, updates, run_seed, few_shots, name)``,
+    labelled by its count, mode or class. Its config,
+    ``config.with_updates(**updates)`` (``--set`` keys), is resolved once,
+    here, before any stack starts, so an invalid update raises ConfigError
+    for the whole command; the run becomes the ``_run`` entry ``(config,
+    run_seed, few_shots, name)`` on the RunData ``data``. Runs on the same
+    ``data`` whose resolved documents differ at most in ``few_shot_count``
+    can share a lockstep stack; seeds and counts may differ. Each such
+    group is dealt round-robin to at most ``jobs`` stacks, so a worker
+    trains its runs of a group as one stack. The stacks run through
+    ``_isolated`` serially or over ``jobs`` processes, never more processes
+    than stacks. An interrupt cancels the stacks not yet started."""
     groups: dict = {}
-    for i, (_, data, updates, *_) in enumerate(runs):
-        shared = sorted((key, value) for key, value in updates.items() if key != "few_shot_count")
-        groups.setdefault((id(data), repr(shared)), []).append(i)  # repr: an override may be a list or a dict
+    entries = []
+    for i, (_, data, updates, *rest) in enumerate(runs):
+        cfg = config.with_updates(**updates)
+        entries.append((cfg, *rest))
+        shared = json.dumps({**cfg.document, "few_shot_count": None}, sort_keys=True)
+        groups.setdefault((id(data), shared), []).append(i)
     jobs = max(1, jobs)
     stacks = [group[w::jobs] for group in groups.values() for w in range(min(jobs, len(group)))]
-    tasks = [(config, runs[stack[0]][1], [runs[i][2:] for i in stack], out_dir) for stack in stacks]
+    tasks = [(runs[stack[0]][1], [entries[i] for i in stack], out_dir) for stack in stacks]
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool loads multiprocessing, which a serial run never needs
@@ -373,9 +379,11 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     """One pipeline + evaluation per count of ``sweep.counts`` (checked at
     config load), seeds varied per count.
 
-    A pool the mode draws that the config lacks is a ConfigError before any
-    data is read. The data is read once for every count, so a few-shot pool
-    too short for the largest count is a ConfigError before any training.
+    A mode that draws no few-shots (``NEGATIVES``), whose counts would
+    differ only by seed, and a pool the mode draws that the config lacks
+    are each a ConfigError before any data is read. The data is read once
+    for every count, so a few-shot pool too short for the largest count is
+    a ConfigError before any training.
     The counts differ only in ``few_shot_count`` and seed, so
     ``_run_entries`` deals them round-robin to ``min(jobs, len(counts))``
     workers, each training its counts as one stack in lockstep. Entries
@@ -383,6 +391,8 @@ def run_fewshot_sweep(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     sweep still runs.
     """
     counts = config.sweep_counts
+    if "few_shot" not in NEGATIVES[config.mode]:
+        raise ConfigError(f"sweep.counts: mode ({config.mode}) draws no few-shots, so there are no counts to sweep")
     _require_pools(config.mode, few_shot=config.few_shot, outlier=config.outlier)
     data = RunData.materialize(config, [config.mode], "sweep.counts", counts[0])
     runs = [(c, data, {"few_shot_count": c}, config.seed + i, c, None) for i, c in enumerate(counts)]

@@ -107,9 +107,11 @@ def reference_sweeps(reference_config):
 
 
 @pytest.fixture(scope="session")
-def reference_ablation(reference_config):
-    """Modes (iii) and (iv) at the reference few-shot count, one shared seed."""
-    out = {}
-    for mode in ("iii", "iv"):
-        out[mode] = run_single(reference_config.with_updates(mode=mode), run_seed=reference_config.seed)
-    return out
+def reference_ablation(reference_config, reference_sweeps):
+    """Modes (iii) and (iv) at the reference few-shot count, one shared seed.
+    Mode (iii)'s run is the mode (iii) sweep's first entry: the same config,
+    count and seed."""
+    sweep = reference_sweeps["iii"]
+    assert sweep.entries[0][0] == reference_config.few_shot_count and reference_config.mode == "iii"
+    iv = run_single(reference_config.with_updates(mode="iv"), run_seed=reference_config.seed)
+    return {"iii": sweep.entries[0][1], "iv": iv}

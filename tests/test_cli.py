@@ -573,7 +573,10 @@ class TestModePools:
         [
             (["train"], ["mode=i", "data.few_shot.size=8", "few_shot_count=16"], 0, ""),
             (["ablate", "--modes", "i"], ["data.few_shot.size=8", "few_shot_count=16"], 0, ""),
-            (["sweep"], ["mode=i", "data.few_shot.size=8", "sweep.counts=16,0"], 0, ""),
+            (
+                ["sweep"], ["mode=i", "data.few_shot.size=8", "sweep.counts=16,0"], 2,
+                "config error: sweep.counts: mode (i) draws no few-shots, so there are no counts to sweep\n",
+            ),
             (["train"], [MISSING], 0, ""),
             (["sweep"], ["mode=ii", MISSING], 0, ""),
             (["occ"], [MISSING], 0, ""),

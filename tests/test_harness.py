@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import csv
 import json
 import os
@@ -36,7 +37,7 @@ from oodlab.harness import (
 from oodlab.scoring import MetricReport
 from oodlab.training import MODES
 
-from conftest import TINY_DOC, fail_run_seed
+from conftest import REFERENCE_CONFIG, TINY_DOC, fail_run_seed
 
 
 def _fake_sweep(curve: dict[int, float], test_set: str = "t") -> SweepResult:
@@ -195,6 +196,23 @@ class TestConfig:
     def test_a_key_under_a_null_dataset_spec_fills_in_its_defaults(self, tiny_doc):
         config = config_from_dict(tiny_doc, overrides=["data.outlier=null", "data.outlier.kind=ring"])
         assert config.outlier == DatasetSpec(kind="ring")
+
+    def test_with_updates_fills_a_partial_section_with_its_defaults(self, reference_config):
+        config = reference_config.with_updates(eval={"in_size": 5})
+        assert config.eval_in_size == 5 and config.eval_in_seed_offset == DEFAULTS["eval"]["in_seed_offset"]
+
+    def test_with_updates_names_an_unknown_nested_key(self, reference_config):
+        with pytest.raises(ConfigError, match=r"^unknown config key 'schedule\.lr_aa'$"):
+            reference_config.with_updates(schedule={"lr_aa": 1})
+
+    def test_with_updates_takes_a_dotted_key(self, reference_config):
+        want = copy.deepcopy(reference_config.document)
+        want["weights"]["nu"] = 1.0
+        config = reference_config.with_updates(**{"weights.nu": 1.0})
+        assert config.document == want and config.weights.nu == 1.0
+        weights = {"nu": 0.5}
+        reference_config.with_updates(weights=weights, **{"weights.nu": 1.0})
+        assert weights == {"nu": 0.5}  # a later key writes into the config's copy, not the caller's section
 
     def test_fingerprints_are_pinned(self, reference_config):
         # the fingerprint is stamped on every result file; it hashes the merged
@@ -619,6 +637,44 @@ def test_random_overrides_give_a_config_or_a_config_error(tiny_config_file, over
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def _at(doc: dict, key: str):
+    for part in key.split("."):
+        doc = doc[part]
+    return doc
+
+
+_REFERENCE_DOC = load_config(REFERENCE_CONFIG).document
+_TINY_MERGED = config_from_dict(TINY_DOC).document
+_SHARED_KEYS = sorted(set(_leaf_keys(_REFERENCE_DOC)) & set(_leaf_keys(_TINY_MERGED)))
+
+
+def _tiny_override(key: str):
+    """``key`` of the reference document set to its value in the tiny
+    config: a leaf, or a section whole or in part."""
+    value = _at(_TINY_MERGED, key)
+    if not isinstance(value, dict):
+        return st.just((key, value))
+    part = st.sets(st.sampled_from(sorted(value))).map(lambda keys: (key, {k: value[k] for k in keys}))
+    return st.just((key, value)) | part
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_SHARED_KEYS).flatmap(_tiny_override), min_size=1, max_size=4))
+def test_with_updates_is_set(reference_config, overrides):
+    """``with_updates`` takes ``--set`` keys and gives the config, or the
+    ConfigError, that ``--set`` gives, down to the fingerprint."""
+    overrides = dict(overrides)
+    try:
+        want = load_config(REFERENCE_CONFIG, [f"{key}={json.dumps(value)}" for key, value in overrides.items()])
+    except ConfigError as e:
+        with pytest.raises(ConfigError) as got:
+            reference_config.with_updates(**overrides)
+        assert str(got.value) == str(e)
+        return
+    got = reference_config.with_updates(**overrides)
+    assert got.document == want.document and got.fingerprint == want.fingerprint
 
 
 _VALID_SPECS = {

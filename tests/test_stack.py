@@ -296,7 +296,7 @@ def test_every_ablate_mode_and_occ_class_equals_its_run_alone(tiny_doc, monkeypa
 
         monkeypatch.setattr(harness, "_run_entries", recording)
         result = run_occ(config)
-        alone = {run[0]: harness._run(config, run[1], [run[2:]], None)[0] for run in planned}
+        alone = {run[0]: harness._run(run[1], [(config.with_updates(**run[2]), *run[3:])], None)[0] for run in planned}
     assert not result.failures and [label for label, _ in result.entries] == list(alone)
     for label, rec in result.entries:
         assert rec.to_dict() == alone[label].to_dict()
@@ -362,9 +362,11 @@ def test_runs_of_different_modes_or_data_never_share_a_stack(tiny_doc, monkeypat
 @pytest.mark.parametrize("jobs", [1, 2, 9])
 def test_the_planner_stacks_runs_by_data_and_updates_but_for_the_count(tiny_doc, monkeypatch, jobs):
     """One plan mixing what may share a stack with what may not: runs on
-    one RunData whose updates differ only in ``few_shot_count`` (seeds 0, 2
-    and 4) share one stack per worker; a run in another mode (seed 1) and
-    a run on another RunData (seed 3) each train apart."""
+    one RunData whose resolved configs differ only in ``few_shot_count``
+    (seeds 0, 2, 4 and 5, the last naming the config's own mode) share one
+    stack per worker; a run in another mode (seed 1), a run on another
+    RunData (seed 3) and a run with another ``weights.nu`` (seed 6) each
+    train apart."""
     config = config_from_dict(tiny_doc)
     data = harness.RunData.materialize(config, training.MODES, "sweep.counts", 16)
     other = harness.RunData.materialize(config, training.MODES, "sweep.counts", 16)
@@ -374,13 +376,15 @@ def test_the_planner_stacks_runs_by_data_and_updates_but_for_the_count(tiny_doc,
         ("c", data, {"few_shot_count": 4}, 2, 4, None),
         ("d", other, {"few_shot_count": 4}, 3, 4, None),
         ("e", data, {"few_shot_count": 0}, 4, 0, None),
+        ("f", data, {"mode": config.mode, "few_shot_count": 8}, 5, 8, None),
+        ("g", data, {"few_shot_count": 4, "weights.nu": 0.5}, 6, 4, None),
     ]
     stacks, _ = _recorded_stacks(monkeypatch)
     result = harness._run_entries("sweep", config, runs, None, jobs)
-    shared = {1: [[0, 2, 4]], 2: [[0, 4], [2]], 9: [[0], [2], [4]]}[jobs]
-    assert stacks == [("iii", stack) for stack in shared] + [("ii", [1]), ("iii", [3])]
-    assert not result.failures and [label for label, _ in result.entries] == list("abcde")
-    assert [rec.seed for _, rec in result.entries] == [0, 1, 2, 3, 4]
+    shared = {1: [[0, 2, 4, 5]], 2: [[0, 4], [2, 5]], 9: [[0], [2], [4], [5]]}[jobs]
+    assert stacks == [("iii", stack) for stack in shared] + [("ii", [1]), ("iii", [3]), ("iii", [6])]
+    assert not result.failures and [label for label, _ in result.entries] == list("abcdefg")
+    assert [rec.seed for _, rec in result.entries] == [0, 1, 2, 3, 4, 5, 6]
 
 
 def _three_runs(poisoned: int | None = None) -> training.PipelineConfig:
