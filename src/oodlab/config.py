@@ -1,12 +1,17 @@
 """Experiment configuration: JSON documents with defaults and overrides.
 
 A config file is a nested key-value document. Every key has a default in
-``DEFAULTS``; unknown keys are rejected with their dotted path. The
+``DEFAULTS``, ``data`` included; unknown keys are rejected with their dotted
+path. Two rules hold in ``data`` alone: its few-shot and outlier pools may
+be null, and ``data.tests`` holds dataset specs by name. The
 ``weights``, ``schedule`` and ``budget`` sections and the dataset specs are
 declared once, by the dataclass each builds: its field defaults, annotated
 types and own range checks. Command-line overrides use ``dotted.key=value``
 where the value is parsed as a JSON literal, then as a comma-separated
-number list, then as a bare string.
+number list, then as a bare string. Overrides apply in order, and the
+document is merged with ``DEFAULTS`` after each one, so a section an
+override replaces takes its defaults before the next override sets a key
+in it.
 """
 
 from __future__ import annotations
@@ -72,52 +77,40 @@ DEFAULTS: dict = {
     "budget": _field_defaults(RobustnessBudget),
     "eval": {"in_size": 256, "in_seed_offset": 104729},
     "sweep": {"counts": [64, 32, 16, 8, 0], "break_floor": 0.55},
+    "data": {"normal": _DATASET_DEFAULTS, "few_shot": None, "outlier": None, "tests": {}},
 }
 
-_DATA_ROLES = ("normal", "few_shot", "outlier", "tests")
+# The data pools a document may leave null; a key set under a null pool fills in a spec.
+_NULLABLE_POOLS = ("few_shot", "outlier")
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    """Fill defaults into the user document, rejecting unknown keys."""
+def _merge(defaults: dict, user, path: str = "") -> dict:
+    """Fill defaults into the user document, rejecting unknown keys.
+
+    Two rules hold in ``data`` alone: a pool named in ``_NULLABLE_POOLS``
+    is null or a dataset spec, and ``data.tests`` holds dataset specs by name.
+    """
     if not isinstance(user, dict):
         raise ConfigError(f"{path or 'config root'}: must be an object, got {user!r}")
     out = {}
     for key, dval in defaults.items():
         here = f"{path}.{key}" if path else key
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict):
-                out[key] = _merge(dval, uval, here)
-            else:
-                out[key] = copy.deepcopy(uval)
+        uval = user.get(key, dval)
+        if here == "data.tests":
+            if not isinstance(uval, dict):
+                raise ConfigError(f"{here}: must be an object, got {uval!r}")
+            out[key] = {name: _merge(_DATASET_DEFAULTS, spec, f"{here}.{name}") for name, spec in uval.items()}
+        elif path == "data" and key in _NULLABLE_POOLS:
+            out[key] = None if uval is None else _merge(_DATASET_DEFAULTS, uval, here)
+        elif isinstance(dval, dict):
+            out[key] = _merge(dval, uval, here)
         else:
-            out[key] = copy.deepcopy(dval)
+            out[key] = copy.deepcopy(uval)
     for key in user:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key '{here}'")
     return out
-
-
-def _merge_document(raw: dict) -> dict:
-    top = {k: v for k, v in raw.items() if k != "data"}
-    merged = _merge(DEFAULTS, top)
-    data = raw.get("data", {})
-    if not isinstance(data, dict):
-        raise ConfigError(f"data: must be an object, got {data!r}")
-    for key in data:
-        if key not in _DATA_ROLES:
-            raise ConfigError(f"unknown config key 'data.{key}'")
-    tests = data.get("tests", {})
-    if not isinstance(tests, dict):
-        raise ConfigError(f"data.tests: must be an object, got {tests!r}")
-    merged["data"] = {
-        "normal": _merge(_DATASET_DEFAULTS, data.get("normal", {}), "data.normal"),
-        "few_shot": None if data.get("few_shot") is None else _merge(_DATASET_DEFAULTS, data["few_shot"], "data.few_shot"),
-        "outlier": None if data.get("outlier") is None else _merge(_DATASET_DEFAULTS, data["outlier"], "data.outlier"),
-        "tests": {name: _merge(_DATASET_DEFAULTS, spec, f"data.tests.{name}") for name, spec in tests.items()},
-    }
-    return merged
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -139,20 +132,21 @@ def parse_override(text: str) -> tuple[str, object]:
 
 
 def _apply_override(doc: dict, key: str, value) -> None:
-    parts = key.split(".")
+    """Set the dotted ``key`` of the merged document ``doc`` to ``value``.
+    A key under a null pool first fills the pool with the dataset defaults."""
+    *path, leaf = key.split(".")
     node = doc
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key '{'.'.join(parts[: i + 1])}'")
-        if node[part] is None and part in ("few_shot", "outlier"):
+    for i, part in enumerate(path):
+        if part not in node:
+            raise ConfigError(f"unknown config key '{'.'.join(path[: i + 1])}'")
+        if node[part] is None and part in _NULLABLE_POOLS:
             node[part] = copy.deepcopy(_DATASET_DEFAULTS)
         node = node[part]
         if not isinstance(node, dict):
             raise ConfigError(f"unknown config key '{key}'")
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
+    if leaf not in node:
         raise ConfigError(f"unknown config key '{key}'")
-    node[leaf] = copy.deepcopy(value)  # a later override may write into it
+    node[leaf] = value  # the merge after each override copies it: a later key never writes into the caller's value
 
 
 @dataclass
@@ -183,9 +177,10 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def with_updates(self, **overrides) -> "ExperimentConfig":
-        """This config with ``overrides`` applied as ``--set`` applies them:
-        dotted keys, a replaced section taking its defaults, the same
-        fingerprint. ``with_updates(**{"weights.nu": 1.0})`` is ``--set weights.nu=1.0``."""
+        """This config with ``overrides`` applied in order as ``--set`` applies
+        them: dotted keys, a replaced section taking its defaults before the
+        next key, the same fingerprint. ``with_updates(**{"weights.nu": 1.0})``
+        is ``--set weights.nu=1.0``."""
         return config_from_dict(self.document, list(overrides.items()))
 
 
@@ -360,14 +355,22 @@ def build_config(document: dict) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, overrides=()) -> ExperimentConfig:
+    """The config of the document ``raw`` with ``overrides`` applied in order.
+
+    Each override is a ``dotted.key=value`` string or a ``(key, value)``
+    pair. The document is merged with ``DEFAULTS`` before the first override
+    and again after each one, so a section or dataset spec an override
+    replaces takes its defaults before the next override sets a key in it.
+    Each override must be valid where it stands: ``model=5`` is rejected
+    even when a later override replaces ``model`` again.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    merged = _merge_document(raw)
+    merged = _merge(DEFAULTS, raw)
     for item in overrides:
         key, value = parse_override(item) if isinstance(item, str) else item
         _apply_override(merged, key, value)
-    if overrides:  # an override may replace a whole section or dataset spec
-        merged = _merge_document(merged)
+        merged = _merge(DEFAULTS, merged)
     return build_config(merged)
 
 
@@ -379,4 +382,6 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
     return config_from_dict(raw, overrides)

@@ -277,9 +277,13 @@ def load_csv(path):
     """Read a CSV written by save_csv (or hand-made with the same layout).
 
     Returns a LabeledBatch when the final header column is ``label``, else an
-    OutlierPool. Malformed rows are reported with their 1-based file line.
+    OutlierPool. Malformed rows are reported with their 1-based file line;
+    every format error is a ValueError naming the file.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e})") from None
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]

@@ -365,11 +365,14 @@ def _parse_array(path, name: str, text: str) -> np.ndarray:
 
 
 def load_checkpoint(path) -> Mlp:
-    """Read a ``save_checkpoint`` file. A malformed header, a missing or
-    misnamed array, a wrong value count, a non-numeric or non-finite value,
-    or a non-blank line after the last array raises ValueError naming the
-    file (and the array or line)."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a ``save_checkpoint`` file. Bytes that are not UTF-8, a
+    malformed header, a missing or misnamed array, a wrong value count, a
+    non-numeric or non-finite value, or a non-blank line after the last
+    array raises ValueError naming the file (and the array or line)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e})") from None
     if not text or text[0] != _CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not an oodlab checkpoint")
     fields = {}

@@ -51,6 +51,14 @@ class TestGenData:
         spec = '{"kind":"low-frequency-noise","dim":2,"size":5}'
         assert dispatch(["gen-data", "--spec-json", spec, "--out", str(tmp_path / "x.csv"), "-q"]) == 2
 
+    def test_a_base_csv_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        base, out = tmp_path / "base.csv", tmp_path / "x.csv"
+        base.write_bytes(b"x0,x1\n0.5,\xff\n")
+        spec = '{"kind":"low-frequency-noise","size":5}'
+        assert dispatch(["gen-data", "--spec-json", spec, "--base-csv", str(base), "--out", str(out), "-q"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {base}: not UTF-8 text (")
+        assert not out.exists()
+
     def test_lfn_from_an_unlabeled_base_csv(self, tmp_path):
         base, out = tmp_path / "base.csv", tmp_path / "x.csv"
         save_csv(OutlierPool(np.zeros((4, 2))), base)
@@ -273,12 +281,13 @@ class TestConfigErrors:
             ('{"data": {"bogus": {}}}', "unknown config key 'data.bogus'"),
             ("[1, 2]", "config root must be a JSON object"),
             ('{"seed": ', "invalid JSON"),
+            (b'{"seed": "\xff"}', "bad.json: not UTF-8 text"),
         ],
-        ids=["unknown-data-key", "non-object-root", "invalid-json"],
+        ids=["unknown-data-key", "non-object-root", "invalid-json", "not-utf-8"],
     )
     def test_a_malformed_config_file_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         out = tmp_path / "o"
         assert dispatch(["train", "--config", str(path), "--out", str(out), "-q"]) == 2
         err = capsys.readouterr().err
@@ -424,7 +433,8 @@ class TestTrainEvalCommands:
         assert not (tmp_path / "e").exists()
 
     # line edits of a [2, 4, 3] classifier checkpoint: header, kind,
-    # activation, layer_sizes, then W0, b0, W1 and b1
+    # activation, layer_sizes, then W0, b0, W1 and b1; a lone surrogate
+    # is written as the byte it escapes
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -433,13 +443,15 @@ class TestTrainEvalCommands:
             (lambda ls: ls[:-1], "truncated checkpoint"),
             (lambda ls: [*ls[:5], "c0" + ls[5][2:], *ls[6:]], "expected array 'b0', found 'c0'"),
             (lambda ls: [*ls[:5], ls[5] + " 0.5", *ls[6:]], "array 'b0' has 5 values, expected 4"),
+            (lambda ls: [*ls[:4], "W\udcff" + ls[4][2:], *ls[5:]], "not UTF-8 text"),
         ],
-        ids=["kind", "layer-sizes", "too-few-lines", "misnamed-array", "value-count"],
+        ids=["kind", "layer-sizes", "too-few-lines", "misnamed-array", "value-count", "not-utf-8"],
     )
     def test_eval_of_a_malformed_checkpoint_exits_1_naming_the_file(self, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "clf.ckpt"
         save_checkpoint(MlpClassifier([2, 4, 3], activation="tanh", seed=0), ckpt)
-        ckpt.write_text("\n".join(edit(ckpt.read_text(encoding="utf-8").splitlines())) + "\n", encoding="utf-8")
+        lines = edit(ckpt.read_text(encoding="utf-8").splitlines())
+        ckpt.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError) as raised:
             load_checkpoint(ckpt)
         assert str(raised.value).startswith(f"{ckpt}: ") and message in str(raised.value)

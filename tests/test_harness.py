@@ -63,6 +63,36 @@ def _fake_sweep(curve: dict[int, float], test_set: str = "t") -> SweepResult:
     return SweepResult(entries=entries, failures={}, fingerprint="f")
 
 
+def _outcome(overrides):
+    """The tiny config's document and fingerprint under ``overrides``, or its ConfigError message."""
+    try:
+        config = config_from_dict(TINY_DOC, overrides)
+    except ConfigError as e:
+        return str(e)
+    return config.document, config.fingerprint
+
+
+_REPLACEABLE = [
+    "weights", "schedule", "budget", "model", "eval", "sweep", "data.normal", "data.few_shot", "data.outlier", "data.tests.ring"
+]
+
+
+@st.composite
+def _replace_then_set(draw):
+    """A section or dataset spec S of the tiny document, a replacement P
+    holding some of S's tiny values, and a key k of S with its tiny value or
+    its default v."""
+    section = draw(st.sampled_from(_REPLACEABLE))
+    tiny = config_from_dict(TINY_DOC).document
+    for part in section.split("."):
+        tiny = tiny[part]
+    defaults = DEFAULTS["data"]["normal"] if section.startswith("data.") else DEFAULTS[section]
+    kept = draw(st.sets(st.sampled_from(sorted(tiny))))
+    key = draw(st.sampled_from(sorted(tiny)))
+    value = draw(st.sampled_from([tiny[key], defaults[key]]))
+    return section, {k: tiny[k] for k in kept}, key, value
+
+
 class TestBreakPoint:
     def test_reproduces_worked_example(self):
         # AUROC decays through 0.61 and reaches ~0.5 around 800 shots
@@ -196,6 +226,22 @@ class TestConfig:
     def test_a_key_under_a_null_dataset_spec_fills_in_its_defaults(self, tiny_doc):
         config = config_from_dict(tiny_doc, overrides=["data.outlier=null", "data.outlier.kind=ring"])
         assert config.outlier == DatasetSpec(kind="ring")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_replace_then_set())
+    def test_a_key_set_after_its_section_is_replaced_is_merged_into_the_replacement(self, case):
+        section, replacement, key, value = case
+        got = _outcome([(section, replacement), (f"{section}.{key}", value)])
+        assert got == _outcome([(section, {**replacement, key: value})])
+
+    def test_a_key_set_after_its_section_is_replaced_fills_in_a_key_the_replacement_left_out(self):
+        got = load_config(REFERENCE_CONFIG, ['eval={"in_size":64}', "eval.in_seed_offset=3"])
+        want = load_config(REFERENCE_CONFIG, ['eval={"in_size":64,"in_seed_offset":3}'])
+        assert got.document == want.document and got.fingerprint == want.fingerprint
+
+    def test_each_override_must_be_valid_where_it_stands(self, tiny_doc):
+        with pytest.raises(ConfigError, match=r"^model: must be an object, got 5$"):
+            config_from_dict(tiny_doc, overrides=["model=5", 'model={"latent_dim": 3}'])
 
     def test_with_updates_fills_a_partial_section_with_its_defaults(self, reference_config):
         config = reference_config.with_updates(eval={"in_size": 5})

@@ -346,6 +346,7 @@ from oodlab.nets import Mlp, MlpClassifier
 from oodlab.scoring import RobustnessBudget, pgd_max_confidence_batch
 {setup}
 run()
+run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range({repeats}):
     run()
@@ -355,9 +356,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def _minor_faults(setup: str, repeats: int) -> int:
     """Minor page faults of ``repeats`` calls of the ``run`` that ``setup``
-    defines, after one warm-up call, in a fresh interpreter: the heap policy
+    defines, after two warm-up calls, in a fresh interpreter: the heap policy
     is set at import, and this process's heap history (earlier tests) moves
-    glibc's default thresholds."""
+    glibc's default thresholds. The second warm-up lets the heap settle: a
+    large PGD attack's second call still faults in tens of pages, its third
+    and later calls none or one."""
     package_root = str(Path(nets.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     probe = _FAULT_PROBE.format(setup=textwrap.dedent(setup), repeats=repeats)
