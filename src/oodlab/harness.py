@@ -33,7 +33,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .data import LabeledBatch, OutlierPool, gen_gaussian_mixture, generate_dataset, sample_few_shots
-from .scoring import MetricReport, _check_in_box, evaluate_ood
+# evaluate_ood is not called here but stays importable: bench/worker.py's tracer wraps harness.evaluate_ood
+from .scoring import MetricReport, _check_in_box, evaluate_ood, evaluate_sets
 from .training import MODES, NEGATIVES, PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
@@ -204,17 +205,16 @@ class RunData:
 def score_test_sets(
     config: ExperimentConfig, model, eval_in: np.ndarray, tests: dict[str, np.ndarray], dump_stem=None
 ) -> dict[str, MetricReport]:
-    """``evaluate_ood`` of ``model`` on every test set against ``eval_in``;
-    with ``dump_stem``, per-sample scores go to ``{dump_stem}_{test}.csv``."""
+    """One scoring pass of ``model`` (``scoring.evaluate_sets``) on every
+    test set against ``eval_in``, under the config's budget and fingerprint:
+    every set is checked before any is scored, and ``eval_in`` is scored
+    once. With ``dump_stem``, per-sample scores go to
+    ``{dump_stem}_{test}.csv``, and a set that fails its check leaves no
+    dump of any set."""
+    dumps = None if dump_stem is None else {name: Path(f"{dump_stem}_{name}.csv") for name in tests}
     if dump_stem is not None:
         Path(dump_stem).parent.mkdir(parents=True, exist_ok=True)
-    return {
-        name: evaluate_ood(
-            model, eval_in, out_inputs, config.budget, fingerprint=config.fingerprint,
-            dump_csv=None if dump_stem is None else Path(f"{dump_stem}_{name}.csv"),
-        )
-        for name, out_inputs in tests.items()
-    }
+    return evaluate_sets(model, eval_in, tests, config.budget, fingerprint=config.fingerprint, dump_csv=dumps)
 
 
 def _run(data: RunData, entries: list, out_dir) -> list[RunRecord]:

@@ -11,6 +11,11 @@ from interval propagation. In-distribution scores stay clean throughout, so
 for every out-sample clean <= adversarial <= certified, and the three AUROCs
 are ordered gauroc <= aauroc <= auroc whenever epsilon > 0.
 
+A model is scored in one pass, ``evaluate_sets``: every set is checked
+before any is scored, the in-set is scored once, and each out-set is then
+attacked, bounded and reported against it by ``report_scores``.
+``evaluate_ood`` is its one-out-set case.
+
 Nothing here uses the autodiff tape. Clean scores, every PGD iterate and the
 interval centers come from the one forward pass training uses
 (``Mlp.forward_with_cache``); the PGD input gradient is its ``backprop``
@@ -51,6 +56,7 @@ __all__ = [
     "ibp_logit_bounds",
     "certified_max_confidence",
     "evaluate_ood",
+    "evaluate_sets",
     "report_scores",
 ]
 
@@ -342,36 +348,52 @@ def certified_max_confidence(lo, hi):
     return float(best[0]) if single else best
 
 
-def evaluate_ood(
-    model,
-    in_inputs: np.ndarray,
-    out_inputs: np.ndarray,
-    budget: RobustnessBudget,
-    fingerprint: str = "",
-    dump_csv=None,
-) -> MetricReport:
-    """Score both sets with the model and report AUROC, AAUROC, and GAUROC.
+def evaluate_sets(
+    model, in_inputs: np.ndarray, out_sets: dict[str, np.ndarray], budget: RobustnessBudget, *, fingerprint: str, dump_csv
+) -> dict[str, MetricReport]:
+    """One scoring pass of a model: ``{name: MetricReport}``, one report of
+    AUROC, AAUROC and GAUROC per out-set in ``out_sets`` against the one
+    in-set.
 
-    Only out-samples are attacked/certified; in-samples stay clean, and are
-    scored before the attack runs. The PGD attack runs at its default seed,
-    0, so a report is a pure function of the model, the sets and the budget.
-    ``report_scores`` ranks the four score arrays and, when dump_csv is
-    given, writes the per-sample dump.
+    Every set is checked before any is scored: each must be non-empty and
+    finite, and each out-set must lie inside ``budget.input_box`` when it is
+    set. The in-set is then scored once, clean; in-samples are never
+    attacked or certified. Each out-set in turn is attacked by PGD, bounded
+    by IBP and ``certified_max_confidence``, and reported by
+    ``report_scores``, which writes its per-sample dump to ``dump_csv[name]``
+    when ``dump_csv`` (a mapping from set name to path) is given. The attack
+    runs at its default seed, 0, so a report is a pure function of the
+    model, the sets and the budget.
     """
-    in_inputs = np.atleast_2d(np.asarray(in_inputs, dtype=np.float64))
-    out_inputs = np.atleast_2d(np.asarray(out_inputs, dtype=np.float64))
-    if len(in_inputs) == 0 or len(out_inputs) == 0:
+    in_inputs, *outs = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (in_inputs, *out_sets.values()))
+    if not outs or min(len(x) for x in (in_inputs, *outs)) == 0:
         raise ValueError("evaluate_ood needs non-empty in and out sets")
-    for name, arr in (("in_inputs", in_inputs), ("out_inputs", out_inputs)):
+    for name, arr in (("in_inputs", in_inputs), *(("out_inputs", x) for x in outs)):
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             raise ValueError(f"{name} has a non-finite value in row {int(np.argmin(finite))}")
+        if name == "out_inputs":
+            _check_in_box(arr, budget.input_box)
 
     in_clean = anomaly_scores(model, in_inputs)
-    out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget)
-    lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
-    out_cert = certified_max_confidence(lo, hi)
-    return report_scores(in_clean, out_clean, out_adv, out_cert, budget, fingerprint=fingerprint, dump_csv=dump_csv)
+    reports = {}
+    for name, out_inputs in zip(out_sets, outs):
+        out_clean, out_adv = pgd_max_confidence_batch(model, out_inputs, budget)
+        lo, hi = ibp_logit_bounds(model, out_inputs, budget.epsilon, input_box=budget.input_box)
+        reports[name] = report_scores(
+            in_clean, out_clean, out_adv, certified_max_confidence(lo, hi), budget,
+            fingerprint=fingerprint, dump_csv=None if dump_csv is None else dump_csv[name],
+        )
+    return reports
+
+
+def evaluate_ood(
+    model, in_inputs: np.ndarray, out_inputs: np.ndarray, budget: RobustnessBudget, fingerprint: str = "", dump_csv=None
+) -> MetricReport:
+    """``evaluate_sets`` with one out-set: the report of AUROC, AAUROC and
+    GAUROC, with the per-sample dump written to dump_csv when it is given."""
+    dumps = None if dump_csv is None else {"out": dump_csv}
+    return evaluate_sets(model, in_inputs, {"out": out_inputs}, budget, fingerprint=fingerprint, dump_csv=dumps)["out"]
 
 
 def report_scores(

@@ -372,6 +372,11 @@ class TestTrainEvalCommands:
         assert set(doc) == {"ring", "lfn"}
         for metrics in doc.values():
             assert 0.0 <= metrics["gauroc"] <= metrics["aauroc"] <= metrics["auroc"] <= 1.0
+        # eval of the trained checkpoint scores as the train run did: same metrics, same dump bytes
+        run_id = ckpts[0].name.removesuffix(".classifier.ckpt")
+        assert doc == json.loads((out / f"{run_id}.result.json").read_text())["metrics"]
+        for name in doc:
+            assert (eval_out / f"eval_{name}.csv").read_bytes() == (out / "scores" / f"{run_id}_{name}.csv").read_bytes()
 
 
     def test_eval_of_a_test_set_outside_the_input_box_exits_2(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ from oodlab.harness import (
     run_occ,
     run_single,
 )
-from oodlab.scoring import MetricReport
+from oodlab.nets import Mlp, MlpClassifier
+from oodlab.scoring import MetricReport, evaluate_ood
 from oodlab.training import MODES
 
 from conftest import REFERENCE_CONFIG, TINY_DOC, fail_run_seed
@@ -514,6 +516,70 @@ class TestOcc:
         out_set = rng.normal(size=(300, 2))
         report = evaluate_ood(model, in_set, out_set, RobustnessBudget(epsilon=0.0))
         assert abs(report.auroc - 0.5) < 0.05
+
+
+def _scoring_case(activation="tanh", out_sizes=(5, 5, 5), seed=0):
+    """A small classifier, a 7-row in-set and one out-set per size, all inside [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    model = MlpClassifier([2, 8, 3], activation=activation, seed=seed + 11)
+    tests = {name: rng.uniform(-1.0, 2.5, (size, 2)) for name, size in zip(["ring", "uniform", "lfn", "far"], out_sizes)}
+    return model, rng.normal(0, 0.3, (7, 2)), tests
+
+
+class TestScoreTestSets:
+    def test_the_in_set_is_forwarded_once_per_model(self, tiny_doc, monkeypatch):
+        calls, original = [], Mlp.forward_with_cache
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        config = config_from_dict(tiny_doc, ["budget.pgd_steps=3"])
+        model, eval_in, tests = _scoring_case()
+        monkeypatch.setattr(Mlp, "forward_with_cache", counting)
+        harness.score_test_sets(config, model, eval_in, tests)
+        # one clean pass of the in-set, then pgd_steps + 1 passes per out-set
+        assert calls == [7] + [5] * 12
+
+    @pytest.mark.parametrize(
+        "override, fault, message",
+        [
+            (None, np.nan, "out_inputs has a non-finite value in row 2"),
+            ("budget.input_box=[-3,3]", 4.0, r"row 2 \[4.0, .*\] lies outside input_box \[-3.0, 3.0\]"),
+        ],
+    )
+    def test_a_bad_last_set_leaves_no_score_dump(self, tiny_doc, tmp_path, override, fault, message):
+        config = config_from_dict(tiny_doc, [override] if override else [])
+        model, eval_in, tests = _scoring_case()
+        tests["lfn"][2, 0] = fault
+        with pytest.raises(ValueError, match=message):
+            harness.score_test_sets(config, model, eval_in, tests, tmp_path / "scores" / "run")
+        assert list((tmp_path / "scores").iterdir()) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        out_sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+        epsilon=st.sampled_from([0.0, 0.02, 0.05]),
+        input_box=st.sampled_from([None, [-3, 3]]),
+    )
+    def test_is_evaluate_ood_of_each_set(self, activation, out_sizes, seed, epsilon, input_box):
+        config = config_from_dict(
+            TINY_DOC, [("budget.epsilon", epsilon), ("budget.pgd_steps", 4), ("budget.input_box", input_box)]
+        )
+        model, eval_in, tests = _scoring_case(activation, out_sizes, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = harness.score_test_sets(config, model, eval_in, tests, Path(tmp) / "run")
+            want = {
+                name: evaluate_ood(
+                    model, eval_in, x, config.budget, fingerprint=config.fingerprint, dump_csv=Path(tmp) / f"one_{name}.csv"
+                )
+                for name, x in tests.items()
+            }
+            assert got == want and list(got) == list(tests)
+            for name in tests:
+                assert (Path(tmp) / f"run_{name}.csv").read_bytes() == (Path(tmp) / f"one_{name}.csv").read_bytes()
 
 
 class TestEmitReport:

@@ -13,6 +13,7 @@ from oodlab.scoring import (
     auroc,
     certified_max_confidence,
     evaluate_ood,
+    evaluate_sets,
     ibp_logit_bounds,
     pgd_max_confidence_batch,
     report_scores,
@@ -582,6 +583,12 @@ class TestEvaluate:
         model, in_set, out_set = self._sets()
         with pytest.raises(ValueError):
             evaluate_ood(model, np.zeros((0, 2)), out_set, RobustnessBudget())
+
+    def test_evaluate_sets_needs_an_out_set_and_rows_in_each(self):
+        model, in_set, out_set = self._sets()
+        for out_sets in ({}, {"a": out_set, "b": np.zeros((0, 2))}):
+            with pytest.raises(ValueError, match="^evaluate_ood needs non-empty in and out sets$"):
+                evaluate_sets(model, in_set, out_sets, RobustnessBudget(), fingerprint="", dump_csv=None)
 
     @pytest.mark.parametrize("side", ["in_inputs", "out_inputs"])
     def test_non_finite_input_rejected_naming_set_and_row(self, side):
